@@ -1,0 +1,120 @@
+"""granular1d: Lagrangian solver for 1D pressureless granular flow with a
+maximal density constraint and adhesion memory.
+
+The flow is represented by the monotone transport map of its density;
+congestion is enforced by projecting the free motion onto the cone of
+maps whose gaps dominate those of the maximally packed rearrangement
+(weighted isotonic regression), and the blocked compression accumulates
+into a nonpositive adhesion potential that controls when glued blocks
+release.
+"""
+
+from .density import PiecewiseDensity, Segment, uniform_blocks
+from .dynamics import (
+    ForceField,
+    PicardOptions,
+    PicardResult,
+    SimState,
+    StepperConfig,
+    adhesion_potential,
+    block_velocity,
+    check_state,
+    constant_force,
+    init_state,
+    picard_solve,
+    piecewise_constant_force,
+    run_simulation,
+    step,
+    two_block_force,
+    zero_force,
+)
+from .errors import (
+    ConvergenceError,
+    EmptyMeasureError,
+    Granular1dError,
+    InvariantViolation,
+    OracleLimitError,
+)
+from .eulerian import EulerianField, ExclusionReport, check_exclusion, reconstruct, wasserstein2
+from .heterogeneous import (
+    RatioSystem,
+    build_ratio_system,
+    cosine_bump_rho_star,
+    reconstruct_heterogeneous,
+    run_heterogeneous,
+)
+from .transport import (
+    BlockPartition,
+    MonotoneMap,
+    ParticleSystem,
+    build_particles,
+    congested_transport,
+    oracle_qp_projection,
+    packed_interval,
+    project_admissible,
+    project_monotone,
+    weighted_norm,
+)
+from .twoblock import (
+    ContactTracker,
+    ErrorReport,
+    ExactSnapshot,
+    TwoBlockParams,
+    error_norms,
+    two_block_exact,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BlockPartition",
+    "ContactTracker",
+    "ConvergenceError",
+    "EmptyMeasureError",
+    "ErrorReport",
+    "EulerianField",
+    "ExactSnapshot",
+    "ExclusionReport",
+    "ForceField",
+    "Granular1dError",
+    "InvariantViolation",
+    "MonotoneMap",
+    "OracleLimitError",
+    "ParticleSystem",
+    "PicardOptions",
+    "PicardResult",
+    "PiecewiseDensity",
+    "RatioSystem",
+    "Segment",
+    "SimState",
+    "StepperConfig",
+    "TwoBlockParams",
+    "adhesion_potential",
+    "block_velocity",
+    "build_particles",
+    "build_ratio_system",
+    "check_exclusion",
+    "check_state",
+    "congested_transport",
+    "constant_force",
+    "cosine_bump_rho_star",
+    "error_norms",
+    "init_state",
+    "oracle_qp_projection",
+    "packed_interval",
+    "picard_solve",
+    "piecewise_constant_force",
+    "project_admissible",
+    "project_monotone",
+    "reconstruct",
+    "reconstruct_heterogeneous",
+    "run_heterogeneous",
+    "run_simulation",
+    "step",
+    "two_block_exact",
+    "two_block_force",
+    "uniform_blocks",
+    "wasserstein2",
+    "weighted_norm",
+    "zero_force",
+]

@@ -1,0 +1,450 @@
+"""Command-line front end: configure a scenario, run it, and write
+Lagrangian/Eulerian records plus a summary for external plotting.
+
+Config files are YAML (see README for the schema).  Exit codes:
+0 success, 2 malformed config, 3 invariant violation beyond tolerance.
+Outputs are plain CSV or JSON-lines with shortest round-trip float
+formatting, so identical configs produce byte-identical files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+import yaml
+
+from .density import PiecewiseDensity, Segment
+from .dynamics import (
+    ForceField,
+    PicardOptions,
+    SimState,
+    StepperConfig,
+    piecewise_constant_force,
+    picard_solve,
+    run_simulation,
+    two_block_force,
+)
+from .errors import Granular1dError, InvariantViolation
+from .eulerian import check_exclusion, reconstruct
+from .heterogeneous import (
+    RatioSystem,
+    build_ratio_system,
+    cosine_bump_rho_star,
+    reconstruct_heterogeneous,
+    run_heterogeneous,
+)
+from .transport import MonotoneMap, ParticleSystem, build_particles, congested_transport
+from .twoblock import ContactTracker, ErrorReport, TwoBlockParams, error_norms, two_block_exact
+
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_INVARIANT = 3
+
+_ENV_OUTDIR = "GRANULAR1D_OUTDIR"
+_DEFAULT_EXCLUSION_TOL = 1e-6
+
+
+class ConfigError(Granular1dError):
+    pass
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+@dataclass
+class RunSetup:
+    scenario: str
+    ps: ParticleSystem
+    u0: np.ndarray
+    force: ForceField
+    xtil: MonotoneMap
+    stepper: StepperConfig
+    output_steps: dict[int, float]
+    out_prefix: Path
+    out_format: str
+    exclusion_tol: float
+    use_picard: bool
+    two_block: TwoBlockParams | None = None
+    ratio: RatioSystem | None = None
+
+    def reconstruct(self, state: SimState):
+        if self.ratio is not None:
+            return reconstruct_heterogeneous(state, self.ratio)
+        return reconstruct(state, self.ps, self.xtil)
+
+
+def _require(cfg: dict, key: str, typ=None):
+    if key not in cfg:
+        raise ConfigError(f"missing config key '{key}'")
+    val = cfg[key]
+    if typ is not None and not isinstance(val, typ):
+        raise ConfigError(f"config key '{key}' has wrong type {type(val).__name__}")
+    return val
+
+
+def _positive(cfg: dict, key: str) -> float:
+    val = float(_require(cfg, key, (int, float)))
+    if not np.isfinite(val) or val <= 0:
+        raise ConfigError(f"config key '{key}' must be a positive finite number")
+    return val
+
+
+def load_config(path: str | Path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a mapping")
+    return cfg
+
+
+def _output_steps(cfg: dict, dt: float, t_end: float) -> dict[int, float]:
+    times = cfg.get("output_times", [0.0, t_end])
+    if not isinstance(times, list) or not times:
+        raise ConfigError("output_times must be a nonempty list")
+    out: dict[int, float] = {}
+    for t in times:
+        t = float(t)
+        if t < 0 or t > t_end + 1e-12:
+            raise ConfigError(f"output time {t} outside [0, t_end]")
+        idx = int(round(t / dt))
+        if abs(idx * dt - t) > 1e-9 * max(1.0, t):
+            raise ConfigError(f"output time {t} is not on the step grid (dt={dt})")
+        out[idx] = t
+    return out
+
+
+def _build_force(spec: Any) -> ForceField:
+    if not isinstance(spec, dict):
+        raise ConfigError("force must be a mapping")
+    if "alpha" in spec:
+        return two_block_force(_positive(spec, "alpha"), _positive(spec, "t_star"))
+    if "breakpoints" in spec:
+        try:
+            return piecewise_constant_force(spec["breakpoints"], spec["values"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad piecewise force: {exc}") from exc
+    raise ConfigError("force needs either alpha/t_star or breakpoints/values")
+
+
+def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
+    scenario = _require(cfg, "scenario", str)
+    n = int(_require(cfg, "n", int))
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    dt = _positive(cfg, "dt")
+    t_end = float(_require(cfg, "t_end", (int, float)))
+    if t_end < 0:
+        raise ConfigError("t_end must be nonnegative")
+
+    integrator = cfg.get("integrator", "marching")
+    use_picard = False
+    picard_opts = None
+    if integrator == "marching":
+        pass
+    elif isinstance(integrator, dict) and "picard" in integrator:
+        p = integrator["picard"] or {}
+        picard_opts = PicardOptions(
+            max_iters=int(p.get("max_iters", 30)), tol=float(p.get("tol", 1e-12))
+        )
+        use_picard = True
+    else:
+        raise ConfigError("integrator must be 'marching' or {picard: {...}}")
+
+    stepper = StepperConfig(dt=dt, t_end=t_end, picard=picard_opts)
+
+    out_cfg = cfg.get("output", {})
+    prefix = Path(out_cfg.get("path", Path(config_path).stem))
+    outdir = os.environ.get(_ENV_OUTDIR)
+    if outdir:
+        prefix = Path(outdir) / prefix.name
+    out_format = out_cfg.get("format", "csv")
+    if out_format not in ("csv", "json-lines"):
+        raise ConfigError("output.format must be 'csv' or 'json-lines'")
+
+    tolerances = cfg.get("tolerances", {})
+    exclusion_tol = float(tolerances.get("exclusion", _DEFAULT_EXCLUSION_TOL))
+
+    two_block = None
+    ratio = None
+    if scenario == "two-block":
+        fspec = cfg.get("force", {})
+        geom = cfg.get("blocks", {})
+        two_block = TwoBlockParams(
+            a1=float(geom.get("a1", -1.1024)),
+            b1=float(geom.get("b1", -0.1024)),
+            a2=float(geom.get("a2", 0.1024)),
+            b2=float(geom.get("b2", 1.1024)),
+            alpha=float(fspec.get("alpha", 0.5)),
+            t_star=float(fspec.get("t_star", 1.0)),
+        )
+        ps = two_block.build(n)
+        force = two_block.force()
+        u0 = np.zeros(n)
+        xtil = congested_transport(ps)
+    elif scenario == "heterogeneous":
+        cspec = cfg.get("constraint", {})
+        star = cosine_bump_rho_star(
+            base=float(cspec.get("base", 1.0)), amplitude=float(cspec.get("amplitude", 0.2))
+        )
+        fill = float(cfg.get("fill", 0.8))
+        if not 0 < fill <= 1:
+            raise ConfigError("fill must lie in (0, 1]")
+        # density = fill * rho_star on [0, 1]
+        rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
+        fspec = cfg.get("force", {"breakpoints": [0.5], "values": [0.5, -0.5]})
+        force = _build_force(fspec)
+        ratio = build_ratio_system(rho0, star, n)
+        ps = ratio.base
+        u0 = np.zeros(n)
+        xtil = ratio.xtil
+    elif scenario == "custom":
+        dspec = _require(cfg, "density", dict)
+        blocks = _require(dspec, "blocks", list)
+        try:
+            segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
+            heights = [float(b[2]) if len(b) > 2 else 1.0 for b in blocks]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad density blocks: {exc}") from exc
+        density = PiecewiseDensity(
+            [Segment(lo, hi, h) for (lo, hi), h in zip(segs, heights)]
+        )
+        ps = build_particles(density, n)
+        u0_spec = cfg.get("u0", 0.0)
+        if isinstance(u0_spec, list):
+            u0 = np.asarray(u0_spec, dtype=float)
+            if u0.size != n:
+                raise ConfigError("u0 list must have length n")
+        else:
+            u0 = np.full(n, float(u0_spec))
+        force = _build_force(_require(cfg, "force", dict))
+        xtil = congested_transport(ps)
+    else:
+        raise ConfigError(f"unknown scenario '{scenario}'")
+
+    return RunSetup(
+        scenario=scenario,
+        ps=ps,
+        u0=u0,
+        force=force,
+        xtil=xtil,
+        stepper=stepper,
+        output_steps=_output_steps(cfg, dt, t_end),
+        out_prefix=prefix,
+        out_format=out_format,
+        exclusion_tol=exclusion_tol,
+        use_picard=use_picard,
+        two_block=two_block,
+        ratio=ratio,
+    )
+
+
+class _RecordWriter:
+    """Fixed-schema record emitter, CSV or JSON-lines."""
+
+    def __init__(self, path: Path, columns: list[str], fmt: str):
+        self.columns = columns
+        self.fmt = fmt
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.fh = open(path, "w", encoding="utf-8", newline="\n")
+        if fmt == "csv":
+            self.fh.write(",".join(columns) + "\n")
+
+    def write(self, values: list) -> None:
+        cells = ["" if v is None else (_fmt(v) if isinstance(v, float) else str(v)) for v in values]
+        if self.fmt == "csv":
+            self.fh.write(",".join(cells) + "\n")
+        else:
+            rec = {c: (None if v is None else v) for c, v in zip(self.columns, values)}
+            self.fh.write(json.dumps(rec) + "\n")
+
+    def close(self) -> None:
+        self.fh.close()
+
+
+def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
+    t = state.t
+    for i in range(state.n):
+        lag.write([t, i, float(state.x.values[i]), float(state.u[i]), float(state.gamma[i])])
+    field = setup.reconstruct(state)
+    stars = field.rho_star
+    for j in range(field.n_samples):
+        eul.write(
+            [
+                t,
+                float(field.x[j]),
+                float(field.rho[j]),
+                float(field.u[j]),
+                float(field.gamma[j]),
+                None if stars is None else float(stars[j]),
+            ]
+        )
+    report = check_exclusion(field, setup.exclusion_tol)
+    if report.offenders.size:
+        raise InvariantViolation("exclusion", report.max_residual)
+    return report.max_residual
+
+
+def _iterate(setup: RunSetup):
+    if setup.use_picard:
+        if setup.ratio is not None:
+            raise ConfigError("picard integrator is only wired for homogeneous scenarios")
+        result = picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
+        yield from result.states
+    elif setup.ratio is not None:
+        yield from run_heterogeneous(setup.ratio, setup.u0, setup.force, setup.stepper)
+    else:
+        yield from run_simulation(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
+
+
+def run_command(config_path: str) -> int:
+    setup = build_setup(load_config(config_path), config_path)
+    n = setup.ps.n
+    tracker = ContactTracker((n // 2 - 1, n // 2)) if n >= 2 else None
+    lag = _RecordWriter(
+        setup.out_prefix.with_suffix(".lagrangian." + _ext(setup)),
+        ["t", "i", "x", "u", "gamma"],
+        setup.out_format,
+    )
+    eul = _RecordWriter(
+        setup.out_prefix.with_suffix(".eulerian." + _ext(setup)),
+        ["t", "x", "rho", "u", "gamma", "rho_star"],
+        setup.out_format,
+    )
+    max_gamma = -np.inf
+    min_slack = np.inf
+    max_exclusion = 0.0
+    first_congested: float | None = None
+    errors: dict[str, ErrorReport] = {}
+    try:
+        for state in _iterate(setup):
+            if tracker is not None:
+                tracker.observe(state.t, state.blocks)
+            if first_congested is None and not state.blocks.is_empty:
+                first_congested = state.t
+            max_gamma = max(max_gamma, float(np.max(state.gamma)))
+            min_slack = min(
+                min_slack, float(np.min(np.diff(state.x.values) - setup.xtil.gaps(), initial=np.inf))
+            )
+            if state.step_index in setup.output_steps:
+                max_exclusion = max(max_exclusion, _emit_state(setup, state, lag, eul))
+                if setup.two_block is not None:
+                    exact = two_block_exact(setup.two_block, setup.ps, state.t)
+                    errors[_fmt(state.t)] = error_norms(state, exact, setup.ps.masses)
+    finally:
+        lag.close()
+        eul.close()
+
+    summary = {
+        "scenario": setup.scenario,
+        "n": n,
+        "dt": setup.stepper.dt,
+        "t_end": setup.stepper.t_end,
+        "integrator": "picard" if setup.use_picard else "marching",
+        "first_congested_time": first_congested,
+        "contact_interval": None
+        if tracker is None or tracker.contact_time is None
+        else [tracker.contact_time, tracker.separation_time],
+        "invariant_maxima": {
+            "gamma_max": max_gamma,
+            "feasibility_slack_min": None if not np.isfinite(min_slack) else min_slack,
+            "exclusion_residual_max": max_exclusion,
+        },
+        "error_norms": {
+            t: {"x": e.x_error, "u": e.u_error, "gamma_sup": e.gamma_error}
+            for t, e in sorted(errors.items())
+        }
+        or None,
+    }
+    path = setup.out_prefix.with_suffix(".summary.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return EXIT_OK
+
+
+def _ext(setup: RunSetup) -> str:
+    return "csv" if setup.out_format == "csv" else "jsonl"
+
+
+def validate_command(config_path: str) -> int:
+    setup = build_setup(load_config(config_path), config_path)
+    from .dynamics import check_state, init_state
+
+    state = init_state(setup.ps, setup.u0, setup.xtil)
+    check_state(state, setup.xtil, setup.ps.masses)
+    field = setup.reconstruct(state)
+    report = check_exclusion(field, setup.exclusion_tol)
+    if report.offenders.size:
+        raise InvariantViolation("exclusion", report.max_residual)
+    print(
+        f"ok: scenario={setup.scenario} n={setup.ps.n} mass={_fmt(setup.ps.total_mass)} "
+        f"steps={setup.stepper.n_steps} outputs={len(setup.output_steps)}"
+    )
+    return EXIT_OK
+
+
+def oracle_command(config_path: str) -> int:
+    setup = build_setup(load_config(config_path), config_path)
+    if setup.two_block is None:
+        raise ConfigError("oracle output exists only for the two-block scenario")
+    out = _RecordWriter(
+        setup.out_prefix.with_suffix(".oracle." + _ext(setup)),
+        ["t", "i", "x", "u", "gamma"],
+        setup.out_format,
+    )
+    try:
+        for idx in sorted(setup.output_steps):
+            t = setup.output_steps[idx]
+            snap = two_block_exact(setup.two_block, setup.ps, t)
+            for i in range(setup.ps.n):
+                out.write([t, i, float(snap.x_ex[i]), float(snap.u_ex[i]), float(snap.gamma_ex[i])])
+    finally:
+        out.close()
+    return EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="granular1d",
+        description="1D constrained granular flow simulator (Lagrangian cone projection)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_ in [
+        ("run", "run a scenario and write Lagrangian/Eulerian records"),
+        ("validate", "parse a config and dry-run the initial data checks"),
+        ("oracle", "emit the closed-form reference solution only"),
+    ]:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("config", help="path to the YAML config file")
+    args = parser.parse_args(argv)
+    handlers = {"run": run_command, "validate": validate_command, "oracle": oracle_command}
+    try:
+        return handlers[args.command](args.config)
+    except ConfigError as exc:
+        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
+    except InvariantViolation as exc:
+        print(
+            json.dumps({"error": "invariant", "check": exc.check, "value": exc.value}),
+            file=sys.stderr,
+        )
+        return EXIT_INVARIANT
+    except Granular1dError as exc:
+        print(json.dumps({"error": "runtime", "detail": str(exc)}), file=sys.stderr)
+        return EXIT_INVARIANT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,160 @@
+"""Eulerian fields reconstructed from the Lagrangian state.
+
+The density on the cell between consecutive particles is the ratio of
+the packed gap to the actual gap, which keeps the constraint exact on
+congested cells.  Two half-cells are appended at the ends so that the
+cell quadrature carries the full mass.  The adhesion samples live only
+on cells interior to a congested block; elsewhere the continuum value
+is identically zero and is emitted as such, which makes the exclusion
+relation hold by construction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .dynamics import SimState
+from .errors import InvariantViolation
+from .transport import MonotoneMap, ParticleSystem, weighted_norm
+
+_RHO_TOL = 1e-9
+_FREE_RHO_MARGIN = 1e-6
+
+
+@dataclass(frozen=True)
+class EulerianField:
+    """Sampled (x, rho, u, gamma, rho_star) records on particle cells.
+
+    ``width`` is the quadrature weight of each sample; sum(rho * width)
+    equals the transported mass.  ``rho_star`` is None for runs with the
+    homogeneous constraint rho <= 1.
+    """
+
+    x: np.ndarray
+    rho: np.ndarray
+    u: np.ndarray
+    gamma: np.ndarray
+    width: np.ndarray
+    rho_star: np.ndarray | None = None
+
+    def __post_init__(self):
+        bound = np.ones_like(self.rho) if self.rho_star is None else self.rho_star
+        over = float(np.max(self.rho - bound, initial=0.0))
+        if over > _RHO_TOL:
+            raise InvariantViolation("density_bound", over)
+        if float(np.min(self.rho, initial=0.0)) < -_RHO_TOL:
+            raise InvariantViolation("density_sign", -float(np.min(self.rho)))
+        gscale = max(1.0, float(np.max(np.abs(self.gamma), initial=0.0)))
+        worst_gamma = float(np.max(self.gamma, initial=0.0))
+        if worst_gamma > _RHO_TOL * gscale:
+            raise InvariantViolation("gamma_sign", worst_gamma)
+        # complementarity (gamma vanishing off the congested support) is
+        # check_exclusion's job so that corrupted fields remain representable
+
+    @property
+    def n_samples(self) -> int:
+        return self.x.size
+
+    def total_mass(self) -> float:
+        return float(np.dot(self.rho, self.width))
+
+    def free_support_leak(self) -> float:
+        """Largest |gamma| on samples that are clearly uncongested."""
+        bound = np.ones_like(self.rho) if self.rho_star is None else self.rho_star
+        free = self.rho < bound * (1.0 - _FREE_RHO_MARGIN)
+        if not np.any(free):
+            return 0.0
+        return float(np.max(np.abs(self.gamma[free])))
+
+
+@dataclass(frozen=True)
+class ExclusionReport:
+    max_residual: float
+    offenders: np.ndarray  # sample indices above tolerance
+
+
+def reconstruct(
+    state: SimState,
+    ps: ParticleSystem,
+    xtil: MonotoneMap,
+    rho_star_at_particles: np.ndarray | None = None,
+) -> EulerianField:
+    """Midpoint-sampled density, velocity and adhesion fields.
+
+    Cell (i, i+1) is sampled at the particle midpoint with density equal
+    to the packed-over-actual gap ratio.  With a heterogeneous maximal
+    density, the transported ratio is multiplied by the carried maximal
+    density, and rho_star is emitted per sample.
+    """
+    x = state.x.values
+    m = ps.masses
+    n = ps.n
+    if n == 1:
+        ratio = np.array([1.0])
+        widths = np.array([float(m[0])])
+        xs = np.array([float(x[0])])
+        us = np.array([float(state.u[0])])
+        gs = np.array([0.0])
+        star = None if rho_star_at_particles is None else np.array([rho_star_at_particles[0]])
+        rho = ratio if star is None else ratio * star
+        return EulerianField(xs, rho, us, gs, widths, star)
+
+    gaps = np.diff(x)
+    packed = xtil.gaps()
+    if np.any(gaps <= 0):
+        raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
+                                 "invalid transport: coincident particle positions")
+    ratio = packed / gaps
+    over = ratio - 1.0
+    worst = float(np.max(over))
+    if worst > _RHO_TOL:
+        raise InvariantViolation("density_bound", worst)
+    ratio = np.minimum(ratio, 1.0)
+
+    xm = (x[:-1] + x[1:]) / 2
+    wsum = m[:-1] + m[1:]
+    um = (m[:-1] * state.u[:-1] + m[1:] * state.u[1:]) / wsum
+    inside = state.blocks.interior_cells(n)
+    gm = np.where(inside, (state.gamma[:-1] + state.gamma[1:]) / 2, 0.0)
+
+    # boundary half-cells so the quadrature carries the full mass
+    labels = state.blocks.labels(n)
+    r_left = ratio[0]
+    r_right = ratio[-1]
+    w_left = (m[0] / 2) / r_left
+    w_right = (m[-1] / 2) / r_right
+    g_left = state.gamma[0] / 2 if labels[0] >= 0 else 0.0
+    g_right = state.gamma[-1] / 2 if labels[-1] >= 0 else 0.0
+
+    xs = np.concatenate([[x[0] - w_left / 2], xm, [x[-1] + w_right / 2]])
+    rat = np.concatenate([[r_left], ratio, [r_right]])
+    widths = np.concatenate([[w_left], gaps, [w_right]])
+    us = np.concatenate([[state.u[0]], um, [state.u[-1]]])
+    gs = np.concatenate([[g_left], gm, [g_right]])
+
+    if rho_star_at_particles is None:
+        return EulerianField(xs, rat, us, gs, widths, None)
+    rs = np.asarray(rho_star_at_particles, dtype=float)
+    rs_mid = (rs[:-1] + rs[1:]) / 2
+    star = np.concatenate([[rs[0]], rs_mid, [rs[-1]]])
+    return EulerianField(xs, rat * star, us, gs, widths, star)
+
+
+def check_exclusion(field: EulerianField, tol: float) -> ExclusionReport:
+    """Largest violation of the complementarity (bound - rho) * gamma = 0."""
+    bound = np.ones_like(field.rho) if field.rho_star is None else field.rho_star
+    residual = np.abs((bound - field.rho) * field.gamma)
+    return ExclusionReport(
+        max_residual=float(np.max(residual, initial=0.0)),
+        offenders=np.flatnonzero(residual > tol),
+    )
+
+
+def wasserstein2(x1: MonotoneMap, x2: MonotoneMap, masses: np.ndarray) -> float:
+    """Quadratic transport distance between the two pushed-forward
+    measures: the mass-weighted L2 distance of their monotone maps."""
+    if x1.n != x2.n or x1.n != np.asarray(masses).size:
+        raise ValueError("maps and masses must have equal length")
+    return weighted_norm(x1.values - x2.values, masses)
