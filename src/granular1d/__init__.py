@@ -50,7 +50,6 @@ from .transport import (
     build_particles,
     congested_transport,
     oracle_qp_projection,
-    packed_interval,
     project_admissible,
     project_monotone,
     weighted_norm,
@@ -101,7 +100,6 @@ __all__ = [
     "error_norms",
     "init_state",
     "oracle_qp_projection",
-    "packed_interval",
     "picard_solve",
     "piecewise_constant_force",
     "project_admissible",

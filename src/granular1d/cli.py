@@ -26,20 +26,15 @@ from .dynamics import (
     PicardOptions,
     SimState,
     StepperConfig,
+    init_state,
     piecewise_constant_force,
     picard_solve,
     run_simulation,
     two_block_force,
 )
 from .errors import Granular1dError, InvariantViolation
-from .eulerian import check_exclusion, reconstruct
-from .heterogeneous import (
-    RatioSystem,
-    build_ratio_system,
-    cosine_bump_rho_star,
-    reconstruct_heterogeneous,
-    run_heterogeneous,
-)
+from .eulerian import EulerianField, check_exclusion, reconstruct
+from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import MonotoneMap, ParticleSystem, build_particles, congested_transport
 from .twoblock import ContactTracker, ErrorReport, TwoBlockParams, error_norms, two_block_exact
 
@@ -73,12 +68,10 @@ class RunSetup:
     exclusion_tol: float
     use_picard: bool
     two_block: TwoBlockParams | None = None
-    ratio: RatioSystem | None = None
+    rho_star: np.ndarray | None = None  # carried maximal density per particle
 
-    def reconstruct(self, state: SimState):
-        if self.ratio is not None:
-            return reconstruct_heterogeneous(state, self.ratio)
-        return reconstruct(state, self.ps, self.xtil)
+    def reconstruct(self, state: SimState) -> EulerianField:
+        return reconstruct(state, self.ps, self.xtil, self.rho_star)
 
 
 def _require(cfg: dict, key: str, typ=None):
@@ -130,14 +123,20 @@ def _build_force(spec: Any) -> ForceField:
     if "alpha" in spec:
         return two_block_force(_positive(spec, "alpha"), _positive(spec, "t_star"))
     if "breakpoints" in spec:
-        try:
-            return piecewise_constant_force(spec["breakpoints"], spec["values"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad piecewise force: {exc}") from exc
+        return piecewise_constant_force(spec["breakpoints"], _require(spec, "values"))
     raise ConfigError("force needs either alpha/t_star or breakpoints/values")
 
 
 def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
+    """Parse a config into a runnable setup.  Values that the library
+    rejects (ValueError, TypeError) surface as ConfigError."""
+    try:
+        return _build_setup(cfg, config_path)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     scenario = _require(cfg, "scenario", str)
     n = int(_require(cfg, "n", int))
     if n < 1:
@@ -176,7 +175,7 @@ def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     exclusion_tol = float(tolerances.get("exclusion", _DEFAULT_EXCLUSION_TOL))
 
     two_block = None
-    ratio = None
+    rho_star = None
     if scenario == "two-block":
         fspec = cfg.get("force", {})
         geom = cfg.get("blocks", {})
@@ -208,14 +207,12 @@ def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         ps = ratio.base
         u0 = np.zeros(n)
         xtil = ratio.xtil
+        rho_star = ratio.rho_star0_at_particles
     elif scenario == "custom":
         dspec = _require(cfg, "density", dict)
         blocks = _require(dspec, "blocks", list)
-        try:
-            segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
-            heights = [float(b[2]) if len(b) > 2 else 1.0 for b in blocks]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad density blocks: {exc}") from exc
+        segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
+        heights = [float(b[2]) if len(b) > 2 else 1.0 for b in blocks]
         density = PiecewiseDensity(
             [Segment(lo, hi, h) for (lo, hi), h in zip(segs, heights)]
         )
@@ -245,7 +242,7 @@ def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         exclusion_tol=exclusion_tol,
         use_picard=use_picard,
         two_block=two_block,
-        ratio=ratio,
+        rho_star=rho_star,
     )
 
 
@@ -272,6 +269,13 @@ class _RecordWriter:
         self.fh.close()
 
 
+def _check_exclusion(setup: RunSetup, state: SimState, field: EulerianField) -> float:
+    report = check_exclusion(field, setup.exclusion_tol)
+    if report.offenders.size:
+        raise InvariantViolation("exclusion", report.max_residual, t=state.t, step=state.step_index)
+    return report.max_residual
+
+
 def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
     t = state.t
     for i in range(state.n):
@@ -289,22 +293,13 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
                 None if stars is None else float(stars[j]),
             ]
         )
-    report = check_exclusion(field, setup.exclusion_tol)
-    if report.offenders.size:
-        raise InvariantViolation("exclusion", report.max_residual)
-    return report.max_residual
+    return _check_exclusion(setup, state, field)
 
 
 def _iterate(setup: RunSetup):
     if setup.use_picard:
-        if setup.ratio is not None:
-            raise ConfigError("picard integrator is only wired for homogeneous scenarios")
-        result = picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
-        yield from result.states
-    elif setup.ratio is not None:
-        yield from run_heterogeneous(setup.ratio, setup.u0, setup.force, setup.stepper)
-    else:
-        yield from run_simulation(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
+        return picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil).states
+    return run_simulation(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
 
 
 def run_command(config_path: str) -> int:
@@ -380,14 +375,8 @@ def _ext(setup: RunSetup) -> str:
 
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
-    from .dynamics import check_state, init_state
-
     state = init_state(setup.ps, setup.u0, setup.xtil)
-    check_state(state, setup.xtil, setup.ps.masses)
-    field = setup.reconstruct(state)
-    report = check_exclusion(field, setup.exclusion_tol)
-    if report.offenders.size:
-        raise InvariantViolation("exclusion", report.max_residual)
+    _check_exclusion(setup, state, setup.reconstruct(state))
     print(
         f"ok: scenario={setup.scenario} n={setup.ps.n} mass={_fmt(setup.ps.total_mass)} "
         f"steps={setup.stepper.n_steps} outputs={len(setup.output_steps)}"
@@ -437,7 +426,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(
-            json.dumps({"error": "invariant", "check": exc.check, "value": exc.value}),
+            json.dumps(
+                {"error": "invariant", "check": exc.check, "value": exc.value,
+                 "t": exc.t, "step": exc.step}
+            ),
             file=sys.stderr,
         )
         return EXIT_INVARIANT

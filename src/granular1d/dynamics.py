@@ -36,7 +36,7 @@ from .transport import (
 
 @dataclass(frozen=True)
 class ForceField:
-    """External force f(t, x) with declared bounds.
+    """External force f(t, x) with a declared Lipschitz bound.
 
     ``lipschitz_k`` bounds the spatial Lipschitz constant and enters the
     weighted norm of the fixed-point iteration; for piecewise-constant
@@ -46,7 +46,6 @@ class ForceField:
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_k: float = 0.0
-    sup_bound: float = np.inf
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.eval(t, x), dtype=float)
@@ -56,21 +55,13 @@ class ForceField:
             raise Granular1dError(f"force returned non-finite values at t={t}")
         return out
 
-    def spot_check_lipschitz(self, t: float, xs: np.ndarray, rtol: float = 1e-9) -> bool:
-        """Sample-based check of the declared Lipschitz bound."""
-        vals = self(t, xs)
-        dx = np.abs(np.diff(xs))
-        dv = np.abs(np.diff(vals))
-        ok = dv <= self.lipschitz_k * dx + rtol * max(1.0, float(np.max(np.abs(vals))))
-        return bool(np.all(ok))
-
 
 def zero_force() -> ForceField:
-    return ForceField(lambda t, x: np.zeros_like(x), 0.0, 0.0)
+    return ForceField(lambda t, x: np.zeros_like(x))
 
 
 def constant_force(value: float) -> ForceField:
-    return ForceField(lambda t, x: np.full_like(x, value), 0.0, abs(value))
+    return ForceField(lambda t, x: np.full_like(x, value))
 
 
 def two_block_force(alpha: float, t_star: float) -> ForceField:
@@ -85,7 +76,7 @@ def two_block_force(alpha: float, t_star: float) -> ForceField:
         a = alpha if t < t_star else -alpha
         return np.where(x < 0.0, a, -a)
 
-    return ForceField(f, 0.0, abs(alpha))
+    return ForceField(f)
 
 
 def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence[float]) -> ForceField:
@@ -102,7 +93,7 @@ def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence[floa
     def f(t, x):
         return vals[np.searchsorted(bp, x, side="right")]
 
-    return ForceField(f, 0.0, float(np.max(np.abs(vals))))
+    return ForceField(f)
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,6 @@ class StepperConfig:
     dt: float
     t_end: float
     picard: PicardOptions | None = None
-    tol_gamma: float | None = None
-    check_invariants: bool = True
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -142,12 +131,10 @@ class SimState:
     exactly; ``force_sum`` is the per-particle sum of sampled force
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
-    ``a_free`` accumulates the free trajectory (diagnostic only).
     """
 
     t: float
     step_index: int
-    a_free: np.ndarray
     u_free: np.ndarray
     x: MonotoneMap
     u: np.ndarray
@@ -170,36 +157,18 @@ def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarra
     return u
 
 
-def adhesion_potential(
-    u: np.ndarray,
-    u_free: np.ndarray,
-    masses: np.ndarray,
-    *,
-    tol_gamma: float | None = None,
-    check: bool = True,
-) -> np.ndarray:
+def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Cumulative mass-weighted velocity deficit, gamma_i = sum_{j<=i} m_j (u_j - uf_j).
 
-    When ``check`` is set, verifies that the total deficit vanishes
-    (momentum balance) and that gamma stays nonpositive up to rounding;
-    both hold whenever u is a blockwise mean or monotone fit of u_free.
+    Nonpositive, and zero at block right edges and in total, whenever u
+    is a blockwise mean or monotone fit of u_free; ``check_state``
+    verifies this on every state.
     """
     u = np.asarray(u, dtype=float)
     u_free = np.asarray(u_free, dtype=float)
     if u.shape != u_free.shape or u.shape != masses.shape:
         raise ValueError("u, u_free, masses must have equal length")
-    gamma = np.cumsum(masses * (u - u_free))
-    if check:
-        mass = float(np.sum(masses))
-        umax = max(1.0, float(np.max(np.abs(u_free), initial=0.0)))
-        scale = max(1.0, mass * umax)
-        if abs(gamma[-1]) > 1e-12 * scale:
-            raise InvariantViolation("gamma_total", float(abs(gamma[-1])))
-        tol = 1e-10 * scale if tol_gamma is None else tol_gamma
-        worst = float(np.max(gamma))
-        if worst > tol:
-            raise InvariantViolation("gamma_sign", worst)
-    return gamma
+    return np.cumsum(masses * (u - u_free))
 
 
 def _tangent_velocity(
@@ -241,20 +210,19 @@ def init_state(
     x = MonotoneMap(xtil.values + s.values)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
     gamma = adhesion_potential(u, u0, ps.masses)
-    zeros = np.zeros(ps.n)
-    return SimState(
+    state = SimState(
         t=0.0,
         step_index=0,
-        a_free=ps.positions.copy(),
         u_free=u0.copy(),
         x=x,
         u=u,
         gamma=gamma,
         blocks=blocks,
         s=s,
-        force_sum=zeros,
+        force_sum=np.zeros(ps.n),
         u_init=u0.copy(),
     )
+    return check_state(state, xtil, ps.masses)
 
 
 def step(
@@ -275,15 +243,13 @@ def step(
     fval = force(state.t, state.x.values)
     force_sum = state.force_sum + fval
     u_free = state.u_init + dt * force_sum
-    a_free = state.a_free + dt * u_free
     s, blocks = project_monotone(state.s.values + dt * u_free, masses)
     x = MonotoneMap(xtil.values + s.values)
     u = block_velocity(u_free, blocks, masses)
-    gamma = adhesion_potential(u, u_free, masses, tol_gamma=cfg.tol_gamma)
+    gamma = adhesion_potential(u, u_free, masses)
     new = SimState(
         t=(state.step_index + 1) * dt,
         step_index=state.step_index + 1,
-        a_free=a_free,
         u_free=u_free,
         x=x,
         u=u,
@@ -293,50 +259,56 @@ def step(
         force_sum=force_sum,
         u_init=state.u_init,
     )
-    if cfg.check_invariants:
-        check_state(new, xtil, masses, tol_gamma=cfg.tol_gamma)
-    return new
+    return check_state(new, xtil, masses)
 
 
-def check_state(
-    state: SimState,
-    xtil: MonotoneMap,
-    masses: np.ndarray,
-    tol_gamma: float | None = None,
-) -> None:
-    """Raise InvariantViolation unless the snapshot satisfies the
-    structural invariants: feasibility of x, exact block-constancy of u,
-    nonpositive gamma vanishing at block right edges and globally."""
+def position_tol(x: np.ndarray) -> float:
+    """Absolute rounding tolerance for the gaps of the configuration x."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(x))))
+
+
+def check_state(state: SimState, xtil: MonotoneMap, masses: np.ndarray) -> SimState:
+    """Return the snapshot unchanged, or raise InvariantViolation (with
+    its time and step) unless it satisfies the structural invariants:
+    feasibility of x, exact block-constancy of u, nonpositive gamma
+    vanishing at block right edges and globally, and momentum balance.
+
+    This is the package's one tolerance policy: gaps are compared at
+    ``position_tol(x)``; gamma's sign at 1e-10, and its edge values and
+    the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
+    """
+
+    def fail(check: str, value: float, message: str = "") -> InvariantViolation:
+        return InvariantViolation(check, value, message, t=state.t, step=state.step_index)
+
     x = state.x.values
-    pos_scale = max(1.0, float(np.max(np.abs(x))))
-    slack = np.diff(x) - xtil.gaps()
-    worst = float(np.min(slack, initial=0.0))
-    if worst < -1e-12 * pos_scale:
-        raise InvariantViolation("feasibility", -worst)
+    worst = float(np.min(np.diff(x) - xtil.gaps(), initial=0.0))
+    if worst < -position_tol(x):
+        raise fail("feasibility", -worst)
 
     labels = state.blocks.labels(state.n)
     for sl in state.blocks.slices():
         if not np.all(state.u[sl] == state.u[sl.start]):
-            raise InvariantViolation("block_velocity_constant", 0.0, "u not constant on a block")
+            raise fail("block_velocity_constant", 0.0, "u not constant on a block")
     off = labels < 0
     if not np.array_equal(state.u[off], state.u_free[off]):
-        raise InvariantViolation("free_velocity_off_blocks", 0.0, "u != u_free off blocks")
+        raise fail("free_velocity_off_blocks", 0.0, "u != u_free off blocks")
 
     mass = float(np.sum(masses))
     umax = max(1.0, float(np.max(np.abs(state.u_free), initial=0.0)))
     vel_scale = max(1.0, mass * umax)
-    tol = 1e-10 * vel_scale if tol_gamma is None else tol_gamma
-    if float(np.max(state.gamma)) > tol:
-        raise InvariantViolation("gamma_sign", float(np.max(state.gamma)))
+    if float(np.max(state.gamma)) > 1e-10 * vel_scale:
+        raise fail("gamma_sign", float(np.max(state.gamma)))
     edge_tol = 1e-12 * vel_scale
     if abs(float(state.gamma[-1])) > edge_tol:
-        raise InvariantViolation("gamma_total", abs(float(state.gamma[-1])))
+        raise fail("gamma_total", abs(float(state.gamma[-1])))
     for _, hi in state.blocks:
         if abs(float(state.gamma[hi])) > edge_tol:
-            raise InvariantViolation("gamma_block_edge", abs(float(state.gamma[hi])))
+            raise fail("gamma_block_edge", abs(float(state.gamma[hi])))
     drift = abs(float(np.dot(masses, state.u) - np.dot(masses, state.u_free)))
     if drift > edge_tol:
-        raise InvariantViolation("momentum_balance", drift)
+        raise fail("momentum_balance", drift)
+    return state
 
 
 def run_simulation(
@@ -350,8 +322,6 @@ def run_simulation(
     if xtil is None:
         xtil = congested_transport(ps)
     state = init_state(ps, u0, xtil)
-    if cfg.check_invariants:
-        check_state(state, xtil, ps.masses, tol_gamma=cfg.tol_gamma)
     yield state
     for _ in range(cfg.n_steps):
         state = step(state, force, cfg, xtil, ps.masses)
@@ -394,7 +364,7 @@ def picard_solve(
     The accumulated-path formula coincides with the marching dynamics up
     to the first release event (a glued block whose adhesion potential
     returns to zero): past it the formula keeps blocks glued and its
-    derived adhesion potential turns positive, which the sign check
+    derived adhesion potential turns positive, which ``check_state``
     raises as an InvariantViolation rather than silently accepting.
     """
     if cfg.picard is None:
@@ -449,29 +419,23 @@ def picard_solve(
         raise ConvergenceError(residuals[-1], len(residuals))
 
     states = []
-    afree = ps.positions.copy()
     fsum_running = np.zeros(ps.n)
     for j in range(n_steps + 1):
         if j > 0:
-            afree = afree + dt * ufree[j]
             fsum_running = fsum_running + force(times[j - 1], xtil.values + cur[j - 1])
-        s_map = MonotoneMap(cur[j])
         blocks = blocks_list[j]
         u = block_velocity(ufree[j], blocks, m)
-        gamma = adhesion_potential(u, ufree[j], m, tol_gamma=cfg.tol_gamma)
-        states.append(
-            SimState(
-                t=float(times[j]),
-                step_index=j,
-                a_free=afree.copy(),
-                u_free=ufree[j].copy(),
-                x=MonotoneMap(xtil.values + cur[j]),
-                u=u,
-                gamma=gamma,
-                blocks=blocks,
-                s=s_map,
-                force_sum=fsum_running.copy(),
-                u_init=u0.copy(),
-            )
+        state = SimState(
+            t=float(times[j]),
+            step_index=j,
+            u_free=ufree[j].copy(),
+            x=MonotoneMap(xtil.values + cur[j]),
+            u=u,
+            gamma=adhesion_potential(u, ufree[j], m),
+            blocks=blocks,
+            s=MonotoneMap(cur[j]),
+            force_sum=fsum_running.copy(),
+            u_init=u0.copy(),
         )
+        states.append(check_state(state, xtil, m))
     return PicardResult(times=times, states=states, sweeps=len(residuals), residuals=residuals)

@@ -16,11 +16,16 @@ class InvariantViolation(Granular1dError):
     Attributes:
         check: short name of the violated check.
         value: measured magnitude of the violation.
+        t, step: simulated time and step index of the failing state,
+            when known.
     """
 
-    def __init__(self, check: str, value: float, message: str = ""):
+    def __init__(self, check: str, value: float, message: str = "",
+                 t: float | None = None, step: int | None = None):
         self.check = check
         self.value = value
+        self.t = t
+        self.step = step
         super().__init__(message or f"invariant '{check}' violated (magnitude {value:.3e})")
 
 

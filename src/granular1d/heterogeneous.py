@@ -16,11 +16,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .density import PiecewiseDensity, Segment
-from .dynamics import ForceField, SimState, StepperConfig, run_simulation
+from .dynamics import ForceField, SimState, StepperConfig, position_tol, run_simulation
 from .eulerian import EulerianField, reconstruct
 from .transport import MonotoneMap, ParticleSystem, build_particles, congested_transport
-
-_FEAS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,8 @@ class RatioSystem:
             raise ValueError("rho_star samples must match the particle count")
         if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
             raise ValueError("rho_star must be positive and finite")
-        scale = max(1.0, float(np.max(np.abs(self.base.positions))))
         slack = np.diff(self.base.positions) - self.xtil.gaps()
-        if float(np.min(slack, initial=0.0)) < -_FEAS_TOL * scale:
+        if float(np.min(slack, initial=0.0)) < -position_tol(self.base.positions):
             raise ValueError("initial data violates the ratio bound r <= 1")
         rs = rs.copy()
         rs.setflags(write=False)  # carried along trajectories, never rewritten
@@ -90,28 +87,12 @@ def run_heterogeneous(
     u0: np.ndarray,
     force: ForceField,
     cfg: StepperConfig,
-    rho_star_weighted: bool = False,
 ) -> Iterator[SimState]:
     """March the ratio system; rho_star rides along unchanged.
 
-    By default particles accelerate by f(t, Y_i) directly, matching the
-    free-velocity formula of the transported-constraint dynamics.  With
-    ``rho_star_weighted`` the force is scaled per particle by its carried
-    rho_star, the weighting the momentum balance suggests when the
-    maximal density varies; the two coincide for rho_star == 1.
+    Particles accelerate by f(t, Y_i) directly, matching the
+    free-velocity formula of the transported-constraint dynamics.
     """
-    if rho_star_weighted:
-        inner = force
-        stars = rs.rho_star0_at_particles
-
-        def weighted(t, x):
-            return inner(t, x) * stars
-
-        force = ForceField(
-            weighted,
-            inner.lipschitz_k * float(np.max(stars)),
-            inner.sup_bound * float(np.max(stars)),
-        )
     yield from run_simulation(rs.base, u0, force, cfg, xtil=rs.xtil)
 
 

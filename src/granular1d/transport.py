@@ -168,12 +168,6 @@ def congested_transport(ps: ParticleSystem) -> MonotoneMap:
     return MonotoneMap((c - ps.total_mass / 2) + cum_before + m / 2)
 
 
-def packed_interval(ps: ParticleSystem) -> tuple[float, float]:
-    """The interval carrying the packed rearrangement (length = total mass)."""
-    c = ps.center_of_mass()
-    return c - ps.total_mass / 2, c + ps.total_mass / 2
-
-
 def _validate_projection_args(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -166,6 +166,29 @@ def test_output_time_off_grid_exit_2(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+_CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -0.3]})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scenario="heterogeneous", constraint={"amplitude": -1.0}),
+        dict(_CUSTOM, density={"blocks": [[0.0, 1.0, -1.0]]}),
+        dict(_CUSTOM, density={"blocks": [[1.0, 0.0, 0.5]]}),
+        dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]}, u0="fast"),
+        dict(integrator={"picard": {"max_iters": 0}}),
+        dict(blocks={"a1": -1.5, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024}),
+    ],
+    ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
+         "zero-picard-iters", "unequal-widths"],
+)
+def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "bad.yaml", **overrides)
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+
+
 def test_invariant_breach_exits_3(tmp_path, capsys):
     # an unsatisfiable exclusion tolerance makes every sample an offender,
     # driving the invariant-breach exit path
@@ -180,6 +203,8 @@ def test_invariant_breach_exits_3(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invariant"
     assert err["check"] == "exclusion"
+    assert err["t"] == 1.0
+    assert err["step"] == 250
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from granular1d import (
     ParticleSystem,
     PicardOptions,
     StepperConfig,
+    MonotoneMap,
     adhesion_potential,
     block_velocity,
     build_particles,
+    check_state,
     congested_transport,
     init_state,
     picard_solve,
@@ -61,7 +65,7 @@ def test_adhesion_zero_when_free():
 
 def test_adhesion_vanishes_at_block_edges():
     # telescoping of the block-mean property; arbitrary hand-picked blocks
-    # can produce positive interior values, so the sign check stays off here
+    # can produce positive interior values, so only the edges are checked
     rng = np.random.default_rng(4)
     for _ in range(20):
         n = 12
@@ -69,7 +73,7 @@ def test_adhesion_vanishes_at_block_edges():
         m = rng.uniform(0.1, 1.0, n)
         blocks = BlockPartition(((1, 4), (7, 10)))
         u = block_velocity(uf, blocks, m)
-        gamma = adhesion_potential(u, uf, m, check=False)
+        gamma = adhesion_potential(u, uf, m)
         scale = np.sum(m) * max(1.0, np.max(np.abs(uf)))
         for lo, hi in blocks:
             assert abs(gamma[hi]) <= 1e-12 * scale
@@ -80,15 +84,39 @@ def test_adhesion_vanishes_at_block_edges():
         assert abs(gamma[-1]) <= 1e-12 * scale
 
 
-def test_adhesion_checks_fire_on_bad_velocity():
-    m = np.ones(2)
-    with pytest.raises(InvariantViolation):
-        adhesion_potential(np.array([1.0, 1.0]), np.array([0.0, 0.0]), m)
-    # disabled checks let the raw cumulative through
-    gamma = adhesion_potential(
-        np.array([1.0, 1.0]), np.array([0.0, 0.0]), m, check=False
-    )
-    assert gamma == pytest.approx([1.0, 2.0])
+# ---------------------------------------------------------------- check_state
+
+
+# Each case corrupts one field of a valid packed three-particle state at
+# rest (blocks ((0, 2),), u = u_free = gamma = 0) so that exactly the
+# named check is the first to fail.
+_BAD_STATES = {
+    "feasibility": dict(x=MonotoneMap(np.array([0.0, 0.25, 0.5]))),
+    "block_velocity_constant": dict(u=np.array([1.0, 0.0, 0.0])),
+    "free_velocity_off_blocks": dict(
+        blocks=BlockPartition(((0, 1),)), u=np.array([0.0, 0.0, 1.0])
+    ),
+    "gamma_sign": dict(gamma=np.array([0.5, 0.0, 0.0])),
+    "gamma_total": dict(gamma=np.array([0.0, 0.0, -0.5])),
+    "gamma_block_edge": dict(
+        blocks=BlockPartition(((0, 1),)), gamma=np.array([-0.5, -0.5, 0.0])
+    ),
+    "momentum_balance": dict(u=np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BAD_STATES))
+def test_check_state_names_each_violation(check):
+    ps = packed_three()
+    xtil = congested_transport(ps)
+    good = init_state(ps, np.zeros(3), xtil)
+    assert good.blocks.blocks == ((0, 2),)
+    assert check_state(good, xtil, ps.masses) is good
+    bad = replace(good, t=0.75, step_index=3, **_BAD_STATES[check])
+    with pytest.raises(InvariantViolation) as err:
+        check_state(bad, xtil, ps.masses)
+    assert err.value.check == check
+    assert (err.value.t, err.value.step) == (0.75, 3)
 
 
 # ---------------------------------------------------------------- init_state
@@ -147,7 +175,6 @@ def test_step_free_flight_no_contact():
     st = init_state(ps, np.array([1.0, -0.5, 2.0]), xtil)
     nxt = step(st, zero_force(), cfg, xtil, ps.masses)
     assert nxt.x.values == pytest.approx(st.x.values + 0.25 * st.u_free)
-    assert nxt.a_free == pytest.approx(nxt.x.values)
     assert nxt.blocks.is_empty
     assert np.all(nxt.gamma == 0.0)
     assert nxt.t == pytest.approx(0.25)
@@ -260,7 +287,7 @@ def test_picard_agrees_with_marching_precontact(two_block_params, small_two_bloc
 def test_picard_contraction_factor_smooth_force():
     # Lipschitz force: per-sweep residual ratio in the weighted norm <= 1/4
     ps = build_particles(uniform_blocks([(0.0, 4.0)], height=0.25), 24)
-    force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3, sup_bound=0.3)
+    force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
     cfg = StepperConfig(dt=0.02, t_end=1.0, picard=PicardOptions(max_iters=60, tol=1e-13))
     rng = np.random.default_rng(2)
     res = picard_solve(ps, rng.normal(0, 1, 24), force, cfg)
@@ -273,7 +300,7 @@ def test_picard_contraction_factor_smooth_force():
 
 def test_picard_nonconvergence_carries_residual():
     ps = build_particles(uniform_blocks([(0.0, 4.0)], height=0.25), 8)
-    force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3, sup_bound=0.3)
+    force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
     cfg = StepperConfig(dt=0.02, t_end=1.0, picard=PicardOptions(max_iters=1, tol=1e-16))
     with pytest.raises(ConvergenceError) as err:
         picard_solve(ps, np.ones(8), force, cfg)
@@ -297,10 +324,3 @@ def test_two_block_force_branches():
     # reversal applies from t_star on
     assert f(1.0, x) == pytest.approx([-0.5, 0.5])
     assert f(2.0, x) == pytest.approx([-0.5, 0.5])
-
-
-def test_force_spot_check_lipschitz():
-    smooth = ForceField(lambda t, x: np.sin(x), lipschitz_k=1.0, sup_bound=1.0)
-    assert smooth.spot_check_lipschitz(0.0, np.linspace(-3, 3, 101))
-    stepf = two_block_force(0.5, 1.0)  # declared k=0 fails across the jump
-    assert not stepf.spot_check_lipschitz(0.0, np.linspace(-1, 1, 11))

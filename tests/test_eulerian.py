@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,26 +130,17 @@ def test_exclusion_flags_corrupted_field():
     report = check_exclusion(field, 1e-6)
     assert report.max_residual == pytest.approx(0.15)
     assert report.offenders.tolist() == [0]
-    assert field.free_support_leak() == pytest.approx(0.3)
 
 
-def test_field_validation_bounds():
-    with pytest.raises(InvariantViolation):
-        EulerianField(
-            x=np.array([0.0]),
-            rho=np.array([1.1]),
-            u=np.zeros(1),
-            gamma=np.zeros(1),
-            width=np.ones(1),
-        )
-    with pytest.raises(InvariantViolation):
-        EulerianField(
-            x=np.array([0.0]),
-            rho=np.array([0.5]),
-            u=np.zeros(1),
-            gamma=np.array([0.5]),
-            width=np.ones(1),
-        )
+def test_reconstruct_flags_density_bound():
+    # gaps of 0.25 against packed gaps of 0.5: density 2 exceeds the bound
+    ps, xtil, st = state_for([0.0, 0.5, 1.0], [0.5, 0.5, 0.5])
+    bad = replace(st, t=0.5, step_index=5, x=MonotoneMap(np.array([0.0, 0.25, 0.5])))
+    with pytest.raises(InvariantViolation) as err:
+        reconstruct(bad, ps, xtil)
+    assert err.value.check == "density_bound"
+    assert err.value.value == pytest.approx(0.25)
+    assert (err.value.t, err.value.step) == (0.5, 5)
 
 
 def test_wasserstein_basics():

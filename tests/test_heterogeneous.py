@@ -113,16 +113,3 @@ def test_unit_rho_star_matches_homogeneous_bitwise():
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.gamma, b.gamma)
         assert a.blocks.blocks == b.blocks.blocks
-
-
-def test_rho_star_weighted_variant_differs():
-    star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(star=star), star, 100)
-    cfg = StepperConfig(dt=5e-3, t_end=0.3)
-    plain = list(run_heterogeneous(rs, np.zeros(100), section6_force(), cfg))[-1]
-    weighted = list(
-        run_heterogeneous(rs, np.zeros(100), section6_force(), cfg, rho_star_weighted=True)
-    )[-1]
-    assert not np.allclose(plain.x.values, weighted.x.values)
-    # both remain feasible and keep gamma nonpositive
-    assert weighted.gamma.max() <= 1e-10

@@ -38,7 +38,6 @@ def random_force(rng):
         return ForceField(
             lambda t, x, a=amp, f=freq: -a * np.sin(f * x),
             lipschitz_k=amp * freq,
-            sup_bound=amp,
         )
     if kind == 1:
         cuts = np.sort(rng.normal(0, 1, 2))
@@ -46,7 +45,7 @@ def random_force(rng):
         return piecewise_constant_force(cuts, vals)
     amp = float(rng.uniform(0.1, 0.8))
     return ForceField(
-        lambda t, x, a=amp: a * np.cos(t) * np.ones_like(x), lipschitz_k=0.0, sup_bound=amp
+        lambda t, x, a=amp: a * np.cos(t) * np.ones_like(x), lipschitz_k=0.0
     )
 
 
