@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -110,11 +111,16 @@ def _output_steps(cfg: dict, dt: float, t_end: float) -> dict[int, float]:
         t = float(t)
         if t < 0 or t > t_end + 1e-12:
             raise ConfigError(f"output time {t} outside [0, t_end]")
-        idx = int(round(t / dt))
-        if abs(idx * dt - t) > 1e-9 * max(1.0, t):
-            raise ConfigError(f"output time {t} is not on the step grid (dt={dt})")
-        out[idx] = t
+        out[_grid_step(t, dt, "output time")] = t
     return out
+
+
+def _grid_step(t: float, dt: float, what: str) -> int:
+    """Index of the step that lands on time t; t must lie on the grid."""
+    idx = int(round(t / dt))
+    if abs(idx * dt - t) > 1e-9 * max(1.0, t):
+        raise ConfigError(f"{what} {t} is not on the step grid (dt={dt})")
+    return idx
 
 
 def _build_force(spec: Any) -> ForceField:
@@ -145,6 +151,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     t_end = float(_require(cfg, "t_end", (int, float)))
     if t_end < 0:
         raise ConfigError("t_end must be nonnegative")
+    _grid_step(t_end, dt, "t_end")
 
     integrator = cfg.get("integrator", "marching")
     use_picard = False
@@ -247,7 +254,13 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
 
 
 class _RecordWriter:
-    """Fixed-schema record emitter, CSV or JSON-lines."""
+    """Fixed-schema record emitter, CSV or JSON-lines.
+
+    Rows are written column-wise: each cell is the shortest round-trip
+    ``repr`` of its value, which is what ``json.dumps`` emits for finite
+    floats and ints, and rows are streamed to the file without building
+    the whole output in memory.
+    """
 
     def __init__(self, path: Path, columns: list[str], fmt: str):
         self.columns = columns
@@ -256,14 +269,33 @@ class _RecordWriter:
         self.fh = open(path, "w", encoding="utf-8", newline="\n")
         if fmt == "csv":
             self.fh.write(",".join(columns) + "\n")
-
-    def write(self, values: list) -> None:
-        cells = ["" if v is None else (_fmt(v) if isinstance(v, float) else str(v)) for v in values]
-        if self.fmt == "csv":
-            self.fh.write(",".join(cells) + "\n")
+            self._row = ",".join(["%s"] * len(columns)) + "\n"
+            self._null = ""
         else:
-            rec = {c: (None if v is None else v) for c, v in zip(self.columns, values)}
-            self.fh.write(json.dumps(rec) + "\n")
+            self._row = "{" + ", ".join(f"{json.dumps(c)}: %s" for c in columns) + "}\n"
+            self._null = "null"
+
+    def write(self, n: int, values: list) -> None:
+        """Write n rows.  ``values`` holds one entry per column: a vector
+        of n numbers, a number repeated on every row, or None (an empty
+        CSV cell, a JSON null)."""
+        if len(values) != len(self.columns):
+            raise ValueError("one value per column expected")
+        cells = [self._cells(v, n) for v in values]
+        self.fh.writelines(self._row % row for row in zip(*cells))
+
+    def _cells(self, value, n: int):
+        if value is None:
+            return repeat(self._null, n)
+        arr = np.asarray(value)
+        cell = repr
+        if self.fmt != "csv" and not np.all(np.isfinite(arr)):
+            cell = json.dumps  # NaN and Infinity, as json.dumps spells them
+        if arr.ndim == 0:
+            return repeat(cell(arr.item()), n)
+        if arr.shape != (n,):
+            raise ValueError(f"column of shape {arr.shape}, expected ({n},)")
+        return map(cell, arr.tolist())
 
     def close(self) -> None:
         self.fh.close()
@@ -278,21 +310,9 @@ def _check_exclusion(setup: RunSetup, state: SimState, field: EulerianField) -> 
 
 def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
     t = state.t
-    for i in range(state.n):
-        lag.write([t, i, float(state.x.values[i]), float(state.u[i]), float(state.gamma[i])])
+    lag.write(state.n, [t, np.arange(state.n), state.x.values, state.u, state.gamma])
     field = setup.reconstruct(state)
-    stars = field.rho_star
-    for j in range(field.n_samples):
-        eul.write(
-            [
-                t,
-                float(field.x[j]),
-                float(field.rho[j]),
-                float(field.u[j]),
-                float(field.gamma[j]),
-                None if stars is None else float(stars[j]),
-            ]
-        )
+    eul.write(field.n_samples, [t, field.x, field.rho, field.u, field.gamma, field.rho_star])
     return _check_exclusion(setup, state, field)
 
 
@@ -397,8 +417,7 @@ def oracle_command(config_path: str) -> int:
         for idx in sorted(setup.output_steps):
             t = setup.output_steps[idx]
             snap = two_block_exact(setup.two_block, setup.ps, t)
-            for i in range(setup.ps.n):
-                out.write([t, i, float(snap.x_ex[i]), float(snap.u_ex[i]), float(snap.gamma_ex[i])])
+            out.write(setup.ps.n, [t, np.arange(setup.ps.n), snap.x_ex, snap.u_ex, snap.gamma_ex])
     finally:
         out.close()
     return EXIT_OK

@@ -17,7 +17,7 @@ systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,57 +89,98 @@ class MonotoneMap:
         return np.diff(self.values)
 
 
-@dataclass(frozen=True)
 class BlockPartition:
     """Disjoint, sorted index ranges [lo, hi] (inclusive, hi > lo).
 
     Each range is a congested zone: a maximal group of particles pooled
-    by the cone projection.
+    by the cone projection.  The ranges are carried as two read-only
+    int arrays, ``lo`` and ``hi``, so that per-block work is a numpy
+    operation rather than a Python loop.
     """
 
-    blocks: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        prev_hi = -1
-        for lo, hi in self.blocks:
-            if hi <= lo:
-                raise ValueError(f"block [{lo}, {hi}] shorter than 2 particles")
-            if lo <= prev_hi:
-                raise ValueError("blocks overlap or are out of order")
-            prev_hi = hi
-        object.__setattr__(self, "blocks", tuple((int(lo), int(hi)) for lo, hi in self.blocks))
+    def __init__(self, blocks: Iterable[tuple[int, int]] = ()):
+        pairs = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+        self._set(pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> BlockPartition:
+        """Partition from arrays of first and last particle indices."""
+        part = cls.__new__(cls)
+        part._set(lo, hi)
+        return part
+
+    def _set(self, lo, hi) -> None:
+        lo = np.array(lo, dtype=np.intp)
+        hi = np.array(hi, dtype=np.intp)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("block bounds must be equal-length 1D vectors")
+        short = np.flatnonzero(hi <= lo)
+        if short.size:
+            k = short[0]
+            raise ValueError(f"block [{lo[k]}, {hi[k]}] shorter than 2 particles")
+        if np.any(lo[1:] <= hi[:-1]):
+            raise ValueError("blocks overlap or are out of order")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockPartition is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockPartition):
+            return NotImplemented
+        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
+    def __hash__(self) -> int:
+        return hash(self.blocks)
+
+    def __repr__(self) -> str:
+        return f"BlockPartition({self.blocks!r})"
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.blocks)
+        return zip(self.lo.tolist(), self.hi.tolist())
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self.lo.size
 
     @property
     def is_empty(self) -> bool:
-        return not self.blocks
-
-    def slices(self) -> list[slice]:
-        return [slice(lo, hi + 1) for lo, hi in self.blocks]
+        return self.lo.size == 0
 
     def labels(self, n: int) -> np.ndarray:
         """Block id per particle, -1 outside all blocks."""
-        lab = np.full(n, -1, dtype=int)
-        for k, (lo, hi) in enumerate(self.blocks):
-            lab[lo : hi + 1] = k
+        lab = np.full(n, -1, dtype=np.intp)
+        lengths = self.hi - self.lo + 1
+        ids = np.repeat(np.arange(lengths.size), lengths)
+        # a member's position is its block's lo plus its rank within the block
+        first = np.cumsum(lengths) - lengths
+        lab[self.lo[ids] + np.arange(ids.size) - first[ids]] = ids
         return lab
 
     def interior_cells(self, n: int) -> np.ndarray:
         """Boolean over the n-1 particle gaps: True where the gap lies
         inside a single block."""
-        inside = np.zeros(n - 1, dtype=bool)
-        for lo, hi in self.blocks:
-            inside[lo:hi] = True
-        return inside
+        lab = self.labels(n)
+        return (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
 
     def spans(self, i: int, j: int) -> bool:
         """Whether some block contains both particle i and particle j."""
-        return any(lo <= i and j <= hi for lo, hi in self.blocks)
+        k = int(np.searchsorted(self.hi, j))  # first block ending at or after j
+        return k < self.hi.size and bool(self.lo[k] <= i)
+
+    def sums(self, a: np.ndarray) -> np.ndarray:
+        """Sum of the per-particle values a over each block."""
+        edges = np.stack([self.lo, self.hi + 1], axis=1).ravel()
+        # the appended zero keeps edges[-1] == len(a) a valid reduceat index
+        return np.add.reduceat(np.append(a, 0.0), edges)[::2]
 
 
 def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:
@@ -180,16 +221,26 @@ def _validate_projection_args(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
     return z, w
 
 
+# Rounds of vectorized chain pooling before the stack scan finishes the
+# fit.  Most inputs settle in a few rounds; a staircase (one fast
+# particle overtaking a long train) pools one more group per round and
+# would need O(n) rounds, which the scan does in one O(n) pass.
+_CHAIN_ROUNDS = 16
+
+
 def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[MonotoneMap, BlockPartition]:
     """Weighted L2 projection onto the cone of nondecreasing vectors.
 
-    Pool-adjacent-violators: scan left to right keeping a stack of
-    pooled groups; whenever the newest group mean does not exceed the
-    previous one, merge them (weighted mean) and keep back-merging.
-    The result is the unique minimizer of sum w_i (z_i - x_i)^2 over
-    nondecreasing x; each pooled group's value is the weighted mean of
-    z over the group.  Ties pool (adjacent equal values join a group),
-    so runs of equal values are compressed vectorized before the scan.
+    Pool-adjacent-violators on groups of particles: runs of exactly equal
+    values start as groups (ties pool); then every maximal chain of
+    nonincreasing group means is pooled at once into its weighted mean,
+    and this repeats until the means strictly increase.  Pooling
+    adjacent violators in any order reaches the same fit, the unique
+    minimizer of sum w_i (z_i - x_i)^2 over nondecreasing x.  After
+    ``_CHAIN_ROUNDS`` rounds the remaining groups are finished by the
+    left-to-right stack scan.  A group that never merges keeps its value
+    bit for bit, and each pooled group is one repeated value, so pooled
+    plateaus are exactly tied.
 
     Returns the fitted map and the pooled groups of length >= 2.
     """
@@ -199,39 +250,58 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[MonotoneMap, BlockPa
         return MonotoneMap(z), BlockPartition()
 
     # run-length compression of exact ties
-    cut = np.flatnonzero(np.diff(z) != 0) + 1
-    run_starts = np.concatenate([[0], cut]).astype(int)
-    run_ends = np.concatenate([cut, [n]]).astype(int)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(z) != 0) + 1])
     cw = np.concatenate([[0.0], np.cumsum(w)])
-    run_w = cw[run_ends] - cw[run_starts]
-    run_v = z[run_starts]
+    weights = cw[np.append(starts[1:], n)] - cw[starts]
+    means = z[starts]
+    sums = weights * means
 
-    starts: list[int] = []
-    weights: list[float] = []
-    means: list[float] = []
-    for s, rw, rv in zip(run_starts, run_w, run_v):
-        starts.append(int(s))
-        weights.append(float(rw))
-        means.append(float(rv))
-        while len(starts) > 1 and means[-2] >= means[-1]:
-            w_top = weights.pop()
-            m_top = means.pop()
-            starts.pop()
-            w_new = weights[-1] + w_top
-            means[-1] = (weights[-1] * means[-1] + w_top * m_top) / w_new
-            weights[-1] = w_new
+    for _ in range(_CHAIN_ROUNDS):
+        joins = means[1:] <= means[:-1]  # group k+1 pools into group k
+        if not joins.any():
+            break
+        heads = np.flatnonzero(np.concatenate([[True], ~joins]))
+        merged = np.diff(np.append(heads, means.size)) > 1
+        starts = starts[heads]
+        weights = np.add.reduceat(weights, heads)
+        sums = np.add.reduceat(sums, heads)
+        means = means[heads]
+        means[merged] = sums[merged] / weights[merged]
+    else:
+        if np.any(means[1:] <= means[:-1]):
+            starts, means = _pool_scan(starts, weights, sums, means)
 
-    bounds = np.append(np.asarray(starts, dtype=int), n)
+    bounds = np.append(starts, n)
     lengths = np.diff(bounds)
-    fitted = np.repeat(np.asarray(means), lengths)
-    blocks = BlockPartition(
-        tuple(
-            (int(bounds[k]), int(bounds[k + 1] - 1))
-            for k in range(len(lengths))
-            if lengths[k] >= 2
-        )
-    )
-    return MonotoneMap(fitted), blocks
+    big = lengths >= 2
+    blocks = BlockPartition.from_bounds(bounds[:-1][big], bounds[1:][big] - 1)
+    return MonotoneMap(np.repeat(means, lengths)), blocks
+
+
+def _pool_scan(
+    starts: np.ndarray, weights: np.ndarray, sums: np.ndarray, means: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool-adjacent-violators stack scan over groups: push each group,
+    and while the top mean does not exceed the one below, merge them.
+    Returns the starts and means of the pooled groups."""
+    st: list[int] = []
+    ws: list[float] = []
+    ss: list[float] = []
+    ms: list[float] = []
+    for s, wg, sg, mg in zip(starts.tolist(), weights.tolist(), sums.tolist(), means.tolist()):
+        st.append(s)
+        ws.append(wg)
+        ss.append(sg)
+        ms.append(mg)
+        while len(ms) > 1 and ms[-2] >= ms[-1]:
+            st.pop()
+            ms.pop()
+            w_top = ws.pop()
+            s_top = ss.pop()
+            ws[-1] += w_top
+            ss[-1] += s_top
+            ms[-1] = ss[-1] / ws[-1]
+    return np.asarray(st, dtype=np.intp), np.asarray(ms)
 
 
 def project_admissible(

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from granular1d.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+import granular1d
+from granular1d.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _RecordWriter, main
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -86,6 +90,44 @@ def test_json_lines_format(tmp_path):
     assert set(rec) == {"t", "i", "x", "u", "gamma"}
     erec = json.loads((tmp_path / "out" / "run.eulerian.jsonl").read_text().splitlines()[0])
     assert erec["rho_star"] is None
+
+
+def _per_row_bytes(columns, rows, fmt):
+    """Reference formatting, one row at a time: repr for floats, str for
+    ints, an empty cell or null for None, json.dumps for JSON-lines."""
+    if fmt == "csv":
+        cell = lambda v: "" if v is None else (repr(v) if isinstance(v, float) else str(v))
+        lines = [",".join(columns)] + [",".join(cell(v) for v in row) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(columns, row))) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_column_writer_matches_per_row_formatting(tmp_path, fmt):
+    x = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, -1.5, 1 / 3])
+    u = np.array([0.0, -5e-324, -1e22, 2.0**-1074, 1e-7, 123456789.125])
+    g = np.array([np.nan, np.inf, -np.inf, 1e300, -2.5e-310, 7.0])
+    columns = ["t", "i", "x", "u", "gamma", "rho_star"]
+    t = 0.1 + 0.2
+    writer = _RecordWriter(tmp_path / "out.rec", columns, fmt)
+    writer.write(x.size, [t, np.arange(x.size), x, u, g, None])
+    writer.write(2, [3.0, np.arange(2), x[:2], u[:2], x[2:4], u[2:4]])
+    writer.close()
+    rows = [[t, i, x[i].item(), u[i].item(), g[i].item(), None] for i in range(x.size)]
+    rows += [[3.0, i, x[i].item(), u[i].item(), x[2 + i].item(), u[2 + i].item()] for i in range(2)]
+    assert (tmp_path / "out.rec").read_bytes() == _per_row_bytes(columns, rows, fmt)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs far more start-up time and memory than a run's set-up
+    code = "import sys, granular1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(granular1d.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -178,9 +220,10 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]}, u0="fast"),
         dict(integrator={"picard": {"max_iters": 0}}),
         dict(blocks={"a1": -1.5, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024}),
+        dict(dt=1e-3, t_end=0.0106, output_times=[0.0]),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
-         "zero-picard-iters", "unequal-widths"],
+         "zero-picard-iters", "unequal-widths", "off-grid-t-end"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -16,6 +16,7 @@ from granular1d import (
     uniform_blocks,
     weighted_norm,
 )
+from granular1d import transport
 from conftest import random_projection_instance
 
 
@@ -159,6 +160,10 @@ def test_project_monotone_pools_exact_ties():
     fit, blocks = project_monotone(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4))
     assert fit.values == pytest.approx([0.0, 0.0, 1.0, 1.0])
     assert blocks.blocks == ((0, 1), (2, 3))
+    # a pooled mean that ties the next value pools with it too
+    fit, blocks = project_monotone(np.array([2.0, 0.0, 1.0]), np.ones(3))
+    assert fit.values.tolist() == [1.0, 1.0, 1.0]
+    assert blocks.blocks == ((0, 2),)
 
 
 def test_project_monotone_errors():
@@ -179,6 +184,111 @@ def test_project_monotone_matches_enumeration_oracle():
         fit, _ = project_monotone(z, w)
         ref = oracle_qp_projection(z, flat, w)
         assert fit.values == pytest.approx(ref, abs=1e-10)
+
+
+def _stack_scan_reference(z, w):
+    """The plain left-to-right pool-adjacent-violators stack scan over
+    single particles (the earlier implementation), as a reference."""
+    starts, weights, means = [], [], []
+    for i, (zi, wi) in enumerate(zip(z.tolist(), w.tolist())):
+        starts.append(i)
+        weights.append(wi)
+        means.append(zi)
+        while len(starts) > 1 and means[-2] >= means[-1]:
+            w_top, m_top = weights.pop(), means.pop()
+            starts.pop()
+            w_new = weights[-1] + w_top
+            means[-1] = (weights[-1] * means[-1] + w_top * m_top) / w_new
+            weights[-1] = w_new
+    return np.repeat(means, np.diff(np.append(starts, z.size)))
+
+
+def _tie_heavy_instance(rng, n):
+    """Small integer values and power-of-two weights: many exact ties in
+    the input, and pooled means that land exactly on a neighbour's value."""
+    z = rng.integers(-2, 3, n).astype(float)
+    w = rng.choice([0.5, 1.0, 2.0], n)
+    return z, w
+
+
+def test_chain_pooling_agrees_with_oracle_on_ties():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        n = int(rng.integers(2, 13))
+        z, w = _tie_heavy_instance(rng, n)
+        gaps = rng.uniform(0.0, 1.0, n - 1) * (rng.random(n - 1) > 0.5)
+        xtil = MonotoneMap(np.concatenate([[0.0], np.cumsum(gaps)]))
+        x, _ = project_admissible(z, xtil, w)
+        ref = oracle_qp_projection(z, xtil, w)
+        assert x.values == pytest.approx(ref, abs=1e-10)
+        scale = max(1.0, float(np.max(np.abs(x.values))))
+        assert np.min(np.diff(x.values) - xtil.gaps()) >= -1e-12 * scale
+
+
+def test_chain_pooling_agrees_with_stack_scan():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(2, 400))
+        z, w = _tie_heavy_instance(rng, n) if rng.random() < 0.5 else (
+            rng.normal(0.0, 1.0, n) - rng.uniform(0.0, 0.05) * np.arange(n),
+            rng.uniform(0.1, 2.0, n),
+        )
+        fit, blocks = project_monotone(z, w)
+        ref = _stack_scan_reference(z, w)
+        scale = max(1.0, float(np.max(np.abs(z))))
+        assert np.max(np.abs(fit.values - ref)) <= 1e-12 * scale
+        assert np.all(np.diff(fit.values) >= 0)
+        # pooled groups are exactly tied, and distinct groups are distinct values
+        lab = blocks.labels(n)
+        inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
+        assert np.all(np.diff(fit.values)[inside] == 0)
+        assert np.all(np.diff(fit.values)[~inside] > 0)
+
+
+def test_staircase_drives_scan_fallback(monkeypatch):
+    calls = []
+    scan = transport._pool_scan
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return scan(*args)
+
+    monkeypatch.setattr(transport, "_pool_scan", spy)
+    k = 10 * transport._CHAIN_ROUNDS
+    z = np.append(np.arange(k, dtype=float), -float(k) ** 2)
+    fit, blocks = project_monotone(z, np.ones(k + 1))
+    assert calls, "chain pooling finished a staircase without the scan"
+    expected = (k * (k - 1) / 2 - k**2) / (k + 1)
+    assert fit.values == pytest.approx(np.full(k + 1, expected), rel=1e-12)
+    assert blocks.blocks == ((0, k),)
+
+
+def _random_partition(rng, n):
+    blocks, i = [], int(rng.integers(0, 3))
+    while i < n - 1:
+        hi = min(n - 1, i + int(rng.integers(1, 5)))
+        blocks.append((i, hi))
+        i = hi + 1 + int(rng.integers(0, 3))
+    return BlockPartition(blocks)
+
+
+def test_partition_arrays_match_naive_definitions():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        bp = _random_partition(rng, n)
+        naive_labels = [next((k for k, (lo, hi) in enumerate(bp) if lo <= i <= hi), -1)
+                        for i in range(n)]
+        assert bp.labels(n).tolist() == naive_labels
+        naive_inside = [any(lo <= c < hi for lo, hi in bp) for c in range(n - 1)]
+        assert bp.interior_cells(n).tolist() == naive_inside
+        for i in range(n):
+            for j in range(n):
+                assert bp.spans(i, j) == any(lo <= i and j <= hi for lo, hi in bp)
+        a = rng.normal(0.0, 1.0, n)
+        naive_sums = [a[lo : hi + 1].sum() for lo, hi in bp]
+        assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)
+        assert BlockPartition.from_bounds(bp.lo, bp.hi) == bp
 
 
 # ---------------------------------------------------------------- project_admissible
@@ -261,7 +371,8 @@ def test_block_mean_preservation():
         z = rng.normal(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
         fit, blocks = project_monotone(z, w)
-        for sl in blocks.slices():
+        for lo, hi in blocks:
+            sl = slice(lo, hi + 1)
             assert np.dot(w[sl], fit.values[sl] - z[sl]) == pytest.approx(0.0, abs=1e-12)
 
 
