@@ -36,19 +36,12 @@ from .errors import (
     OracleLimitError,
 )
 from .eulerian import EulerianField, ExclusionReport, check_exclusion, reconstruct, wasserstein2
-from .heterogeneous import (
-    RatioSystem,
-    build_ratio_system,
-    cosine_bump_rho_star,
-    reconstruct_heterogeneous,
-    run_heterogeneous,
-)
+from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import (
     BlockPartition,
     MonotoneMap,
     ParticleSystem,
     build_particles,
-    congested_transport,
     oracle_qp_projection,
     project_admissible,
     project_monotone,
@@ -83,7 +76,6 @@ __all__ = [
     "PicardOptions",
     "PicardResult",
     "PiecewiseDensity",
-    "RatioSystem",
     "Segment",
     "SimState",
     "StepperConfig",
@@ -94,7 +86,6 @@ __all__ = [
     "build_ratio_system",
     "check_exclusion",
     "check_state",
-    "congested_transport",
     "constant_force",
     "cosine_bump_rho_star",
     "error_norms",
@@ -105,8 +96,6 @@ __all__ = [
     "project_admissible",
     "project_monotone",
     "reconstruct",
-    "reconstruct_heterogeneous",
-    "run_heterogeneous",
     "run_simulation",
     "step",
     "two_block_exact",

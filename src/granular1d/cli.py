@@ -36,7 +36,7 @@ from .dynamics import (
 from .errors import Granular1dError, InvariantViolation
 from .eulerian import EulerianField, check_exclusion, reconstruct
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
-from .transport import MonotoneMap, ParticleSystem, build_particles, congested_transport
+from .transport import ParticleSystem, build_particles
 from .twoblock import ContactTracker, ErrorReport, TwoBlockParams, error_norms, two_block_exact
 
 EXIT_OK = 0
@@ -61,18 +61,13 @@ class RunSetup:
     ps: ParticleSystem
     u0: np.ndarray
     force: ForceField
-    xtil: MonotoneMap
     stepper: StepperConfig
     output_steps: dict[int, float]
     out_prefix: Path
     out_format: str
     exclusion_tol: float
-    use_picard: bool
+    picard: PicardOptions | None = None  # None for the marching integrator
     two_block: TwoBlockParams | None = None
-    rho_star: np.ndarray | None = None  # carried maximal density per particle
-
-    def reconstruct(self, state: SimState) -> EulerianField:
-        return reconstruct(state, self.ps, self.xtil, self.rho_star)
 
 
 def _require(cfg: dict, key: str, typ=None):
@@ -154,20 +149,14 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     _grid_step(t_end, dt, "t_end")
 
     integrator = cfg.get("integrator", "marching")
-    use_picard = False
-    picard_opts = None
-    if integrator == "marching":
-        pass
-    elif isinstance(integrator, dict) and "picard" in integrator:
+    picard = None
+    if isinstance(integrator, dict) and "picard" in integrator:
         p = integrator["picard"] or {}
-        picard_opts = PicardOptions(
+        picard = PicardOptions(
             max_iters=int(p.get("max_iters", 30)), tol=float(p.get("tol", 1e-12))
         )
-        use_picard = True
-    else:
+    elif integrator != "marching":
         raise ConfigError("integrator must be 'marching' or {picard: {...}}")
-
-    stepper = StepperConfig(dt=dt, t_end=t_end, picard=picard_opts)
 
     out_cfg = cfg.get("output", {})
     prefix = Path(out_cfg.get("path", Path(config_path).stem))
@@ -182,7 +171,6 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     exclusion_tol = float(tolerances.get("exclusion", _DEFAULT_EXCLUSION_TOL))
 
     two_block = None
-    rho_star = None
     if scenario == "two-block":
         fspec = cfg.get("force", {})
         geom = cfg.get("blocks", {})
@@ -197,7 +185,6 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         ps = two_block.build(n)
         force = two_block.force()
         u0 = np.zeros(n)
-        xtil = congested_transport(ps)
     elif scenario == "heterogeneous":
         cspec = cfg.get("constraint", {})
         star = cosine_bump_rho_star(
@@ -210,11 +197,8 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
         fspec = cfg.get("force", {"breakpoints": [0.5], "values": [0.5, -0.5]})
         force = _build_force(fspec)
-        ratio = build_ratio_system(rho0, star, n)
-        ps = ratio.base
+        ps = build_ratio_system(rho0, star, n)
         u0 = np.zeros(n)
-        xtil = ratio.xtil
-        rho_star = ratio.rho_star0_at_particles
     elif scenario == "custom":
         dspec = _require(cfg, "density", dict)
         blocks = _require(dspec, "blocks", list)
@@ -232,7 +216,6 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         else:
             u0 = np.full(n, float(u0_spec))
         force = _build_force(_require(cfg, "force", dict))
-        xtil = congested_transport(ps)
     else:
         raise ConfigError(f"unknown scenario '{scenario}'")
 
@@ -241,15 +224,13 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         ps=ps,
         u0=u0,
         force=force,
-        xtil=xtil,
-        stepper=stepper,
+        stepper=StepperConfig(dt=dt, t_end=t_end),
         output_steps=_output_steps(cfg, dt, t_end),
         out_prefix=prefix,
         out_format=out_format,
         exclusion_tol=exclusion_tol,
-        use_picard=use_picard,
+        picard=picard,
         two_block=two_block,
-        rho_star=rho_star,
     )
 
 
@@ -311,15 +292,15 @@ def _check_exclusion(setup: RunSetup, state: SimState, field: EulerianField) -> 
 def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
     t = state.t
     lag.write(state.n, [t, np.arange(state.n), state.x.values, state.u, state.gamma])
-    field = setup.reconstruct(state)
+    field = reconstruct(state, setup.ps)
     eul.write(field.n_samples, [t, field.x, field.rho, field.u, field.gamma, field.rho_star])
     return _check_exclusion(setup, state, field)
 
 
 def _iterate(setup: RunSetup):
-    if setup.use_picard:
-        return picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil).states
-    return run_simulation(setup.ps, setup.u0, setup.force, setup.stepper, xtil=setup.xtil)
+    if setup.picard is not None:
+        return picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, setup.picard).states
+    return run_simulation(setup.ps, setup.u0, setup.force, setup.stepper)
 
 
 def run_command(config_path: str) -> int:
@@ -336,6 +317,7 @@ def run_command(config_path: str) -> int:
         ["t", "x", "rho", "u", "gamma", "rho_star"],
         setup.out_format,
     )
+    packed_gaps = setup.ps.packed.gaps()
     max_gamma = -np.inf
     min_slack = np.inf
     max_exclusion = 0.0
@@ -349,7 +331,7 @@ def run_command(config_path: str) -> int:
                 first_congested = state.t
             max_gamma = max(max_gamma, float(np.max(state.gamma)))
             min_slack = min(
-                min_slack, float(np.min(np.diff(state.x.values) - setup.xtil.gaps(), initial=np.inf))
+                min_slack, float(np.min(np.diff(state.x.values) - packed_gaps, initial=np.inf))
             )
             if state.step_index in setup.output_steps:
                 max_exclusion = max(max_exclusion, _emit_state(setup, state, lag, eul))
@@ -365,7 +347,7 @@ def run_command(config_path: str) -> int:
         "n": n,
         "dt": setup.stepper.dt,
         "t_end": setup.stepper.t_end,
-        "integrator": "picard" if setup.use_picard else "marching",
+        "integrator": "marching" if setup.picard is None else "picard",
         "first_congested_time": first_congested,
         "contact_interval": None
         if tracker is None or tracker.contact_time is None
@@ -395,8 +377,8 @@ def _ext(setup: RunSetup) -> str:
 
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
-    state = init_state(setup.ps, setup.u0, setup.xtil)
-    _check_exclusion(setup, state, setup.reconstruct(state))
+    state = init_state(setup.ps, setup.u0)
+    _check_exclusion(setup, state, reconstruct(state, setup.ps))
     print(
         f"ok: scenario={setup.scenario} n={setup.ps.n} mass={_fmt(setup.ps.total_mass)} "
         f"steps={setup.stepper.n_steps} outputs={len(setup.output_steps)}"

@@ -6,7 +6,7 @@ projects the result back onto the admissible cone.  The congested
 zones are the pooled groups of that projection; on them the velocity
 is replaced by its mass average and the deficit accumulates into the
 nonpositive adhesion potential.  Working on the monotone offset
-``s = x - xtil`` (rather than re-subtracting assembled coordinates)
+``s = x - ps.packed`` (rather than re-subtracting assembled coordinates)
 keeps pooled plateaus exactly tied between steps, so contact and
 release events are decided by the dynamics and not by rounding noise.
 
@@ -28,7 +28,6 @@ from .transport import (
     BlockPartition,
     MonotoneMap,
     ParticleSystem,
-    congested_transport,
     project_monotone,
     weighted_norm,
 )
@@ -110,7 +109,6 @@ class PicardOptions:
 class StepperConfig:
     dt: float
     t_end: float
-    picard: PicardOptions | None = None
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -127,7 +125,7 @@ class StepperConfig:
 class SimState:
     """Immutable snapshot of the Lagrangian fields at one time.
 
-    ``s`` is the monotone offset x - xtil carrying the pooled plateaus
+    ``s`` is the monotone offset x - ps.packed carrying the pooled plateaus
     exactly; ``force_sum`` is the per-particle sum of sampled force
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
@@ -192,9 +190,7 @@ def _tangent_velocity(
     return u, BlockPartition(tuple(survivors))
 
 
-def init_state(
-    ps: ParticleSystem, u0: np.ndarray, xtil: MonotoneMap | None = None
-) -> SimState:
+def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
     """State at t=0: positions projected onto the admissible cone and
     the initial velocity projected onto the tangent cone.
 
@@ -208,10 +204,8 @@ def init_state(
         raise ValueError("u0 must match the particle count")
     if not np.all(np.isfinite(u0)):
         raise ValueError("non-finite initial velocity")
-    if xtil is None:
-        xtil = congested_transport(ps)
-    s, pos_blocks = project_monotone(ps.positions - xtil.values, ps.masses)
-    x = MonotoneMap(xtil.values + s.values)
+    s, pos_blocks = project_monotone(ps.positions - ps.packed.values, ps.masses)
+    x = MonotoneMap(ps.packed.values + s.values)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
     gamma = adhesion_potential(u, u0, ps.masses)
     state = SimState(
@@ -226,16 +220,10 @@ def init_state(
         force_sum=np.zeros(ps.n),
         u_init=u0.copy(),
     )
-    return check_state(state, xtil, ps.masses)
+    return check_state(state, ps)
 
 
-def step(
-    state: SimState,
-    force: ForceField,
-    cfg: StepperConfig,
-    xtil: MonotoneMap,
-    masses: np.ndarray,
-) -> SimState:
+def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSystem) -> SimState:
     """Advance one step of size cfg.dt.
 
     Order: sample the force at the current projected positions
@@ -244,11 +232,12 @@ def step(
     then derive the block velocity and the adhesion potential.
     """
     dt = cfg.dt
+    masses = ps.masses
     fval = force(state.t, state.x.values)
     force_sum = state.force_sum + fval
     u_free = state.u_init + dt * force_sum
     s, blocks = project_monotone(state.s.values + dt * u_free, masses)
-    x = MonotoneMap(xtil.values + s.values)
+    x = MonotoneMap(ps.packed.values + s.values)
     u = block_velocity(u_free, blocks, masses)
     gamma = adhesion_potential(u, u_free, masses)
     new = SimState(
@@ -263,7 +252,7 @@ def step(
         force_sum=force_sum,
         u_init=state.u_init,
     )
-    return check_state(new, xtil, masses)
+    return check_state(new, ps)
 
 
 def position_tol(x: np.ndarray) -> float:
@@ -271,7 +260,7 @@ def position_tol(x: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.max(np.abs(x))))
 
 
-def check_state(state: SimState, xtil: MonotoneMap, masses: np.ndarray) -> SimState:
+def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     """Return the snapshot unchanged, or raise InvariantViolation (with
     its time and step) unless it satisfies the structural invariants:
     feasibility of x, exact block-constancy of u, nonpositive gamma
@@ -286,7 +275,7 @@ def check_state(state: SimState, xtil: MonotoneMap, masses: np.ndarray) -> SimSt
         return InvariantViolation(check, value, message, t=state.t, step=state.step_index)
 
     x = state.x.values
-    worst = float(np.min(np.diff(x) - xtil.gaps(), initial=0.0))
+    worst = float(np.min(np.diff(x) - ps.packed.gaps(), initial=0.0))
     if worst < -position_tol(x):
         raise fail("feasibility", -worst)
 
@@ -298,9 +287,8 @@ def check_state(state: SimState, xtil: MonotoneMap, masses: np.ndarray) -> SimSt
     if not np.array_equal(state.u[off], state.u_free[off]):
         raise fail("free_velocity_off_blocks", 0.0, "u != u_free off blocks")
 
-    mass = float(np.sum(masses))
     umax = max(1.0, float(np.max(np.abs(state.u_free), initial=0.0)))
-    vel_scale = max(1.0, mass * umax)
+    vel_scale = max(1.0, ps.total_mass * umax)
     if float(np.max(state.gamma)) > 1e-10 * vel_scale:
         raise fail("gamma_sign", float(np.max(state.gamma)))
     edge_tol = 1e-12 * vel_scale
@@ -310,26 +298,20 @@ def check_state(state: SimState, xtil: MonotoneMap, masses: np.ndarray) -> SimSt
     bad = np.flatnonzero(edges > edge_tol)
     if bad.size:
         raise fail("gamma_block_edge", float(edges[bad[0]]))
-    drift = abs(float(np.dot(masses, state.u) - np.dot(masses, state.u_free)))
+    drift = abs(float(np.dot(ps.masses, state.u) - np.dot(ps.masses, state.u_free)))
     if drift > edge_tol:
         raise fail("momentum_balance", drift)
     return state
 
 
 def run_simulation(
-    ps: ParticleSystem,
-    u0: np.ndarray,
-    force: ForceField,
-    cfg: StepperConfig,
-    xtil: MonotoneMap | None = None,
+    ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
 ) -> Iterator[SimState]:
     """Yield the state at t=0 and after every step up to t_end."""
-    if xtil is None:
-        xtil = congested_transport(ps)
-    state = init_state(ps, u0, xtil)
+    state = init_state(ps, u0)
     yield state
     for _ in range(cfg.n_steps):
-        state = step(state, force, cfg, xtil, ps.masses)
+        state = step(state, force, cfg, ps)
         yield state
 
 
@@ -354,7 +336,7 @@ def picard_solve(
     u0: np.ndarray,
     force: ForceField,
     cfg: StepperConfig,
-    xtil: MonotoneMap | None = None,
+    options: PicardOptions = PicardOptions(),
 ) -> PicardResult:
     """Solve the global fixed point on the uniform time grid.
 
@@ -364,7 +346,8 @@ def picard_solve(
     time.  Convergence is measured in the exponentially weighted
     sup-in-time norm  max_t exp(-2 sqrt(k) t) ||X'_t - X_t||_w  with k
     the declared Lipschitz constant of the force, in which one sweep
-    contracts by at least 1/4 for Lipschitz forces.
+    contracts by at least 1/4 for Lipschitz forces.  The state at t=0
+    is ``init_state``'s, as for the marching stepper.
 
     The accumulated-path formula coincides with the marching dynamics up
     to the first release event (a glued block whose adhesion potential
@@ -372,20 +355,16 @@ def picard_solve(
     derived adhesion potential turns positive, which ``check_state``
     raises as an InvariantViolation rather than silently accepting.
     """
-    if cfg.picard is None:
-        raise ValueError("picard options are not enabled in the config")
-    if xtil is None:
-        xtil = congested_transport(ps)
-    u0 = np.asarray(u0, dtype=float)
+    state0 = init_state(ps, u0)
+    u0 = state0.u_init
     m = ps.masses
+    packed = ps.packed.values
     n_steps = cfg.n_steps
     dt = cfg.dt
     times = np.arange(n_steps + 1) * dt
     k = max(0.0, force.lipschitz_k)
     decay = np.exp(-2.0 * np.sqrt(k) * times)
-
-    z0 = ps.positions - xtil.values
-    s0, _ = project_monotone(z0, m)
+    z0 = ps.positions - packed
 
     def sweep(prev_s: np.ndarray) -> tuple[np.ndarray, list[BlockPartition], np.ndarray]:
         # force partial sums along the previous iterate
@@ -393,12 +372,11 @@ def picard_solve(
         ufree = np.empty((n_steps + 1, ps.n))
         ufree[0] = u0
         for j in range(n_steps):
-            fsum = fsum + force(times[j], xtil.values + prev_s[j])
+            fsum = fsum + force(times[j], packed + prev_s[j])
             ufree[j + 1] = u0 + dt * fsum
         s_new = np.empty_like(ufree)
-        blocks_list: list[BlockPartition] = []
-        s_new[0] = s0.values
-        blocks_list.append(project_monotone(z0, m)[1])
+        s_new[0] = state0.s.values
+        blocks_list = [state0.blocks]
         path = z0.copy()
         for j in range(1, n_steps + 1):
             path = path + dt * ufree[j]
@@ -407,34 +385,33 @@ def picard_solve(
             blocks_list.append(blocks)
         return s_new, blocks_list, ufree
 
-    prev = np.tile(s0.values, (n_steps + 1, 1))
+    prev = np.tile(state0.s.values, (n_steps + 1, 1))
     residuals: list[float] = []
     converged = False
-    for _ in range(cfg.picard.max_iters):
+    for _ in range(options.max_iters):
         cur, blocks_list, ufree = sweep(prev)
         res = max(
             float(decay[j]) * weighted_norm(cur[j] - prev[j], m) for j in range(n_steps + 1)
         )
         residuals.append(res)
         prev = cur
-        if res < cfg.picard.tol:
+        if res < options.tol:
             converged = True
             break
     if not converged:
         raise ConvergenceError(residuals[-1], len(residuals))
 
-    states = []
+    states = [state0]
     fsum_running = np.zeros(ps.n)
-    for j in range(n_steps + 1):
-        if j > 0:
-            fsum_running = fsum_running + force(times[j - 1], xtil.values + cur[j - 1])
+    for j in range(1, n_steps + 1):
+        fsum_running = fsum_running + force(times[j - 1], packed + cur[j - 1])
         blocks = blocks_list[j]
         u = block_velocity(ufree[j], blocks, m)
         state = SimState(
             t=float(times[j]),
             step_index=j,
             u_free=ufree[j].copy(),
-            x=MonotoneMap(xtil.values + cur[j]),
+            x=MonotoneMap(packed + cur[j]),
             u=u,
             gamma=adhesion_potential(u, ufree[j], m),
             blocks=blocks,
@@ -442,5 +419,5 @@ def picard_solve(
             force_sum=fsum_running.copy(),
             u_init=u0.copy(),
         )
-        states.append(check_state(state, xtil, m))
+        states.append(check_state(state, ps))
     return PicardResult(times=times, states=states, sweeps=len(residuals), residuals=residuals)

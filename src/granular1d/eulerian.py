@@ -50,20 +50,15 @@ class ExclusionReport:
     offenders: np.ndarray  # sample indices above tolerance
 
 
-def reconstruct(
-    state: SimState,
-    ps: ParticleSystem,
-    xtil: MonotoneMap,
-    rho_star_at_particles: np.ndarray | None = None,
-) -> EulerianField:
+def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     """Midpoint-sampled density, velocity and adhesion fields.
 
     Cell (i, i+1) is sampled at the particle midpoint with density equal
     to the packed-over-actual gap ratio.  With a heterogeneous maximal
-    density, the transported ratio is multiplied by the carried maximal
-    density, and rho_star is emitted per sample.  A gap below its packed
-    value by more than ``position_tol`` raises ``density_bound``; smaller
-    rounding excesses are clipped to the bound.
+    density ``ps.rho_star``, the transported ratio is multiplied by the
+    carried maximal density, and rho_star is emitted per sample.  A gap
+    below its packed value by more than ``position_tol`` raises
+    ``density_bound``; smaller rounding excesses are clipped to the bound.
     """
     x = state.x.values
     m = ps.masses
@@ -74,12 +69,12 @@ def reconstruct(
         xs = np.array([float(x[0])])
         us = np.array([float(state.u[0])])
         gs = np.array([0.0])
-        star = None if rho_star_at_particles is None else np.array([rho_star_at_particles[0]])
+        star = None if ps.rho_star is None else np.array([ps.rho_star[0]])
         rho = ratio if star is None else ratio * star
         return EulerianField(xs, rho, us, gs, widths, star)
 
     gaps = np.diff(x)
-    packed = xtil.gaps()
+    packed = ps.packed.gaps()
     if np.any(gaps <= 0):
         raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
                                  "invalid transport: coincident particle positions",
@@ -110,9 +105,9 @@ def reconstruct(
     us = np.concatenate([[state.u[0]], um, [state.u[-1]]])
     gs = np.concatenate([[g_left], gm, [g_right]])
 
-    if rho_star_at_particles is None:
+    if ps.rho_star is None:
         return EulerianField(xs, rat, us, gs, widths, None)
-    rs = np.asarray(rho_star_at_particles, dtype=float)
+    rs = ps.rho_star
     rs_mid = (rs[:-1] + rs[1:]) / 2
     star = np.concatenate([[rs[0]], rs_mid, [rs[-1]]])
     return EulerianField(xs, rat * star, us, gs, widths, star)

@@ -3,54 +3,31 @@
 With an upper bound rho_star carried by the fluid, the ratio
 r = rho / rho_star obeys the same continuity equation as a plain
 density bounded by one, so the whole Lagrangian machinery applies to
-the r-measure unchanged.  The maximal density itself is constant along
-trajectories: each particle keeps its initial rho_star value forever,
-and the physical density is recovered as r * rho_star on samples.
+the r-measure unchanged: a ratio system is a plain ``ParticleSystem``
+that also carries ``rho_star``, and runs through ``run_simulation``.
+The maximal density itself is constant along trajectories: each
+particle keeps its initial rho_star value forever, and ``reconstruct``
+recovers the physical density as r * rho_star on samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .density import PiecewiseDensity, Segment
-from .dynamics import ForceField, SimState, StepperConfig, position_tol, run_simulation
-from .eulerian import EulerianField, reconstruct
-from .transport import MonotoneMap, ParticleSystem, build_particles, congested_transport
-
-
-@dataclass(frozen=True)
-class RatioSystem:
-    """Particle carrier of the ratio measure r0(x) dx plus the maximal
-    density sampled at the initial particle positions."""
-
-    base: ParticleSystem
-    rho_star0_at_particles: np.ndarray
-    xtil: MonotoneMap
-
-    def __post_init__(self):
-        rs = np.asarray(self.rho_star0_at_particles, dtype=float)
-        if rs.shape != self.base.positions.shape:
-            raise ValueError("rho_star samples must match the particle count")
-        if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
-            raise ValueError("rho_star must be positive and finite")
-        slack = np.diff(self.base.positions) - self.xtil.gaps()
-        if float(np.min(slack, initial=0.0)) < -position_tol(self.base.positions):
-            raise ValueError("initial data violates the ratio bound r <= 1")
-        rs = rs.copy()
-        rs.setflags(write=False)  # carried along trajectories, never rewritten
-        object.__setattr__(self, "rho_star0_at_particles", rs)
+from .dynamics import position_tol
+from .transport import ParticleSystem, build_particles
 
 
 def build_ratio_system(
     rho0: PiecewiseDensity,
     rho_star0: Callable[[np.ndarray], np.ndarray],
     n: int,
-) -> RatioSystem:
+) -> ParticleSystem:
     """Discretize the ratio measure (rho0/rho_star0)(x) dx by mass
-    quantiles and sample rho_star0 at the particle positions."""
+    quantiles and carry rho_star0 sampled at the particle positions."""
     ratio_segments = []
     for seg in rho0.segments:
         if isinstance(seg.profile, (int, float)):
@@ -73,32 +50,12 @@ def build_ratio_system(
         star = np.asarray(rho_star0(xs), dtype=float)
         if np.any(np.asarray(dens, dtype=float) > star * (1 + 1e-12)):
             raise ValueError("density exceeds the maximal density rho_star0")
-    ratio_density = PiecewiseDensity(ratio_segments)
-    base = build_particles(ratio_density, n)
-    return RatioSystem(
-        base=base,
-        rho_star0_at_particles=np.asarray(rho_star0(base.positions), dtype=float),
-        xtil=congested_transport(base),
-    )
-
-
-def run_heterogeneous(
-    rs: RatioSystem,
-    u0: np.ndarray,
-    force: ForceField,
-    cfg: StepperConfig,
-) -> Iterator[SimState]:
-    """March the ratio system; rho_star rides along unchanged.
-
-    Particles accelerate by f(t, Y_i) directly, matching the
-    free-velocity formula of the transported-constraint dynamics.
-    """
-    yield from run_simulation(rs.base, u0, force, cfg, xtil=rs.xtil)
-
-
-def reconstruct_heterogeneous(state: SimState, rs: RatioSystem) -> EulerianField:
-    """Eulerian samples with the physical density r * rho_star."""
-    return reconstruct(state, rs.base, rs.xtil, rho_star_at_particles=rs.rho_star0_at_particles)
+    base = build_particles(PiecewiseDensity(ratio_segments), n)
+    ps = ParticleSystem(base.positions, base.masses, rho_star0(base.positions))
+    slack = np.diff(ps.positions) - ps.packed.gaps()
+    if float(np.min(slack, initial=0.0)) < -position_tol(ps.positions):
+        raise ValueError("initial data violates the ratio bound r <= 1")
+    return ps
 
 
 def cosine_bump_rho_star(base: float = 1.0, amplitude: float = 0.2) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,7 +16,7 @@ systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,14 +33,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """Sorted particle positions with positive masses.
+    """Sorted particle positions with positive masses: the fixed frame
+    of a run.
 
     ``total_mass`` is always the exact float sum of ``masses``.
+    ``packed`` is the maximal-compression rearrangement, the unit-density
+    interval of length ``total_mass`` centered at the center of mass,
+    with particle i at the midpoint of its own mass cell; its gaps
+    (m_i + m_{i+1})/2 are the lower bounds of the admissible cone.
+    ``rho_star`` is the maximal density each particle carries along its
+    trajectory, or None for the homogeneous bound rho <= 1.
     """
 
     positions: np.ndarray
     masses: np.ndarray
-    total_mass: float = 0.0
+    rho_star: np.ndarray | None = None
+    total_mass: float = field(init=False)
+    packed: MonotoneMap = field(init=False)
 
     def __post_init__(self):
         pos = _readonly(self.positions)
@@ -53,16 +62,24 @@ class ParticleSystem:
             raise ValueError("positions must be nondecreasing")
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
+        if self.rho_star is not None:
+            star = _readonly(self.rho_star)  # carried along trajectories, never rewritten
+            if star.shape != pos.shape:
+                raise ValueError("rho_star must match the particle count")
+            if np.any(star <= 0) or not np.all(np.isfinite(star)):
+                raise ValueError("rho_star must be positive and finite")
+            object.__setattr__(self, "rho_star", star)
+        total = float(np.sum(m))
+        center = float(np.dot(m, pos)) / total
+        packed = MonotoneMap((center - total / 2) + (np.cumsum(m) - m) + m / 2)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "total_mass", float(np.sum(m)))
+        object.__setattr__(self, "total_mass", total)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def n(self) -> int:
         return self.positions.size
-
-    def center_of_mass(self) -> float:
-        return float(np.dot(self.masses, self.positions)) / self.total_mass
 
 
 @dataclass(frozen=True)
@@ -193,20 +210,6 @@ def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:
     targets = (np.arange(n) + 0.5) * m
     positions = density.mass_quantiles(targets)
     return ParticleSystem(positions, np.full(n, m))
-
-
-def congested_transport(ps: ParticleSystem) -> MonotoneMap:
-    """Rearrangement packing the particles at maximal density.
-
-    The packed configuration is the unit-density interval of length
-    ``total_mass`` centered at the center of mass; particle i sits at
-    the midpoint of its own mass cell, so consecutive gaps equal
-    (m_i + m_{i+1})/2 and the map is strictly increasing.
-    """
-    m = ps.masses
-    c = ps.center_of_mass()
-    cum_before = np.cumsum(m) - m
-    return MonotoneMap((c - ps.total_mass / 2) + cum_before + m / 2)
 
 
 def _validate_projection_args(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

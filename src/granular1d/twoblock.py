@@ -130,8 +130,6 @@ class ErrorReport:
     x_error: float        # mass-weighted L2
     u_error: float        # mass-weighted L2
     gamma_error: float    # sup norm
-    contact_time: float | None = None
-    separation_time: float | None = None
 
 
 def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> ErrorReport:

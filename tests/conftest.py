@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from granular1d import MonotoneMap, TwoBlockParams, congested_transport
+from granular1d import MonotoneMap, TwoBlockParams
 
 
 @pytest.fixture(scope="session")
@@ -12,8 +12,7 @@ def two_block_params():
 @pytest.fixture(scope="session")
 def small_two_block(two_block_params):
     """Coarse two-block system for fast dynamics tests."""
-    ps = two_block_params.build(200)
-    return ps, congested_transport(ps)
+    return two_block_params.build(200)
 
 
 def random_projection_instance(rng, n):

@@ -21,7 +21,6 @@ from granular1d import (
     build_particles,
     build_ratio_system,
     check_exclusion,
-    congested_transport,
     cosine_bump_rho_star,
     error_norms,
     oracle_qp_projection,
@@ -29,8 +28,6 @@ from granular1d import (
     piecewise_constant_force,
     project_admissible,
     reconstruct,
-    reconstruct_heterogeneous,
-    run_heterogeneous,
     run_simulation,
     two_block_exact,
     weighted_norm,
@@ -52,7 +49,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
     params = TwoBlockParams()
     ps = params.build(n)
-    xtil = congested_transport(ps)
+    xtil = ps.packed
     cfg = StepperConfig(dt=dt, t_end=3.0)
     out_steps = {int(round(t / dt)): t for t in OUTPUT_TIMES}
     interface = (n // 2 - 1, n // 2)
@@ -69,7 +66,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
     root_mass = np.sqrt(ps.total_mass)
 
     t_start = time.monotonic()
-    for st in run_simulation(ps, np.zeros(n), params.force(), cfg, xtil=xtil):
+    for st in run_simulation(ps, np.zeros(n), params.force(), cfg):
         merged = st.blocks.spans(*interface)
         if merged and contact_t is None:
             contact_t = st.t
@@ -89,7 +86,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
         for _, hi in st.blocks:
             edge = max(edge, abs(float(st.gamma[hi])))
         inv["gamma_edge_max"] = max(inv["gamma_edge_max"], edge)
-        field = reconstruct(st, ps, xtil)
+        field = reconstruct(st, ps)
         inv["rho_max"] = max(inv["rho_max"], float(np.max(field.rho)))
         gscale = max(1.0, float(np.max(np.abs(field.gamma), initial=0.0)))
         inv["excl_max"] = max(
@@ -248,9 +245,11 @@ def test_criterion_6_picard_marching_agreement(reference_run):
     r = reference_run
     ps, xtil, params = r["ps"], r["xtil"], r["params"]
     dt = r["dt"]
-    cfg = StepperConfig(dt=dt, t_end=0.5, picard=PicardOptions(max_iters=30, tol=1e-12))
+    cfg = StepperConfig(dt=dt, t_end=0.5)
     t0 = time.monotonic()
-    res = picard_solve(ps, np.zeros(ps.n), params.force(), cfg, xtil=xtil)
+    res = picard_solve(
+        ps, np.zeros(ps.n), params.force(), cfg, PicardOptions(max_iters=30, tol=1e-12)
+    )
     elapsed = time.monotonic() - t0
     worst = max(
         weighted_norm(st.x.values - r["early_x"][st.step_index], ps.masses)
@@ -278,10 +277,10 @@ def test_criterion_7_heterogeneous_run():
     slack_min = np.inf
     rho_over = -np.inf
     centered = {0.5: False, 0.8: False}
-    for st in run_heterogeneous(rs, np.zeros(n), force, cfg):
-        slack_min = min(slack_min, float(np.min(np.diff(st.x.values) - rs.xtil.gaps())))
+    for st in run_simulation(rs, np.zeros(n), force, cfg):
+        slack_min = min(slack_min, float(np.min(np.diff(st.x.values) - rs.packed.gaps())))
         if st.step_index in (500, 800):
-            field = reconstruct_heterogeneous(st, rs)
+            field = reconstruct(st, rs)
             rho_over = max(rho_over, float(np.max(field.rho - field.rho_star)))
             ratio = field.rho / field.rho_star
             congested = np.abs(ratio - 1.0) < 1e-9
@@ -298,8 +297,8 @@ def test_criterion_7_heterogeneous_run():
     ps1 = build_particles(flat0, n)
     cfg_short = StepperConfig(dt=1e-3, t_end=0.3)
     identical = True
-    hom = run_simulation(ps1, np.zeros(n), force, cfg_short, xtil=congested_transport(ps1))
-    for a, b in zip(run_heterogeneous(rs1, np.zeros(n), force, cfg_short), hom):
+    hom = run_simulation(ps1, np.zeros(n), force, cfg_short)
+    for a, b in zip(run_simulation(rs1, np.zeros(n), force, cfg_short), hom):
         if not (
             np.array_equal(a.x.values, b.x.values)
             and np.array_equal(a.u, b.u)

@@ -17,7 +17,6 @@ from granular1d import (
     block_velocity,
     build_particles,
     check_state,
-    congested_transport,
     init_state,
     picard_solve,
     run_simulation,
@@ -108,13 +107,12 @@ _BAD_STATES = {
 @pytest.mark.parametrize("check", sorted(_BAD_STATES))
 def test_check_state_names_each_violation(check):
     ps = packed_three()
-    xtil = congested_transport(ps)
-    good = init_state(ps, np.zeros(3), xtil)
+    good = init_state(ps, np.zeros(3))
     assert good.blocks.blocks == ((0, 2),)
-    assert check_state(good, xtil, ps.masses) is good
+    assert check_state(good, ps) is good
     bad = replace(good, t=0.75, step_index=3, **_BAD_STATES[check])
     with pytest.raises(InvariantViolation) as err:
-        check_state(bad, xtil, ps.masses)
+        check_state(bad, ps)
     assert err.value.check == check
     assert (err.value.t, err.value.step) == (0.75, 3)
 
@@ -170,10 +168,9 @@ def test_init_length_mismatch():
 
 def test_step_free_flight_no_contact():
     ps = ParticleSystem(np.array([0.0, 5.0, 10.0]), np.ones(3))
-    xtil = congested_transport(ps)
     cfg = StepperConfig(dt=0.25, t_end=1.0)
-    st = init_state(ps, np.array([1.0, -0.5, 2.0]), xtil)
-    nxt = step(st, zero_force(), cfg, xtil, ps.masses)
+    st = init_state(ps, np.array([1.0, -0.5, 2.0]))
+    nxt = step(st, zero_force(), cfg, ps)
     assert nxt.x.values == pytest.approx(st.x.values + 0.25 * st.u_free)
     assert nxt.blocks.is_empty
     assert np.all(nxt.gamma == 0.0)
@@ -182,23 +179,21 @@ def test_step_free_flight_no_contact():
 
 def test_step_aborts_on_non_finite_force():
     ps = packed_three()
-    xtil = congested_transport(ps)
     cfg = StepperConfig(dt=0.1, t_end=1.0)
-    st = init_state(ps, np.zeros(3), xtil)
+    st = init_state(ps, np.zeros(3))
     bad = ForceField(lambda t, x: np.full_like(x, np.nan))
     with pytest.raises(Granular1dError):
-        step(st, bad, cfg, xtil, ps.masses)
+        step(st, bad, cfg, ps)
 
 
-def _march(ps, xtil, u0, force, cfg):
-    states = list(run_simulation(ps, u0, force, cfg, xtil=xtil))
-    return states
+def _march(ps, u0, force, cfg):
+    return list(run_simulation(ps, u0, force, cfg))
 
 
 def test_two_block_phase1_free_flight(two_block_params, small_two_block):
-    ps, xtil = small_two_block
+    ps = small_two_block
     cfg = StepperConfig(dt=2e-3, t_end=0.5)
-    states = _march(ps, xtil, np.zeros(ps.n), two_block_params.force(), cfg)
+    states = _march(ps, np.zeros(ps.n), two_block_params.force(), cfg)
     final = states[-1]
     t = final.t
     # free flight toward the origin: displacement alpha t^2 / 2 up to O(dt)
@@ -210,10 +205,10 @@ def test_two_block_phase1_free_flight(two_block_params, small_two_block):
 
 
 def test_two_block_contact_and_adhesion(two_block_params, small_two_block):
-    ps, xtil = small_two_block
+    ps = small_two_block
     n = ps.n
     cfg = StepperConfig(dt=2e-3, t_end=1.0)
-    states = _march(ps, xtil, np.zeros(n), two_block_params.force(), cfg)
+    states = _march(ps, np.zeros(n), two_block_params.force(), cfg)
     merged = [s.t for s in states if s.blocks.spans(n // 2 - 1, n // 2)]
     assert merged, "blocks never merged"
     assert abs(merged[0] - two_block_params.t1) <= 2 * cfg.dt + 1e-12
@@ -230,14 +225,14 @@ def test_two_block_contact_and_adhesion(two_block_params, small_two_block):
 
 
 def test_invariants_along_two_block_run(two_block_params, small_two_block):
-    ps, xtil = small_two_block
+    ps = small_two_block
     cfg = StepperConfig(dt=4e-3, t_end=3.0)  # checks run inside step()
     m = ps.masses
     root_mass = np.sqrt(ps.total_mass)
     prev = None
-    for st in run_simulation(ps, np.zeros(ps.n), two_block_params.force(), cfg, xtil=xtil):
+    for st in run_simulation(ps, np.zeros(ps.n), two_block_params.force(), cfg):
         scale = max(1.0, np.max(np.abs(st.x.values)))
-        assert np.min(np.diff(st.x.values) - xtil.gaps()) >= -1e-12 * scale
+        assert np.min(np.diff(st.x.values) - ps.packed.gaps()) >= -1e-12 * scale
         assert np.max(st.gamma) <= 1e-10
         assert abs(np.dot(m, st.u) - np.dot(m, st.u_free)) <= 1e-12 * ps.total_mass
         if prev is not None:
@@ -260,22 +255,33 @@ def test_determinism_bitwise(two_block_params):
 # ---------------------------------------------------------------- picard
 
 
-def test_picard_no_force_matches_marching():
-    ps = ParticleSystem(np.array([0.0, 2.0, 5.0]), np.ones(3))
-    xtil = congested_transport(ps)
-    cfg = StepperConfig(dt=0.1, t_end=1.0, picard=PicardOptions())
-    res = picard_solve(ps, np.array([1.0, 0.0, -1.0]), zero_force(), cfg, xtil=xtil)
+@pytest.mark.parametrize(
+    "ps, u0, t_end",
+    [
+        (ParticleSystem(np.array([0.0, 2.0, 5.0]), np.ones(3)), [1.0, 0.0, -1.0], 1.0),
+        # a packed zone already spreading apart: valid data, no block at t=0
+        (packed_three(), [0.0, 1.0, 2.0], 0.2),
+    ],
+    ids=["colliding", "packed-spreading"],
+)
+def test_picard_no_force_matches_marching(ps, u0, t_end):
+    cfg = StepperConfig(dt=0.1, t_end=t_end)
+    res = picard_solve(ps, np.array(u0), zero_force(), cfg)
     assert res.sweeps <= 2
-    march = _march(ps, xtil, np.array([1.0, 0.0, -1.0]), zero_force(), cfg)
+    march = _march(ps, np.array(u0), zero_force(), cfg)
+    assert len(res.states) == len(march)
     for s_p, s_m in zip(res.states, march):
         assert s_p.x.values == pytest.approx(s_m.x.values, abs=1e-12)
+        assert s_p.u == pytest.approx(s_m.u, abs=1e-12)
+        assert s_p.gamma == pytest.approx(s_m.gamma, abs=1e-12)
+        assert s_p.blocks == s_m.blocks
 
 
 def test_picard_agrees_with_marching_precontact(two_block_params, small_two_block):
-    ps, xtil = small_two_block
-    cfg = StepperConfig(dt=2e-3, t_end=0.5, picard=PicardOptions())
-    res = picard_solve(ps, np.zeros(ps.n), two_block_params.force(), cfg, xtil=xtil)
-    march = _march(ps, xtil, np.zeros(ps.n), two_block_params.force(), cfg)
+    ps = small_two_block
+    cfg = StepperConfig(dt=2e-3, t_end=0.5)
+    res = picard_solve(ps, np.zeros(ps.n), two_block_params.force(), cfg)
+    march = _march(ps, np.zeros(ps.n), two_block_params.force(), cfg)
     vel_scale = two_block_params.alpha * two_block_params.t_star
     worst = max(
         weighted_norm(a.x.values - b.x.values, ps.masses) for a, b in zip(res.states, march)
@@ -288,9 +294,10 @@ def test_picard_contraction_factor_smooth_force():
     # Lipschitz force: per-sweep residual ratio in the weighted norm <= 1/4
     ps = build_particles(uniform_blocks([(0.0, 4.0)], height=0.25), 24)
     force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
-    cfg = StepperConfig(dt=0.02, t_end=1.0, picard=PicardOptions(max_iters=60, tol=1e-13))
+    cfg = StepperConfig(dt=0.02, t_end=1.0)
     rng = np.random.default_rng(2)
-    res = picard_solve(ps, rng.normal(0, 1, 24), force, cfg)
+    opts = PicardOptions(max_iters=60, tol=1e-13)
+    res = picard_solve(ps, rng.normal(0, 1, 24), force, cfg, opts)
     meaningful = [
         b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-10
     ]
@@ -301,17 +308,10 @@ def test_picard_contraction_factor_smooth_force():
 def test_picard_nonconvergence_carries_residual():
     ps = build_particles(uniform_blocks([(0.0, 4.0)], height=0.25), 8)
     force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
-    cfg = StepperConfig(dt=0.02, t_end=1.0, picard=PicardOptions(max_iters=1, tol=1e-16))
+    cfg = StepperConfig(dt=0.02, t_end=1.0)
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(ps, np.ones(8), force, cfg)
+        picard_solve(ps, np.ones(8), force, cfg, PicardOptions(max_iters=1, tol=1e-16))
     assert err.value.residual > 0
-
-
-def test_picard_requires_options():
-    ps = packed_three()
-    cfg = StepperConfig(dt=0.1, t_end=0.5)
-    with pytest.raises(ValueError):
-        picard_solve(ps, np.zeros(3), zero_force(), cfg)
 
 
 # ---------------------------------------------------------------- force fields

@@ -7,11 +7,9 @@ from granular1d import (
     StepperConfig,
     build_particles,
     build_ratio_system,
-    congested_transport,
     cosine_bump_rho_star,
     piecewise_constant_force,
-    reconstruct_heterogeneous,
-    run_heterogeneous,
+    reconstruct,
     run_simulation,
     zero_force,
 )
@@ -30,23 +28,23 @@ def test_build_ratio_system_section6():
     star = cosine_bump_rho_star()
     rs = build_ratio_system(section6_density(star=star), star, 1000)
     # the ratio is identically 0.8 on [0, 1]: mass 0.8, particle mass 8e-4
-    assert rs.base.total_mass == pytest.approx(0.8, rel=1e-9)
-    assert rs.base.masses[0] == pytest.approx(8e-4, rel=1e-9)
-    assert rs.base.positions[0] == pytest.approx(0.0005, abs=1e-6)
-    assert rs.base.positions[-1] == pytest.approx(0.9995, abs=1e-6)
+    assert rs.total_mass == pytest.approx(0.8, rel=1e-9)
+    assert rs.masses[0] == pytest.approx(8e-4, rel=1e-9)
+    assert rs.positions[0] == pytest.approx(0.0005, abs=1e-6)
+    assert rs.positions[-1] == pytest.approx(0.9995, abs=1e-6)
     # packed rearrangement of the ratio measure fills [0.1, 0.9]
-    assert rs.xtil.values[0] == pytest.approx(0.1 + 8e-4 / 2, abs=1e-6)
-    assert rs.xtil.values[-1] == pytest.approx(0.9 - 8e-4 / 2, abs=1e-6)
-    assert rs.rho_star0_at_particles == pytest.approx(
-        1 + 0.2 * (1 - np.cos(2 * np.pi * (rs.base.positions - 0.5)))
+    assert rs.packed.values[0] == pytest.approx(0.1 + 8e-4 / 2, abs=1e-6)
+    assert rs.packed.values[-1] == pytest.approx(0.9 - 8e-4 / 2, abs=1e-6)
+    assert rs.rho_star == pytest.approx(
+        1 + 0.2 * (1 - np.cos(2 * np.pi * (rs.positions - 0.5)))
     )
 
 
 def test_fully_congested_start():
     star = cosine_bump_rho_star()
     rs = build_ratio_system(section6_density(fill=1.0, star=star), star, 64)
-    st = next(iter(run_heterogeneous(rs, np.zeros(64), zero_force(), StepperConfig(dt=0.1, t_end=0.0))))
-    field = reconstruct_heterogeneous(st, rs)
+    st = next(iter(run_simulation(rs, np.zeros(64), zero_force(), StepperConfig(dt=0.1, t_end=0.0))))
+    field = reconstruct(st, rs)
     ratio = field.rho / field.rho_star
     assert ratio == pytest.approx(np.ones(field.n_samples), abs=1e-9)
 
@@ -60,10 +58,10 @@ def test_bound_violation_rejected():
 def test_stationary_without_force():
     star = cosine_bump_rho_star()
     rs = build_ratio_system(section6_density(star=star), star, 128)
-    states = list(run_heterogeneous(rs, np.zeros(128), zero_force(), StepperConfig(dt=0.01, t_end=0.5)))
+    states = list(run_simulation(rs, np.zeros(128), zero_force(), StepperConfig(dt=0.01, t_end=0.5)))
     assert np.array_equal(states[-1].x.values, states[0].x.values)
-    f0 = reconstruct_heterogeneous(states[0], rs)
-    f1 = reconstruct_heterogeneous(states[-1], rs)
+    f0 = reconstruct(states[0], rs)
+    f1 = reconstruct(states[-1], rs)
     assert np.array_equal(f0.rho, f1.rho)
 
 
@@ -72,9 +70,9 @@ def test_section6_congestion_grows_at_center():
     rs = build_ratio_system(section6_density(star=star), star, 400)
     cfg = StepperConfig(dt=2e-3, t_end=0.8)
     hits = {}
-    for st in run_heterogeneous(rs, np.zeros(400), section6_force(), cfg):
+    for st in run_simulation(rs, np.zeros(400), section6_force(), cfg):
         if st.step_index in (250, 400):
-            hits[st.step_index] = (st, reconstruct_heterogeneous(st, rs))
+            hits[st.step_index] = (st, reconstruct(st, rs))
     for idx, (st, field) in hits.items():
         ratio = field.rho / field.rho_star
         congested = np.abs(ratio - 1.0) < 1e-9
@@ -92,8 +90,8 @@ def test_ratio_bound_along_run():
     star = cosine_bump_rho_star()
     rs = build_ratio_system(section6_density(star=star), star, 200)
     cfg = StepperConfig(dt=2e-3, t_end=0.6)
-    for st in run_heterogeneous(rs, np.zeros(200), section6_force(), cfg):
-        slack = np.diff(st.x.values) - rs.xtil.gaps()
+    for st in run_simulation(rs, np.zeros(200), section6_force(), cfg):
+        slack = np.diff(st.x.values) - rs.packed.gaps()
         assert slack.min() >= -1e-12  # r <= 1 + 1e-12 in gap form
 
 
@@ -102,12 +100,12 @@ def test_unit_rho_star_matches_homogeneous_bitwise():
     rho0 = section6_density(fill=0.8, star=star)
     rs = build_ratio_system(rho0, star, 150)
     ps = build_particles(rho0, 150)
-    assert np.array_equal(rs.base.positions, ps.positions)
-    assert np.array_equal(rs.base.masses, ps.masses)
+    assert np.array_equal(rs.positions, ps.positions)
+    assert np.array_equal(rs.masses, ps.masses)
     cfg = StepperConfig(dt=2e-3, t_end=0.4)
     force = section6_force()
-    het = list(run_heterogeneous(rs, np.zeros(150), force, cfg))
-    hom = list(run_simulation(ps, np.zeros(150), force, cfg, xtil=congested_transport(ps)))
+    het = list(run_simulation(rs, np.zeros(150), force, cfg))
+    hom = list(run_simulation(ps, np.zeros(150), force, cfg))
     for a, b in zip(het, hom):
         assert np.array_equal(a.x.values, b.x.values)
         assert np.array_equal(a.u, b.u)

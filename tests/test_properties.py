@@ -15,7 +15,6 @@ from granular1d import (
     StepperConfig,
     TwoBlockParams,
     check_exclusion,
-    congested_transport,
     piecewise_constant_force,
     picard_solve,
     reconstruct,
@@ -50,10 +49,9 @@ def random_force(rng):
 
 
 def run_and_check(ps, u0, force, cfg):
-    xtil = congested_transport(ps)
     gscale_tol = 1e-6
-    for st in run_simulation(ps, u0, force, cfg, xtil=xtil):
-        field = reconstruct(st, ps, xtil)
+    for st in run_simulation(ps, u0, force, cfg):
+        field = reconstruct(st, ps)
         assert float(np.max(field.rho)) <= 1 + 1e-9
         assert float(np.min(field.rho)) >= 0
         gscale = max(1.0, float(np.max(np.abs(field.gamma), initial=0.0)))
@@ -82,10 +80,9 @@ def test_unequal_mass_pileup_conserves_momentum():
     ps = ParticleSystem(positions, masses)
     u0 = np.where(ps.positions < -1, 2.0, np.where(ps.positions > 1, -2.0, 0.0))
     cfg = StepperConfig(dt=0.01, t_end=3.0)
-    xtil = congested_transport(ps)
     momentum0 = float(np.dot(ps.masses, u0))
     merged_seen = False
-    for st in run_simulation(ps, u0, ForceField(lambda t, x: np.zeros_like(x)), cfg, xtil=xtil):
+    for st in run_simulation(ps, u0, ForceField(lambda t, x: np.zeros_like(x)), cfg):
         merged_seen = merged_seen or len(st.blocks) > 0
         assert float(np.dot(ps.masses, st.u)) == pytest.approx(momentum0, abs=1e-10)
     assert merged_seen
@@ -100,13 +97,12 @@ def test_unequal_masses_two_body_collision_velocity():
     ps = ParticleSystem(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
     u0 = np.array([1.0, 0.0])
     cfg = StepperConfig(dt=0.01, t_end=1.0)
-    xtil = congested_transport(ps)
-    for st in run_simulation(ps, u0, ForceField(lambda t, x: np.zeros_like(x)), cfg, xtil=xtil):
+    for st in run_simulation(ps, u0, ForceField(lambda t, x: np.zeros_like(x)), cfg):
         pass
     assert st.blocks.blocks == ((0, 1),)
     assert st.u == pytest.approx([0.25, 0.25])
     # gap pinned at the packed value (m1 + m2)/2
-    assert np.diff(st.x.values) == pytest.approx(xtil.gaps())
+    assert np.diff(st.x.values) == pytest.approx(ps.packed.gaps())
 
 
 def test_picard_flags_adhesion_sign_past_release():
@@ -116,9 +112,10 @@ def test_picard_flags_adhesion_sign_past_release():
     # surfaces rather than silently accepting
     p = TwoBlockParams()
     ps = p.build(60)
-    cfg = StepperConfig(dt=5e-3, t_end=2.5, picard=PicardOptions(max_iters=40, tol=1e-10))
+    cfg = StepperConfig(dt=5e-3, t_end=2.5)
+    opts = PicardOptions(max_iters=40, tol=1e-10)
     with pytest.raises(InvariantViolation) as err:
-        picard_solve(ps, np.zeros(60), p.force(), cfg)
+        picard_solve(ps, np.zeros(60), p.force(), cfg, opts)
     assert err.value.check == "gamma_sign"
 
 
@@ -127,10 +124,10 @@ def test_picard_valid_through_glued_phase():
     # marching dynamics coincide, including through contact
     p = TwoBlockParams()
     ps = p.build(60)
-    xtil = congested_transport(ps)
-    cfg = StepperConfig(dt=5e-3, t_end=1.5, picard=PicardOptions(max_iters=40, tol=1e-10))
-    res = picard_solve(ps, np.zeros(60), p.force(), cfg, xtil=xtil)
-    march = list(run_simulation(ps, np.zeros(60), p.force(), cfg, xtil=xtil))
+    cfg = StepperConfig(dt=5e-3, t_end=1.5)
+    opts = PicardOptions(max_iters=40, tol=1e-10)
+    res = picard_solve(ps, np.zeros(60), p.force(), cfg, opts)
+    march = list(run_simulation(ps, np.zeros(60), p.force(), cfg))
     worst = max(
         float(np.max(np.abs(a.x.values - b.x.values))) for a, b in zip(res.states, march)
     )

@@ -9,7 +9,6 @@ from granular1d import (
     PiecewiseDensity,
     Segment,
     build_particles,
-    congested_transport,
     oracle_qp_projection,
     project_admissible,
     project_monotone,
@@ -33,6 +32,19 @@ def test_particle_system_validation():
         ParticleSystem(np.array([0.0, 1.0]), np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
         ParticleSystem(np.array([0.0]), np.array([0.5, 0.5]))
+    assert ps.rho_star is None
+    for bad in ([1.0], [1.0, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            ParticleSystem(np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array(bad))
+    with pytest.raises(TypeError):
+        ParticleSystem(np.array([0.0, 1.0]), np.array([0.5, 0.5]), total_mass=1.0)
+    star = np.array([1.0, 2.0])
+    carried = ParticleSystem(np.array([0.0, 1.0]), np.array([0.5, 0.5]), star)
+    star[0] = 5.0  # the system keeps its own copy
+    assert carried.rho_star.tolist() == [1.0, 2.0]
+    for frozen in (carried.rho_star, carried.packed.values):
+        with pytest.raises(ValueError):
+            frozen[0] = 0.0
 
 
 def test_monotone_map_validation():
@@ -97,24 +109,24 @@ def test_build_particles_errors():
         build_particles(uniform_blocks([(0.0, 1.0)]), 0)
 
 
-# ---------------------------------------------------------------- congested_transport
+# ---------------------------------------------------------------- packed map
 
 
 def test_congested_transport_unit_block_is_fixed_point():
     ps = build_particles(uniform_blocks([(0.0, 1.0)]), 2)
-    xt = congested_transport(ps)
+    xt = ps.packed
     assert xt.values == pytest.approx([0.25, 0.75])
 
 
 def test_congested_transport_two_far_particles():
     ps = ParticleSystem(np.array([-10.0, 10.0]), np.array([0.5, 0.5]))
-    xt = congested_transport(ps)
+    xt = ps.packed
     assert xt.values == pytest.approx([-0.25, 0.25])
 
 
 def test_congested_transport_two_block_span(two_block_params):
     ps = two_block_params.build(2000)
-    xt = congested_transport(ps)
+    xt = ps.packed
     lo = xt.values[0] - ps.masses[0] / 2
     hi = xt.values[-1] + ps.masses[-1] / 2
     assert hi - lo == pytest.approx(ps.total_mass, rel=1e-12)
@@ -127,9 +139,9 @@ def test_congested_transport_gaps_and_translation():
     pos = np.sort(rng.normal(0, 3, 9))
     m = rng.uniform(0.1, 1.0, 9)
     ps = ParticleSystem(pos, m)
-    xt = congested_transport(ps)
+    xt = ps.packed
     assert xt.gaps() == pytest.approx((m[:-1] + m[1:]) / 2, rel=1e-12)
-    shifted = congested_transport(ParticleSystem(pos + 5.0, m))
+    shifted = ParticleSystem(pos + 5.0, m).packed
     assert shifted.values == pytest.approx(xt.values + 5.0, rel=1e-12)
 
 

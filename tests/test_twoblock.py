@@ -6,7 +6,6 @@ from granular1d import (
     ContactTracker,
     StepperConfig,
     TwoBlockParams,
-    congested_transport,
     error_norms,
     init_state,
     run_simulation,
@@ -142,11 +141,10 @@ def test_contact_tracker_interval():
 def test_first_order_convergence_in_dt(two_block_params):
     # halving dt roughly halves the position error in the free phase
     ps = two_block_params.build(200)
-    xtil = congested_transport(ps)
 
     def x_error_at_half_second(dt):
         cfg = StepperConfig(dt=dt, t_end=0.5)
-        for st in run_simulation(ps, np.zeros(200), two_block_params.force(), cfg, xtil=xtil):
+        for st in run_simulation(ps, np.zeros(200), two_block_params.force(), cfg):
             pass
         rep = error_norms(st, two_block_exact(two_block_params, ps, st.t), ps.masses)
         return rep.x_error
@@ -156,11 +154,11 @@ def test_first_order_convergence_in_dt(two_block_params):
 
 
 def test_simulated_contact_times_match_exact(two_block_params, small_two_block):
-    ps, xtil = small_two_block
+    ps = small_two_block
     n = ps.n
     cfg = StepperConfig(dt=2e-3, t_end=2.1)
     tracker = ContactTracker((n // 2 - 1, n // 2))
-    for st in run_simulation(ps, np.zeros(n), two_block_params.force(), cfg, xtil=xtil):
+    for st in run_simulation(ps, np.zeros(n), two_block_params.force(), cfg):
         tracker.observe(st.t, st.blocks)
     assert tracker.contact_time == pytest.approx(two_block_params.t1, abs=2 * cfg.dt)
     assert tracker.separation_time == pytest.approx(two_block_params.t2, abs=2 * cfg.dt + 1e-12)
