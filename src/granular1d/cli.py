@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 import yaml
@@ -24,12 +23,10 @@ import yaml
 from .density import PiecewiseDensity, Segment
 from .dynamics import (
     ForceField,
-    PicardOptions,
     SimState,
     StepperConfig,
     init_state,
     piecewise_constant_force,
-    picard_solve,
     run_simulation,
     two_block_force,
 )
@@ -44,7 +41,10 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
 _ENV_OUTDIR = "GRANULAR1D_OUTDIR"
-_DEFAULT_EXCLUSION_TOL = 1e-6
+_EXCLUSION_TOL = 1e-6  # complementarity residual gate at every output time
+_KNOWN_KEYS = frozenset(
+    "scenario n dt t_end output_times force integrator output blocks fill constraint density u0".split()
+)
 
 
 class ConfigError(Granular1dError):
@@ -65,8 +65,6 @@ class RunSetup:
     output_steps: dict[int, float]
     out_prefix: Path
     out_format: str
-    exclusion_tol: float
-    picard: PicardOptions | None = None  # None for the marching integrator
     two_block: TwoBlockParams | None = None
 
 
@@ -76,6 +74,14 @@ def _require(cfg: dict, key: str, typ=None):
     val = cfg[key]
     if typ is not None and not isinstance(val, typ):
         raise ConfigError(f"config key '{key}' has wrong type {type(val).__name__}")
+    return val
+
+
+def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """An optional mapping-valued config key, or ``default`` (empty) if absent."""
+    val = cfg.get(key, {} if default is None else default)
+    if not isinstance(val, dict):
+        raise ConfigError(f"config key '{key}' must be a mapping")
     return val
 
 
@@ -118,9 +124,7 @@ def _grid_step(t: float, dt: float, what: str) -> int:
     return idx
 
 
-def _build_force(spec: Any) -> ForceField:
-    if not isinstance(spec, dict):
-        raise ConfigError("force must be a mapping")
+def _build_force(spec: dict) -> ForceField:
     if "alpha" in spec:
         return two_block_force(_positive(spec, "alpha"), _positive(spec, "t_star"))
     if "breakpoints" in spec:
@@ -138,27 +142,25 @@ def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
 
 
 def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
+    unknown = set(cfg) - _KNOWN_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     scenario = _require(cfg, "scenario", str)
     n = int(_require(cfg, "n", int))
     if n < 1:
         raise ConfigError("n must be >= 1")
     dt = _positive(cfg, "dt")
     t_end = float(_require(cfg, "t_end", (int, float)))
-    if t_end < 0:
-        raise ConfigError("t_end must be nonnegative")
+    if not np.isfinite(t_end) or t_end < 0:
+        raise ConfigError("t_end must be a nonnegative finite number")
     _grid_step(t_end, dt, "t_end")
-
-    integrator = cfg.get("integrator", "marching")
-    picard = None
-    if isinstance(integrator, dict) and "picard" in integrator:
-        p = integrator["picard"] or {}
-        picard = PicardOptions(
-            max_iters=int(p.get("max_iters", 30)), tol=float(p.get("tol", 1e-12))
+    if cfg.get("integrator", "marching") != "marching":
+        raise ConfigError(
+            "integrator must be 'marching'; the Picard fixed point is library-only "
+            "(granular1d.picard_solve), valid up to the first release"
         )
-    elif integrator != "marching":
-        raise ConfigError("integrator must be 'marching' or {picard: {...}}")
 
-    out_cfg = cfg.get("output", {})
+    out_cfg = _section(cfg, "output")
     prefix = Path(out_cfg.get("path", Path(config_path).stem))
     outdir = os.environ.get(_ENV_OUTDIR)
     if outdir:
@@ -167,26 +169,19 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     if out_format not in ("csv", "json-lines"):
         raise ConfigError("output.format must be 'csv' or 'json-lines'")
 
-    tolerances = cfg.get("tolerances", {})
-    exclusion_tol = float(tolerances.get("exclusion", _DEFAULT_EXCLUSION_TOL))
-
     two_block = None
     if scenario == "two-block":
-        fspec = cfg.get("force", {})
-        geom = cfg.get("blocks", {})
+        geom = _section(cfg, "blocks")
+        fspec = _section(cfg, "force")
         two_block = TwoBlockParams(
-            a1=float(geom.get("a1", -1.1024)),
-            b1=float(geom.get("b1", -0.1024)),
-            a2=float(geom.get("a2", 0.1024)),
-            b2=float(geom.get("b2", 1.1024)),
-            alpha=float(fspec.get("alpha", 0.5)),
-            t_star=float(fspec.get("t_star", 1.0)),
+            **{k: float(geom[k]) for k in ("a1", "b1", "a2", "b2") if k in geom},
+            **{k: float(fspec[k]) for k in ("alpha", "t_star") if k in fspec},
         )
         ps = two_block.build(n)
         force = two_block.force()
         u0 = np.zeros(n)
     elif scenario == "heterogeneous":
-        cspec = cfg.get("constraint", {})
+        cspec = _section(cfg, "constraint")
         star = cosine_bump_rho_star(
             base=float(cspec.get("base", 1.0)), amplitude=float(cspec.get("amplitude", 0.2))
         )
@@ -195,8 +190,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
             raise ConfigError("fill must lie in (0, 1]")
         # density = fill * rho_star on [0, 1]
         rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
-        fspec = cfg.get("force", {"breakpoints": [0.5], "values": [0.5, -0.5]})
-        force = _build_force(fspec)
+        force = _build_force(_section(cfg, "force", {"breakpoints": [0.5], "values": [0.5, -0.5]}))
         ps = build_ratio_system(rho0, star, n)
         u0 = np.zeros(n)
     elif scenario == "custom":
@@ -228,8 +222,6 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         output_steps=_output_steps(cfg, dt, t_end),
         out_prefix=prefix,
         out_format=out_format,
-        exclusion_tol=exclusion_tol,
-        picard=picard,
         two_block=two_block,
     )
 
@@ -282,8 +274,8 @@ class _RecordWriter:
         self.fh.close()
 
 
-def _check_exclusion(setup: RunSetup, state: SimState, field: EulerianField) -> float:
-    report = check_exclusion(field, setup.exclusion_tol)
+def _check_exclusion(state: SimState, field: EulerianField) -> float:
+    report = check_exclusion(field, _EXCLUSION_TOL)
     if report.offenders.size:
         raise InvariantViolation("exclusion", report.max_residual, t=state.t, step=state.step_index)
     return report.max_residual
@@ -294,13 +286,7 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
     lag.write(state.n, [t, np.arange(state.n), state.x.values, state.u, state.gamma])
     field = reconstruct(state, setup.ps)
     eul.write(field.n_samples, [t, field.x, field.rho, field.u, field.gamma, field.rho_star])
-    return _check_exclusion(setup, state, field)
-
-
-def _iterate(setup: RunSetup):
-    if setup.picard is not None:
-        return picard_solve(setup.ps, setup.u0, setup.force, setup.stepper, setup.picard).states
-    return run_simulation(setup.ps, setup.u0, setup.force, setup.stepper)
+    return _check_exclusion(state, field)
 
 
 def run_command(config_path: str) -> int:
@@ -324,7 +310,7 @@ def run_command(config_path: str) -> int:
     first_congested: float | None = None
     errors: dict[str, ErrorReport] = {}
     try:
-        for state in _iterate(setup):
+        for state in run_simulation(setup.ps, setup.u0, setup.force, setup.stepper):
             if tracker is not None:
                 tracker.observe(state.t, state.blocks)
             if first_congested is None and not state.blocks.is_empty:
@@ -347,7 +333,7 @@ def run_command(config_path: str) -> int:
         "n": n,
         "dt": setup.stepper.dt,
         "t_end": setup.stepper.t_end,
-        "integrator": "marching" if setup.picard is None else "picard",
+        "integrator": "marching",
         "first_congested_time": first_congested,
         "contact_interval": None
         if tracker is None or tracker.contact_time is None
@@ -378,7 +364,7 @@ def _ext(setup: RunSetup) -> str:
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     state = init_state(setup.ps, setup.u0)
-    _check_exclusion(setup, state, reconstruct(state, setup.ps))
+    _check_exclusion(state, reconstruct(state, setup.ps))
     print(
         f"ok: scenario={setup.scenario} n={setup.ps.n} mass={_fmt(setup.ps.total_mass)} "
         f"steps={setup.stepper.n_steps} outputs={len(setup.output_steps)}"

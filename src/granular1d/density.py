@@ -102,17 +102,6 @@ class PiecewiseDensity:
                 out[sel] = np.interp(local, cum, xs)
         return out
 
-    def center_of_mass(self) -> float:
-        num = 0.0
-        for seg, tab in zip(self.segments, self._tables):
-            if tab is None:
-                num += float(seg.profile) * (seg.hi - seg.lo) * (seg.lo + seg.hi) / 2
-            else:
-                xs, cum = tab
-                dm = np.diff(cum)
-                num += float(np.sum((xs[:-1] + xs[1:]) / 2 * dm))
-        return num / self.total_mass
-
 
 def uniform_blocks(blocks: Sequence[tuple[float, float]], height: float = 1.0) -> PiecewiseDensity:
     """Density made of constant blocks [(lo, hi), ...] of common height."""

@@ -173,6 +173,34 @@ def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) ->
     return np.cumsum(masses * (u - u_free))
 
 
+def _new_state(
+    ps: ParticleSystem,
+    t: float,
+    step_index: int,
+    s: MonotoneMap,
+    u_free: np.ndarray,
+    u: np.ndarray,
+    blocks: BlockPartition,
+    force_sum: np.ndarray,
+    u_init: np.ndarray,
+) -> SimState:
+    """The checked snapshot with offset s and velocities (u_free, u):
+    x = ps.packed + s and gamma from ``adhesion_potential``."""
+    state = SimState(
+        t=t,
+        step_index=step_index,
+        u_free=u_free,
+        x=MonotoneMap(ps.packed.values + s.values),
+        u=u,
+        gamma=adhesion_potential(u, u_free, ps.masses),
+        blocks=blocks,
+        s=s,
+        force_sum=force_sum,
+        u_init=u_init,
+    )
+    return check_state(state, ps)
+
+
 def _tangent_velocity(
     u0: np.ndarray, pos_blocks: BlockPartition, masses: np.ndarray
 ) -> tuple[np.ndarray, BlockPartition]:
@@ -205,22 +233,8 @@ def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
     if not np.all(np.isfinite(u0)):
         raise ValueError("non-finite initial velocity")
     s, pos_blocks = project_monotone(ps.positions - ps.packed.values, ps.masses)
-    x = MonotoneMap(ps.packed.values + s.values)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
-    gamma = adhesion_potential(u, u0, ps.masses)
-    state = SimState(
-        t=0.0,
-        step_index=0,
-        u_free=u0.copy(),
-        x=x,
-        u=u,
-        gamma=gamma,
-        blocks=blocks,
-        s=s,
-        force_sum=np.zeros(ps.n),
-        u_init=u0.copy(),
-    )
-    return check_state(state, ps)
+    return _new_state(ps, 0.0, 0, s, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
 
 
 def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSystem) -> SimState:
@@ -237,22 +251,9 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     force_sum = state.force_sum + fval
     u_free = state.u_init + dt * force_sum
     s, blocks = project_monotone(state.s.values + dt * u_free, masses)
-    x = MonotoneMap(ps.packed.values + s.values)
     u = block_velocity(u_free, blocks, masses)
-    gamma = adhesion_potential(u, u_free, masses)
-    new = SimState(
-        t=(state.step_index + 1) * dt,
-        step_index=state.step_index + 1,
-        u_free=u_free,
-        x=x,
-        u=u,
-        gamma=gamma,
-        blocks=blocks,
-        s=s,
-        force_sum=force_sum,
-        u_init=state.u_init,
-    )
-    return check_state(new, ps)
+    k = state.step_index + 1
+    return _new_state(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init)
 
 
 def position_tol(x: np.ndarray) -> float:
@@ -405,19 +406,11 @@ def picard_solve(
     fsum_running = np.zeros(ps.n)
     for j in range(1, n_steps + 1):
         fsum_running = fsum_running + force(times[j - 1], packed + cur[j - 1])
-        blocks = blocks_list[j]
-        u = block_velocity(ufree[j], blocks, m)
-        state = SimState(
-            t=float(times[j]),
-            step_index=j,
-            u_free=ufree[j].copy(),
-            x=MonotoneMap(packed + cur[j]),
-            u=u,
-            gamma=adhesion_potential(u, ufree[j], m),
-            blocks=blocks,
-            s=MonotoneMap(cur[j]),
-            force_sum=fsum_running.copy(),
-            u_init=u0.copy(),
+        u = block_velocity(ufree[j], blocks_list[j], m)
+        states.append(
+            _new_state(
+                ps, float(times[j]), j, MonotoneMap(cur[j]), ufree[j].copy(), u,
+                blocks_list[j], fsum_running.copy(), u0.copy(),
+            )
         )
-        states.append(check_state(state, ps))
     return PicardResult(times=times, states=states, sweeps=len(residuals), residuals=residuals)

@@ -30,25 +30,19 @@ def build_ratio_system(
     quantiles and carry rho_star0 sampled at the particle positions."""
     ratio_segments = []
     for seg in rho0.segments:
-        if isinstance(seg.profile, (int, float)):
-            height = float(seg.profile)
-            ratio_segments.append(
-                Segment(seg.lo, seg.hi, lambda x, h=height: h / np.asarray(rho_star0(x), float))
+        dens = seg.profile
+        if isinstance(dens, (int, float)):
+            dens = lambda x, h=float(dens): np.full(np.shape(x), h)
+        ratio_segments.append(
+            Segment(
+                seg.lo,
+                seg.hi,
+                lambda x, f=dens: np.asarray(f(x), float) / np.asarray(rho_star0(x), float),
             )
-        else:
-            fn = seg.profile
-            ratio_segments.append(
-                Segment(
-                    seg.lo,
-                    seg.hi,
-                    lambda x, f=fn: np.asarray(f(x), float) / np.asarray(rho_star0(x), float),
-                )
-            )
+        )
         # the bound must hold pointwise on the support
         xs = np.linspace(seg.lo, seg.hi, 1025)
-        dens = seg.profile if isinstance(seg.profile, (int, float)) else seg.profile(xs)
-        star = np.asarray(rho_star0(xs), dtype=float)
-        if np.any(np.asarray(dens, dtype=float) > star * (1 + 1e-12)):
+        if np.any(np.asarray(dens(xs), float) > np.asarray(rho_star0(xs), float) * (1 + 1e-12)):
             raise ValueError("density exceeds the maximal density rho_star0")
     base = build_particles(PiecewiseDensity(ratio_segments), n)
     ps = ParticleSystem(base.positions, base.masses, rho_star0(base.positions))

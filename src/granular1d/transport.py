@@ -152,9 +152,6 @@ class BlockPartition:
             return NotImplemented
         return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
 
-    def __hash__(self) -> int:
-        return hash(self.blocks)
-
     def __repr__(self) -> str:
         return f"BlockPartition({self.blocks!r})"
 

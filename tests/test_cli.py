@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import granular1d
+from granular1d import cli
 from granular1d.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _RecordWriter, main
 
 
@@ -218,12 +219,21 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(_CUSTOM, density={"blocks": [[0.0, 1.0, -1.0]]}),
         dict(_CUSTOM, density={"blocks": [[1.0, 0.0, 0.5]]}),
         dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]}, u0="fast"),
-        dict(integrator={"picard": {"max_iters": 0}}),
+        dict(integrator={"picard": {}}),
         dict(blocks={"a1": -1.5, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024}),
         dict(dt=1e-3, t_end=0.0106, output_times=[0.0]),
+        dict(output="out/x"),
+        dict(force=5),
+        dict(blocks=5),
+        dict(scenario="heterogeneous", constraint=5),
+        dict(t_end=float("inf"), output_times=[0.0]),
+        dict(tolerances={"exclusion": 1e-6}),
+        dict(t_star=1.0),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
-         "zero-picard-iters", "unequal-widths", "off-grid-t-end"],
+         "picard-integrator", "unequal-widths", "off-grid-t-end", "output-string",
+         "force-scalar", "blocks-scalar", "constraint-scalar", "infinite-t-end",
+         "unknown-key-tolerances", "unknown-key-t-star"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -232,15 +242,17 @@ def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     assert err["error"] == "config"
 
 
-def test_invariant_breach_exits_3(tmp_path, capsys):
-    # an unsatisfiable exclusion tolerance makes every sample an offender,
+@pytest.mark.parametrize("name", ["twoblock.yaml", "heterogeneous.yaml"])
+def test_shipped_configs_validate(name):
+    config = Path(__file__).resolve().parents[1] / "configs" / name
+    assert main(["validate", str(config)]) == EXIT_OK
+
+
+def test_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
+    # an unsatisfiable exclusion gate makes every sample an offender,
     # driving the invariant-breach exit path
-    cfg = write_config(
-        tmp_path / "tb.yaml",
-        t_end=1.0,
-        output_times=[1.0],
-        tolerances={"exclusion": -1.0},
-    )
+    monkeypatch.setattr(cli, "_EXCLUSION_TOL", -1.0)
+    cfg = write_config(tmp_path / "tb.yaml", t_end=1.0, output_times=[1.0])
     code = main(["run", str(cfg)])
     assert code == EXIT_INVARIANT
     err = json.loads(capsys.readouterr().err)
@@ -256,20 +268,6 @@ def test_zero_duration_emits_initial_state_only(tmp_path):
     lines = (tmp_path / "out" / "run.lagrangian.csv").read_text().splitlines()
     assert len(lines) == 1 + 10
     assert lines[1].startswith("0.0,0,")
-
-
-def test_picard_integrator_via_cli(tmp_path):
-    cfg = write_config(
-        tmp_path / "tb.yaml",
-        n=50,
-        dt=5e-3,
-        t_end=0.5,
-        output_times=[0.5],
-        integrator={"picard": {"max_iters": 20, "tol": 1e-12}},
-    )
-    assert main(["run", str(cfg)]) == EXIT_OK
-    summary = json.loads((tmp_path / "out" / "run.summary.json").read_text())
-    assert summary["integrator"] == "picard"
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):

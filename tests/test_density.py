@@ -34,13 +34,6 @@ def test_cosine_profile_mass():
     assert d.total_mass == pytest.approx(0.96, abs=1e-9)
 
 
-def test_center_of_mass():
-    d = uniform_blocks([(-3.0, -2.0), (2.0, 3.0)])
-    assert d.center_of_mass() == pytest.approx(0.0, abs=1e-12)
-    d2 = uniform_blocks([(1.0, 3.0)])
-    assert d2.center_of_mass() == pytest.approx(2.0)
-
-
 def test_invalid_inputs():
     with pytest.raises(EmptyMeasureError):
         PiecewiseDensity([])
