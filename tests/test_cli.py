@@ -219,7 +219,7 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(_CUSTOM, density={"blocks": [[0.0, 1.0, -1.0]]}),
         dict(_CUSTOM, density={"blocks": [[1.0, 0.0, 0.5]]}),
         dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]}, u0="fast"),
-        dict(integrator={"picard": {}}),
+        dict(integrator={"picard": {"max_iters": 0}}),
         dict(blocks={"a1": -1.5, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024}),
         dict(dt=1e-3, t_end=0.0106, output_times=[0.0]),
         dict(output="out/x"),
@@ -231,7 +231,7 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(t_star=1.0),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
-         "picard-integrator", "unequal-widths", "off-grid-t-end", "output-string",
+         "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
          "force-scalar", "blocks-scalar", "constraint-scalar", "infinite-t-end",
          "unknown-key-tolerances", "unknown-key-t-star"],
 )
@@ -268,6 +268,24 @@ def test_zero_duration_emits_initial_state_only(tmp_path):
     lines = (tmp_path / "out" / "run.lagrangian.csv").read_text().splitlines()
     assert len(lines) == 1 + 10
     assert lines[1].startswith("0.0,0,")
+
+
+def test_picard_integrator_via_cli(tmp_path, capsys):
+    # the CLI runs the marching stepper only; a Picard request is a config
+    # error that points to the library's picard_solve and writes nothing
+    cfg = write_config(
+        tmp_path / "tb.yaml",
+        n=50,
+        dt=5e-3,
+        t_end=0.5,
+        output_times=[0.5],
+        integrator={"picard": {"max_iters": 20, "tol": 1e-12}},
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "picard_solve" in err["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):
