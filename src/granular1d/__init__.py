@@ -16,6 +16,7 @@ from .dynamics import (
     PicardResult,
     SimState,
     StepperConfig,
+    Window,
     adhesion_potential,
     block_velocity,
     check_state,
@@ -24,6 +25,7 @@ from .dynamics import (
     picard_solve,
     piecewise_constant_force,
     run_simulation,
+    run_windows,
     step,
     two_block_force,
     zero_force,
@@ -80,6 +82,7 @@ __all__ = [
     "SimState",
     "StepperConfig",
     "TwoBlockParams",
+    "Window",
     "adhesion_potential",
     "block_velocity",
     "build_particles",
@@ -97,6 +100,7 @@ __all__ = [
     "project_monotone",
     "reconstruct",
     "run_simulation",
+    "run_windows",
     "step",
     "two_block_exact",
     "two_block_force",

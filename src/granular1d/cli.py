@@ -27,7 +27,7 @@ from .dynamics import (
     StepperConfig,
     init_state,
     piecewise_constant_force,
-    run_simulation,
+    run_windows,
     two_block_force,
 )
 from .errors import Granular1dError, InvariantViolation
@@ -45,6 +45,13 @@ _EXCLUSION_TOL = 1e-6  # complementarity residual gate at every output time
 _KNOWN_KEYS = frozenset(
     "scenario n dt t_end output_times force integrator output blocks fill constraint density u0".split()
 )
+_SECTION_KEYS = {
+    "force": frozenset({"alpha", "t_star", "breakpoints", "values"}),
+    "output": frozenset({"path", "format"}),
+    "blocks": frozenset({"a1", "b1", "a2", "b2"}),
+    "constraint": frozenset({"base", "amplitude"}),
+    "density": frozenset({"blocks"}),
+}
 
 
 class ConfigError(Granular1dError):
@@ -77,11 +84,17 @@ def _require(cfg: dict, key: str, typ=None):
     return val
 
 
-def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
-    """An optional mapping-valued config key, or ``default`` (empty) if absent."""
+def _section(cfg: dict, key: str, default: dict | None = None, required: bool = False) -> dict:
+    """A mapping-valued config key holding only the keys its section
+    allows; if absent, ``default`` (empty), or an error when required."""
+    if required:
+        _require(cfg, key)
     val = cfg.get(key, {} if default is None else default)
     if not isinstance(val, dict):
         raise ConfigError(f"config key '{key}' must be a mapping")
+    unknown = set(val) - _SECTION_KEYS[key]
+    if unknown:
+        raise ConfigError(f"unknown keys in '{key}': {', '.join(sorted(map(str, unknown)))}")
     return val
 
 
@@ -194,7 +207,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         ps = build_ratio_system(rho0, star, n)
         u0 = np.zeros(n)
     elif scenario == "custom":
-        dspec = _require(cfg, "density", dict)
+        dspec = _section(cfg, "density", required=True)
         blocks = _require(dspec, "blocks", list)
         segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
         heights = [float(b[2]) if len(b) > 2 else 1.0 for b in blocks]
@@ -209,7 +222,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
                 raise ConfigError("u0 list must have length n")
         else:
             u0 = np.full(n, float(u0_spec))
-        force = _build_force(_require(cfg, "force", dict))
+        force = _build_force(_section(cfg, "force", required=True))
     else:
         raise ConfigError(f"unknown scenario '{scenario}'")
 
@@ -289,6 +302,19 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
     return _check_exclusion(state, field)
 
 
+def _emit_output(
+    setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter,
+    errors: dict[str, ErrorReport],
+) -> float:
+    """Write an output state, record its error norms against the exact
+    solution where there is one, and return its exclusion residual."""
+    residual = _emit_state(setup, state, lag, eul)
+    if setup.two_block is not None:
+        exact = two_block_exact(setup.two_block, setup.ps, state.t)
+        errors[_fmt(state.t)] = error_norms(state, exact, setup.ps.masses)
+    return residual
+
+
 def run_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     n = setup.ps.n
@@ -303,27 +329,28 @@ def run_command(config_path: str) -> int:
         ["t", "x", "rho", "u", "gamma", "rho_star"],
         setup.out_format,
     )
-    packed_gaps = setup.ps.packed.gaps()
     max_gamma = -np.inf
     min_slack = np.inf
     max_exclusion = 0.0
     first_congested: float | None = None
     errors: dict[str, ErrorReport] = {}
     try:
-        for state in run_simulation(setup.ps, setup.u0, setup.force, setup.stepper):
+        # the rows of a window share one partition, so the partition's
+        # consumers look at a window once, through its first row
+        for win in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
+            t0 = float(win.t[0])
             if tracker is not None:
-                tracker.observe(state.t, state.blocks)
-            if first_congested is None and not state.blocks.is_empty:
-                first_congested = state.t
-            max_gamma = max(max_gamma, float(np.max(state.gamma)))
-            min_slack = min(
-                min_slack, float(np.min(np.diff(state.x.values) - packed_gaps, initial=np.inf))
-            )
-            if state.step_index in setup.output_steps:
-                max_exclusion = max(max_exclusion, _emit_state(setup, state, lag, eul))
-                if setup.two_block is not None:
-                    exact = two_block_exact(setup.two_block, setup.ps, state.t)
-                    errors[_fmt(state.t)] = error_norms(state, exact, setup.ps.masses)
+                tracker.observe(t0, win.blocks)
+            if first_congested is None and not win.blocks.is_empty:
+                first_congested = t0
+            max_gamma = max(max_gamma, float(win.gamma.max()))
+            min_slack = min(min_slack, float(win.slack.min()))
+            for j, k in enumerate(win.step_index.tolist()):
+                if k in setup.output_steps:
+                    max_exclusion = max(
+                        max_exclusion, _emit_output(setup, win.state(j), lag, eul, errors)
+                    )
+            del win  # one window in memory at a time
     finally:
         lag.close()
         eul.close()

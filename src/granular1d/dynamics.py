@@ -18,7 +18,7 @@ independent integrator for cross-checks before any contact occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -129,6 +129,8 @@ class SimState:
     exactly; ``force_sum`` is the per-particle sum of sampled force
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
+    ``slack`` is the smallest gap of x minus its packed gap (inf for one
+    particle), as ``check_state`` measured it when the state was built.
     """
 
     t: float
@@ -141,26 +143,97 @@ class SimState:
     s: MonotoneMap
     force_sum: np.ndarray
     u_init: np.ndarray
+    slack: float | None = None
 
     @property
     def n(self) -> int:
         return self.x.n
 
 
+@dataclass(frozen=True)
+class Window:
+    """Consecutive states on one block partition, one per row.
+
+    Row j is the state after step ``step_index[j]`` at time ``t[j]``; the
+    fields are those of ``SimState`` stacked into (rows, n) arrays, with
+    ``x`` and ``s`` as plain arrays.  ``slack`` holds the per-row value
+    of ``SimState.slack`` once ``check_state`` has passed the window.
+    """
+
+    t: np.ndarray
+    step_index: np.ndarray
+    u_free: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    gamma: np.ndarray
+    blocks: BlockPartition
+    s: np.ndarray
+    force_sum: np.ndarray
+    u_init: np.ndarray
+    slack: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    @classmethod
+    def of(cls, state: SimState) -> Window:
+        """The one-row window of a state (views of its arrays)."""
+        return cls(
+            t=np.array([state.t]),
+            step_index=np.array([state.step_index]),
+            u_free=state.u_free[None],
+            x=state.x.values[None],
+            u=state.u[None],
+            gamma=state.gamma[None],
+            blocks=state.blocks,
+            s=state.s.values[None],
+            force_sum=state.force_sum[None],
+            u_init=state.u_init,
+            slack=None if state.slack is None else np.array([state.slack]),
+        )
+
+    def tail(self) -> Window:
+        """The last row as a window of its own, copied so that it does
+        not keep the rest of this window alive."""
+        return Window(
+            **{f.name: getattr(self, f.name)[-1:].copy() for f in fields(self)
+               if f.name not in ("blocks", "u_init")},
+            blocks=self.blocks,
+            u_init=self.u_init,
+        )
+
+    def state(self, j: int) -> SimState:
+        """Row j as a snapshot; the row has been checked with the window."""
+        return SimState(
+            t=float(self.t[j]),
+            step_index=int(self.step_index[j]),
+            u_free=self.u_free[j],
+            x=MonotoneMap(self.x[j]),
+            u=self.u[j],
+            gamma=self.gamma[j],
+            blocks=self.blocks,
+            s=MonotoneMap(self.s[j]),
+            force_sum=self.force_sum[j],
+            u_init=self.u_init,
+            slack=None if self.slack is None else float(self.slack[j]),
+        )
+
+
 def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarray) -> np.ndarray:
-    """Replace the free velocity by its mass average on each block."""
+    """Replace the free velocity by its mass average on each block, along
+    the last axis (one state per row)."""
     u = np.array(u_free, dtype=float)
     if blocks.is_empty:
         return u
     mean = blocks.sums(masses * u) / blocks.sums(masses)
-    labels = blocks.labels(u.size)
-    inside = labels >= 0
-    u[inside] = mean[labels[inside]]
+    labels = blocks.labels(u.shape[-1])
+    np.copyto(u, mean[..., labels], where=labels >= 0)
     return u
 
 
 def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Cumulative mass-weighted velocity deficit, gamma_i = sum_{j<=i} m_j (u_j - uf_j).
+    """Cumulative mass-weighted velocity deficit, gamma_i = sum_{j<=i} m_j (u_j - uf_j),
+    along the last axis (one state per row).
 
     Nonpositive, and zero at block right edges and in total, whenever u
     is a blockwise mean or monotone fit of u_free; ``check_state``
@@ -168,9 +241,11 @@ def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) ->
     """
     u = np.asarray(u, dtype=float)
     u_free = np.asarray(u_free, dtype=float)
-    if u.shape != u_free.shape or u.shape != masses.shape:
+    if u.shape != u_free.shape or u.shape[-1:] != masses.shape:
         raise ValueError("u, u_free, masses must have equal length")
-    return np.cumsum(masses * (u - u_free))
+    gamma = u - u_free
+    gamma *= masses
+    return np.cumsum(gamma, axis=-1, out=gamma)
 
 
 def _new_state(
@@ -207,15 +282,22 @@ def _tangent_velocity(
     """Project an initial velocity onto the cone tangent to the
     configuration: monotone fit within each congested zone, identity
     elsewhere.  Returns the projected velocity and the zones where it
-    came out constant (the surviving congested blocks)."""
+    came out constant (the surviving congested blocks).
+
+    A zone on which u0 is exactly constant is its own fit and survives
+    whole, which is what the projection returns for a single tied run,
+    so only the other zones are projected."""
     u = np.array(u0, dtype=float)
-    survivors: list[tuple[int, int]] = []
-    for lo, hi in pos_blocks:
+    labels = pos_blocks.labels(u.size)
+    varies = np.zeros(len(pos_blocks), dtype=bool)
+    varies[labels[:-1][(np.diff(u0) != 0) & pos_blocks.interior_cells(u.size)]] = True
+    survivors = [b for b, v in zip(pos_blocks, varies.tolist()) if not v]
+    for lo, hi in (b for b, v in zip(pos_blocks, varies.tolist()) if v):
         sl = slice(lo, hi + 1)
         fit, sub = project_monotone(u0[sl], masses[sl])
         u[sl] = fit.values
         survivors.extend((lo + a, lo + b) for a, b in sub)
-    return u, BlockPartition(tuple(survivors))
+    return u, BlockPartition(sorted(survivors))
 
 
 def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
@@ -256,64 +338,215 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     return _new_state(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init)
 
 
-def position_tol(x: np.ndarray) -> float:
-    """Absolute rounding tolerance for the gaps of the configuration x."""
-    return 1e-12 * max(1.0, float(np.max(np.abs(x))))
+def position_tol(x: np.ndarray) -> float | np.ndarray:
+    """Absolute rounding tolerance for the gaps of the configuration x,
+    one per configuration along the last axis."""
+    return 1e-12 * np.maximum(1.0, np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
-def check_state(state: SimState, ps: ParticleSystem) -> SimState:
-    """Return the snapshot unchanged, or raise InvariantViolation (with
-    its time and step) unless it satisfies the structural invariants:
-    feasibility of x, exact block-constancy of u, nonpositive gamma
-    vanishing at block right edges and globally, and momentum balance.
+def check_state(state: SimState | Window, ps: ParticleSystem) -> SimState | Window:
+    """Return the state carrying its measured ``slack`` (the same object
+    if it already does), or raise InvariantViolation (with its time and
+    step) unless it satisfies the structural invariants: feasibility of
+    x, exact block-constancy of u, nonpositive gamma vanishing at block
+    right edges and globally, and momentum balance.
+
+    A window is checked row by row, as if each row were a state: the
+    error names the first failing row's first failing check, with that
+    row's time and step.
 
     This is the package's one tolerance policy: gaps are compared at
     ``position_tol(x)``; gamma's sign at 1e-10, and its edge values and
     the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
     """
+    single = isinstance(state, SimState)
+    x = state.x.values if single else state.x
+    u, u_free, gamma, blocks = state.u, state.u_free, state.gamma, state.blocks
 
-    def fail(check: str, value: float, message: str = "") -> InvariantViolation:
-        return InvariantViolation(check, value, message, t=state.t, step=state.step_index)
+    gaps = np.diff(x)
+    gaps -= ps.packed.gaps()
+    slack = gaps.min(axis=-1, initial=np.inf)
 
-    x = state.x.values
-    worst = float(np.min(np.diff(x) - ps.packed.gaps(), initial=0.0))
-    if worst < -position_tol(x):
-        raise fail("feasibility", -worst)
+    labels = blocks.labels(x.shape[-1])
+    inside = blocks.interior_cells(x.shape[-1])
 
-    labels = state.blocks.labels(state.n)
-    inside = (labels[:-1] == labels[1:]) & (labels[1:] >= 0)
-    if not np.array_equal(state.u[:-1][inside], state.u[1:][inside]):
-        raise fail("block_velocity_constant", 0.0, "u not constant on a block")
-    off = labels < 0
-    if not np.array_equal(state.u[off], state.u_free[off]):
-        raise fail("free_velocity_off_blocks", 0.0, "u != u_free off blocks")
-
-    umax = max(1.0, float(np.max(np.abs(state.u_free), initial=0.0)))
-    vel_scale = max(1.0, ps.total_mass * umax)
-    if float(np.max(state.gamma)) > 1e-10 * vel_scale:
-        raise fail("gamma_sign", float(np.max(state.gamma)))
+    umax = np.maximum(1.0, np.maximum(u_free.max(axis=-1), -u_free.min(axis=-1)))
+    vel_scale = np.maximum(1.0, ps.total_mass * umax)
     edge_tol = 1e-12 * vel_scale
-    if abs(float(state.gamma[-1])) > edge_tol:
-        raise fail("gamma_total", abs(float(state.gamma[-1])))
-    edges = np.abs(state.gamma[state.blocks.hi])
-    bad = np.flatnonzero(edges > edge_tol)
-    if bad.size:
-        raise fail("gamma_block_edge", float(edges[bad[0]]))
-    drift = abs(float(np.dot(ps.masses, state.u) - np.dot(ps.masses, state.u_free)))
-    if drift > edge_tol:
-        raise fail("momentum_balance", drift)
-    return state
+    top = gamma.max(axis=-1)
+    total = np.abs(gamma[..., -1])
+    edges = np.abs(gamma[..., blocks.hi])
+    drift = np.abs(u @ ps.masses - u_free @ ps.masses)
+
+    # (name, failed per row, magnitude per row, message), in reporting order
+    checks = [
+        ("feasibility", slack < -position_tol(x), -slack, ""),
+        ("block_velocity_constant", ((u[..., :-1] != u[..., 1:]) & inside).any(axis=-1),
+         0.0, "u not constant on a block"),
+        ("free_velocity_off_blocks", ((u != u_free) & (labels < 0)).any(axis=-1),
+         0.0, "u != u_free off blocks"),
+        ("gamma_sign", top > 1e-10 * vel_scale, top, ""),
+        ("gamma_total", total > edge_tol, total, ""),
+        ("gamma_block_edge", (edges > edge_tol[..., None]).any(axis=-1), None, ""),
+        ("momentum_balance", drift > edge_tol, drift, ""),
+    ]
+    if any(failed.any() for _, failed, _, _ in checks):
+        row = min(int(np.argmax(np.atleast_1d(f))) for _, f, _, _ in checks if f.any())
+        name, _, value, message = next(c for c in checks if np.atleast_1d(c[1])[row])
+        if value is None:  # the first block edge over the tolerance
+            bad = np.atleast_2d(edges)[row]
+            value = bad[bad > np.atleast_1d(edge_tol)[row]][0]
+        raise InvariantViolation(
+            name, float(np.broadcast_to(value, np.shape(slack)).flat[row]), message,
+            t=float(np.atleast_1d(state.t)[row]), step=int(np.atleast_1d(state.step_index)[row]),
+        )
+    if single:
+        slack = float(slack)
+    return state if np.array_equal(state.slack, slack) else replace(state, slack=slack)
+
+
+# Largest window, in cells (rows times particles).  The (rows, n) arrays
+# of a window live beside the run's own data, so this caps the memory
+# that stepping many steps at once adds.
+_WINDOW_CELLS = 1 << 14
+
+
+def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
+            ps: ParticleSystem) -> Window | None:
+    """Up to ``rows`` steps from the last row of ``prev``, all at once on
+    its block partition with the force values sampled there held fixed.
+
+    Row j is what ``step`` would give if the partition and the force
+    values do not change: the force sums accumulate in the same order,
+    blocks move at their mean free velocity, and the offset advances by
+    dt * u.  The window keeps its leading rows up to the first that
+    fails one of these, each decided exactly, without a tolerance:
+
+    (a) force unchanged: the force at a kept row (which feeds the next
+        row) equals the held values;
+    (b) no new contact: s strictly increases across every gap that is
+        not inside one block (projection pools exact ties);
+    (c) no release: every proper prefix of a block's m (u - u_free) is
+        <= 0, so the projection keeps the block pooled.  Blocks on which
+        u_init, the force sums and the held force are each constant are
+        exempt: their projected input is one exactly tied run.
+
+    Returns the checked window, or None if its first row fails.
+    """
+    dt = cfg.dt
+    m = ps.masses
+    blocks = prev.blocks
+    f = force(float(prev.t[-1]), prev.x[-1])
+    fs = np.empty((rows, ps.n))
+    fs[0] = prev.force_sum[-1] + f
+    fs[1:] = f
+    _running_sum(fs)
+    u_free = dt * fs
+    u_free += prev.u_init
+    u = block_velocity(u_free, blocks, m)
+    s = dt * u
+    s[0] += prev.s[-1]
+    _running_sum(s)
+    gamma = adhesion_potential(u, u_free, m)
+
+    labels = blocks.labels(ps.n)
+    inside = blocks.interior_cells(ps.n)
+    ok = ((s[:, 1:] > s[:, :-1]) | inside).all(axis=-1)  # (b)
+    if not blocks.is_empty:  # (c)
+        varies = np.zeros(len(blocks), dtype=bool)
+        changes = (np.diff(prev.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
+        varies[labels[:-1][changes & inside]] = True
+        prefix = np.flatnonzero(inside & varies[labels[:-1]])
+        if prefix.size:
+            lo = blocks.lo
+            before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
+            ok &= (gamma[:, prefix] <= before[:, labels[prefix]]).all(axis=-1)
+    kept = rows if ok.all() else int(np.argmin(ok))
+    steps = prev.step_index[-1] + np.arange(1, kept + 1)
+    t = steps * dt
+    x = ps.packed.values + s[:kept]
+    for j in range(kept - 1):  # (a)
+        if not np.array_equal(force(float(t[j]), x[j]), f):
+            kept = j + 1
+            break
+    if kept == 0:
+        return None
+    win = Window(
+        t=t[:kept],
+        step_index=steps[:kept],
+        u_free=u_free[:kept],
+        x=x[:kept],
+        u=u[:kept],
+        gamma=gamma[:kept],
+        blocks=blocks,
+        s=s[:kept],
+        force_sum=fs[:kept],
+        u_init=prev.u_init,
+    )
+    return check_state(win, ps)
+
+
+def _running_sum(a: np.ndarray) -> None:
+    """Replace each row of a by the sum of the rows up to it, added in
+    row order (as a stepwise running sum does), in place."""
+    for j in range(1, len(a)):
+        np.add(a[j - 1], a[j], out=a[j])
+
+
+def run_windows(
+    ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
+) -> Iterator[Window]:
+    """Yield the run as consecutive checked windows: the state at t=0,
+    then every step up to t_end, each once.
+
+    Between topology events the run advances a window of many steps at
+    once (see ``_window``); where a window stops short, one ``step``
+    finds the new partition.  A window is tried only when it would hold
+    at least two rows, and never more rows than the run has gone steps
+    without a partition change or a stopped window, nor more than
+    ``_WINDOW_CELLS`` cells.  Only the last row of a yielded window is
+    kept for the next, so a consumer that drops each window before
+    asking for the next holds one window at a time.
+    """
+    state = init_state(ps, u0)
+    last = Window.of(state)
+    yield last
+    calm = 0  # steps since the partition changed or a window stopped short
+    most = _WINDOW_CELLS // ps.n
+    left = cfg.n_steps
+    while left:
+        rows = min(calm, most, left)
+        if rows >= 2:
+            win = _window(last, rows, force, cfg, ps)
+            if win is not None:
+                kept = len(win)
+                last, state = win.tail(), None
+                left -= kept
+                yield win
+                del win
+                if kept == rows:
+                    calm += rows
+                    continue
+            calm = 0
+            if not left:
+                break
+        if state is None:
+            state = last.state(0)
+        nxt = step(state, force, cfg, ps)
+        calm = calm + 1 if nxt.blocks == state.blocks else 0
+        state = nxt
+        last = Window.of(state)
+        left -= 1
+        yield last
 
 
 def run_simulation(
     ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
 ) -> Iterator[SimState]:
     """Yield the state at t=0 and after every step up to t_end."""
-    state = init_state(ps, u0)
-    yield state
-    for _ in range(cfg.n_steps):
-        state = step(state, force, cfg, ps)
-        yield state
+    for win in run_windows(ps, u0, force, cfg):
+        for j in range(len(win)):
+            yield win.state(j)
 
 
 @dataclass

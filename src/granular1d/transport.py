@@ -115,7 +115,7 @@ class BlockPartition:
     operation rather than a Python loop.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "_per_particle")
 
     def __init__(self, blocks: Iterable[tuple[int, int]] = ()):
         pairs = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
@@ -143,6 +143,7 @@ class BlockPartition:
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_per_particle", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockPartition is immutable")
@@ -170,20 +171,30 @@ class BlockPartition:
         return self.lo.size == 0
 
     def labels(self, n: int) -> np.ndarray:
-        """Block id per particle, -1 outside all blocks."""
+        """Block id per particle, -1 outside all blocks (read-only)."""
+        return self._masks(n)[0]
+
+    def interior_cells(self, n: int) -> np.ndarray:
+        """Boolean over the n-1 particle gaps: True where the gap lies
+        inside a single block (read-only)."""
+        return self._masks(n)[1]
+
+    def _masks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and interior cells for n particles, kept for the last n
+        asked for: a run asks for them several times per step."""
+        if self._per_particle is not None and self._per_particle[0].size == n:
+            return self._per_particle
         lab = np.full(n, -1, dtype=np.intp)
         lengths = self.hi - self.lo + 1
         ids = np.repeat(np.arange(lengths.size), lengths)
         # a member's position is its block's lo plus its rank within the block
         first = np.cumsum(lengths) - lengths
         lab[self.lo[ids] + np.arange(ids.size) - first[ids]] = ids
-        return lab
-
-    def interior_cells(self, n: int) -> np.ndarray:
-        """Boolean over the n-1 particle gaps: True where the gap lies
-        inside a single block."""
-        lab = self.labels(n)
-        return (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
+        inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
+        lab.setflags(write=False)
+        inside.setflags(write=False)
+        object.__setattr__(self, "_per_particle", (lab, inside))
+        return lab, inside
 
     def spans(self, i: int, j: int) -> bool:
         """Whether some block contains both particle i and particle j."""
@@ -191,10 +202,16 @@ class BlockPartition:
         return k < self.hi.size and bool(self.lo[k] <= i)
 
     def sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum of the per-particle values a over each block."""
-        edges = np.stack([self.lo, self.hi + 1], axis=1).ravel()
-        # the appended zero keeps edges[-1] == len(a) a valid reduceat index
-        return np.add.reduceat(np.append(a, 0.0), edges)[::2]
+        """Sum of the per-particle values a over each block, along the
+        last axis."""
+        if self.is_empty:
+            return np.zeros(a.shape[:-1] + (0,))
+        # block starts interleaved with the ends of all but the last block;
+        # cutting a after the last block ends that block's segment
+        edges = np.empty(2 * self.lo.size - 1, dtype=np.intp)
+        edges[0::2] = self.lo
+        edges[1::2] = self.hi[:-1] + 1
+        return np.add.reduceat(a[..., : self.hi[-1] + 1], edges, axis=-1)[..., ::2]
 
 
 def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:

@@ -145,9 +145,11 @@ def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> Erro
 class ContactTracker:
     """Records when a block spanning a given particle interface exists.
 
-    Feed every state in order; contact/separation are reported as the
-    half-open step interval [first merged time, first time merged again
-    absent)."""
+    Feed the partitions of a run in time order: every state, or the first
+    row of every window of ``run_windows`` (the rows of a window share
+    one partition), which gives the same result.  Contact/separation are
+    reported as the half-open step interval [first merged time, first
+    time merged again absent)."""
 
     def __init__(self, interface: tuple[int, int]):
         self.interface = interface

@@ -229,11 +229,14 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(t_end=float("inf"), output_times=[0.0]),
         dict(tolerances={"exclusion": 1e-6}),
         dict(t_star=1.0),
+        dict(force={"alpha": 0.5, "t_sta": 2.0}),
+        dict(output={"path": "out/x", "fromat": "json-lines"}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
          "force-scalar", "blocks-scalar", "constraint-scalar", "infinite-t-end",
-         "unknown-key-tolerances", "unknown-key-t-star"],
+         "unknown-key-tolerances", "unknown-key-t-star", "unknown-key-in-force",
+         "unknown-key-in-output"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from granular1d import dynamics
 from granular1d import (
     BlockPartition,
     ConvergenceError,
@@ -19,6 +20,7 @@ from granular1d import (
     check_state,
     init_state,
     picard_solve,
+    project_monotone,
     run_simulation,
     step,
     two_block_force,
@@ -155,6 +157,43 @@ def test_init_spreading_velocity_is_kept():
     assert st.u == pytest.approx([0.0, 1.0, 2.0])
     assert np.all(st.gamma == 0.0)
     assert st.blocks.is_empty
+
+
+def test_init_projects_only_zones_with_varying_velocity(two_block_params, monkeypatch):
+    # u0 = 0 is constant on all 495 congested zones of the shipped
+    # two-block start, so only the positions are projected
+    calls = []
+    project = dynamics.project_monotone
+
+    def spy(z, w):
+        calls.append(len(z))
+        return project(z, w)
+
+    monkeypatch.setattr(dynamics, "project_monotone", spy)
+    ps = two_block_params.build(2000)
+    st = init_state(ps, np.zeros(2000))
+    assert calls == [2000]
+    assert len(st.blocks) > 2
+
+
+def test_init_tangent_velocity_matches_per_zone_projection():
+    # three packed zones apart from each other: u0 tied on the first,
+    # decreasing on the second, spreading on the third
+    positions = np.array([0.0, 0.5, 1.0, 3.0, 3.5, 4.0, 7.0, 7.5, 8.0])
+    ps = ParticleSystem(positions, np.full(9, 0.5))
+    u0 = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0])
+    _, zones = project_monotone(ps.positions - ps.packed.values, ps.masses)
+    assert zones.blocks == ((0, 2), (3, 5), (6, 8))
+    u = u0.copy()
+    survivors = []
+    for lo, hi in zones:
+        fit, sub = project_monotone(u0[lo:hi + 1], ps.masses[lo:hi + 1])
+        u[lo:hi + 1] = fit.values
+        survivors.extend((lo + a, lo + b) for a, b in sub)
+    st = init_state(ps, u0)
+    assert np.array_equal(st.u, u)
+    assert st.blocks == BlockPartition(survivors)
+    assert st.blocks.blocks == ((0, 2), (3, 5))
 
 
 def test_init_length_mismatch():
