@@ -431,7 +431,10 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
         u_init, the force sums and the held force are each constant are
         exempt: their projected input is one exactly tied run.
 
-    Returns the checked window, or None if its first row fails.
+    Returns the checked window, or None if its first row fails.  A row
+    that fails ``check_state`` ends the window too, so that ``step``
+    recomputes it and the run stops, if it must, where a stepwise run
+    would, after yielding the rows before it.
     """
     dt = cfg.dt
     m = ps.masses
@@ -469,21 +472,30 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
         if not np.array_equal(force(float(t[j]), x[j]), f):
             kept = j + 1
             break
+
+    def first(k: int) -> Window:
+        return Window(
+            t=t[:k],
+            step_index=steps[:k],
+            u_free=u_free[:k],
+            x=x[:k],
+            u=u[:k],
+            gamma=gamma[:k],
+            blocks=blocks,
+            s=s[:k],
+            force_sum=fs[:k],
+            u_init=prev.u_init,
+        )
+
     if kept == 0:
         return None
-    win = Window(
-        t=t[:kept],
-        step_index=steps[:kept],
-        u_free=u_free[:kept],
-        x=x[:kept],
-        u=u[:kept],
-        gamma=gamma[:kept],
-        blocks=blocks,
-        s=s[:kept],
-        force_sum=fs[:kept],
-        u_init=prev.u_init,
-    )
-    return check_state(win, ps)
+    try:
+        return check_state(first(kept), ps)
+    except InvariantViolation as exc:
+        # the rows before the failing one passed; the failing row is left
+        # to ``step``, whose own state the gate then passes or rejects
+        kept = exc.step - int(steps[0])
+        return check_state(first(kept), ps) if kept else None
 
 
 def _running_sum(a: np.ndarray) -> None:

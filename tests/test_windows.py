@@ -150,6 +150,39 @@ def test_corrupted_row_names_its_time_and_step():
     assert (err.value.check, err.value.step) == ("gamma_sign", win.step_index[1])
 
 
+@pytest.mark.parametrize("step_fails_too", [False, True])
+def test_failing_window_row_is_left_to_step(monkeypatch, step_fails_too):
+    # a row the gate rejects ends its window; the rows before it are
+    # yielded, and ``step`` recomputes the row, whose state the gate
+    # then passes or rejects as in a stepwise run
+    p = TwoBlockParams()
+    ps = p.build(100)
+    cfg = StepperConfig(dt=4e-3, t_end=0.4)
+    bad = 30
+    gate = dynamics.check_state
+
+    def gate_failing_at_bad(state, ps_):
+        steps = np.atleast_1d(state.step_index)
+        if bad in steps and (step_fails_too or len(steps) > 1):
+            raise InvariantViolation("gamma_sign", 1.0, t=bad * cfg.dt, step=bad)
+        return gate(state, ps_)
+
+    monkeypatch.setattr(dynamics, "check_state", gate_failing_at_bad)
+    seen = []
+    run = run_windows(ps, np.zeros(ps.n), p.force(), cfg)
+    if step_fails_too:
+        with pytest.raises(InvariantViolation) as err:
+            for w in run:
+                seen.extend(w.step_index.tolist())
+        assert err.value.step == bad
+        assert seen == list(range(bad))
+        return
+    windows = list(run)
+    assert [k for w in windows for k in w.step_index.tolist()] == list(range(cfg.n_steps + 1))
+    assert next(len(w) for w in windows if bad in w.step_index) == 1
+    assert any(len(w) > 1 and w.step_index[-1] == bad - 1 for w in windows)
+
+
 @pytest.mark.parametrize("n", [50, 200, 3000])
 def test_window_arrays_stay_within_the_cell_cap(n):
     p = TwoBlockParams()
