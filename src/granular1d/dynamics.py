@@ -459,11 +459,12 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
         varies = np.zeros(len(blocks), dtype=bool)
         changes = (np.diff(prev.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
         varies[labels[:-1][changes & inside]] = True
-        prefix = np.flatnonzero(inside & varies[labels[:-1]])
-        if prefix.size:
-            lo = blocks.lo
+        if varies.any():
+            lo, hi = blocks.lo, blocks.hi
+            # a block's proper prefixes are gamma over [lo, hi) less gamma before lo
+            top = np.maximum.reduceat(gamma, np.stack([lo, hi], axis=1).ravel(), axis=-1)[:, ::2]
             before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
-            ok &= (gamma[:, prefix] <= before[:, labels[prefix]]).all(axis=-1)
+            ok &= ((top <= before) | ~varies).all(axis=-1)
     kept = rows if ok.all() else int(np.argmin(ok))
     steps = prev.step_index[-1] + np.arange(1, kept + 1)
     t = steps * dt
