@@ -160,8 +160,8 @@ def test_init_spreading_velocity_is_kept():
 
 
 def test_init_projects_only_zones_with_varying_velocity(two_block_params, monkeypatch):
-    # u0 = 0 is constant on all 495 congested zones of the shipped
-    # two-block start, so only the positions are projected
+    # u0 = 0 is constant on every congested zone of the shipped two-block
+    # start, so only the positions are projected and every zone survives
     calls = []
     project = dynamics.project_monotone
 
@@ -169,11 +169,12 @@ def test_init_projects_only_zones_with_varying_velocity(two_block_params, monkey
         calls.append(len(z))
         return project(z, w)
 
-    monkeypatch.setattr(dynamics, "project_monotone", spy)
     ps = two_block_params.build(2000)
+    _, zones = project(ps.positions - ps.packed.values, ps.masses)
+    monkeypatch.setattr(dynamics, "project_monotone", spy)
     st = init_state(ps, np.zeros(2000))
     assert calls == [2000]
-    assert len(st.blocks) > 2
+    assert st.blocks == zones
 
 
 def test_init_tangent_velocity_matches_per_zone_projection():
