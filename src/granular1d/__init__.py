@@ -16,11 +16,9 @@ from .dynamics import (
     PicardResult,
     SimState,
     StepperConfig,
-    Window,
     adhesion_potential,
     block_velocity,
     check_state,
-    constant_force,
     init_state,
     picard_solve,
     piecewise_constant_force,
@@ -82,14 +80,12 @@ __all__ = [
     "SimState",
     "StepperConfig",
     "TwoBlockParams",
-    "Window",
     "adhesion_potential",
     "block_velocity",
     "build_particles",
     "build_ratio_system",
     "check_exclusion",
     "check_state",
-    "constant_force",
     "cosine_bump_rho_star",
     "error_norms",
     "init_state",

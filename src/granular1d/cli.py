@@ -42,9 +42,12 @@ EXIT_INVARIANT = 3
 
 _ENV_OUTDIR = "GRANULAR1D_OUTDIR"
 _EXCLUSION_TOL = 1e-6  # complementarity residual gate at every output time
-_KNOWN_KEYS = frozenset(
-    "scenario n dt t_end output_times force integrator output blocks fill constraint density u0".split()
-)
+_COMMON_KEYS = "scenario n dt t_end output_times force integrator output".split()
+_SCENARIO_KEYS = {  # the top-level keys each scenario accepts
+    "two-block": frozenset(_COMMON_KEYS + ["blocks"]),
+    "heterogeneous": frozenset(_COMMON_KEYS + ["fill", "constraint"]),
+    "custom": frozenset(_COMMON_KEYS + ["density", "u0"]),
+}
 _SECTION_KEYS = {
     "force": frozenset({"alpha", "t_star", "breakpoints", "values"}),
     "output": frozenset({"path", "format"}),
@@ -79,20 +82,21 @@ def _require(cfg: dict, key: str, typ=None):
     if key not in cfg:
         raise ConfigError(f"missing config key '{key}'")
     val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
         raise ConfigError(f"config key '{key}' has wrong type {type(val).__name__}")
     return val
 
 
-def _section(cfg: dict, key: str, default: dict | None = None, required: bool = False) -> dict:
-    """A mapping-valued config key holding only the keys its section
-    allows; if absent, ``default`` (empty), or an error when required."""
+def _section(cfg: dict, key: str, default: dict | None = None, required: bool = False,
+             allowed: frozenset | None = None) -> dict:
+    """A mapping-valued config key holding only the keys ``allowed`` (its
+    section's, by default); if absent, ``default`` (empty), or an error when required."""
     if required:
         _require(cfg, key)
     val = cfg.get(key, {} if default is None else default)
     if not isinstance(val, dict):
         raise ConfigError(f"config key '{key}' must be a mapping")
-    unknown = set(val) - _SECTION_KEYS[key]
+    unknown = set(val) - (allowed or _SECTION_KEYS[key])
     if unknown:
         raise ConfigError(f"unknown keys in '{key}': {', '.join(sorted(map(str, unknown)))}")
     return val
@@ -155,10 +159,12 @@ def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
 
 
 def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
-    unknown = set(cfg) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     scenario = _require(cfg, "scenario", str)
+    if scenario not in _SCENARIO_KEYS:
+        raise ConfigError(f"unknown scenario '{scenario}'")
+    unknown = set(cfg) - _SCENARIO_KEYS[scenario]
+    if unknown:
+        raise ConfigError(f"unknown keys for '{scenario}': {', '.join(sorted(map(str, unknown)))}")
     n = int(_require(cfg, "n", int))
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -185,10 +191,10 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     two_block = None
     if scenario == "two-block":
         geom = _section(cfg, "blocks")
-        fspec = _section(cfg, "force")
+        fspec = _section(cfg, "force", allowed=frozenset({"alpha", "t_star"}))
         two_block = TwoBlockParams(
             **{k: float(geom[k]) for k in ("a1", "b1", "a2", "b2") if k in geom},
-            **{k: float(fspec[k]) for k in ("alpha", "t_star") if k in fspec},
+            **{k: _positive(fspec, k) for k in ("alpha", "t_star") if k in fspec},
         )
         ps = two_block.build(n)
         force = two_block.force()
@@ -206,7 +212,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         force = _build_force(_section(cfg, "force", {"breakpoints": [0.5], "values": [0.5, -0.5]}))
         ps = build_ratio_system(rho0, star, n)
         u0 = np.zeros(n)
-    elif scenario == "custom":
+    else:  # custom
         dspec = _section(cfg, "density", required=True)
         blocks = _require(dspec, "blocks", list)
         segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
@@ -223,8 +229,6 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         else:
             u0 = np.full(n, float(u0_spec))
         force = _build_force(_section(cfg, "force", required=True))
-    else:
-        raise ConfigError(f"unknown scenario '{scenario}'")
 
     return RunSetup(
         scenario=scenario,
@@ -296,7 +300,7 @@ def _check_exclusion(state: SimState, field: EulerianField) -> float:
 
 def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
     t = state.t
-    lag.write(state.n, [t, np.arange(state.n), state.x.values, state.u, state.gamma])
+    lag.write(state.n, [t, np.arange(state.n), state.x, state.u, state.gamma])
     field = reconstruct(state, setup.ps)
     eul.write(field.n_samples, [t, field.x, field.rho, field.u, field.gamma, field.rho_star])
     return _check_exclusion(state, field)
@@ -348,7 +352,7 @@ def run_command(config_path: str) -> int:
             for j, k in enumerate(win.step_index.tolist()):
                 if k in setup.output_steps:
                     max_exclusion = max(
-                        max_exclusion, _emit_output(setup, win.state(j), lag, eul, errors)
+                        max_exclusion, _emit_output(setup, win.row(j), lag, eul, errors)
                     )
             del win  # one window in memory at a time
     finally:

@@ -18,7 +18,7 @@ independent integrator for cross-checks before any contact occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConvergenceError, Granular1dError, InvariantViolation
 from .transport import (
     BlockPartition,
-    MonotoneMap,
     ParticleSystem,
     project_monotone,
     weighted_norm,
@@ -57,10 +56,6 @@ class ForceField:
 
 def zero_force() -> ForceField:
     return ForceField(lambda t, x: np.zeros_like(x))
-
-
-def constant_force(value: float) -> ForceField:
-    return ForceField(lambda t, x: np.full_like(x, value))
 
 
 def two_block_force(alpha: float, t_star: float) -> ForceField:
@@ -123,45 +118,26 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot of the Lagrangian fields at one time.
+    """Immutable Lagrangian fields at one time, or at consecutive times
+    on one block partition (a window of steps).
+
+    A state has (n,) arrays, a float ``t`` and an int ``step_index``.  A
+    window stacks states into (rows, n) arrays, with (rows,) ``t`` and
+    ``step_index``: row j is the state after step ``step_index[j]``.  The
+    functions of this module work along the last axis, so they take
+    either.  ``blocks`` and ``u_init`` are shared by all rows, and the
+    arrays are read-only by convention.
 
     ``s`` is the monotone offset x - ps.packed carrying the pooled plateaus
     exactly; ``force_sum`` is the per-particle sum of sampled force
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
     ``slack`` is the smallest gap of x minus its packed gap (inf for one
-    particle), as ``check_state`` measured it when the state was built.
+    particle), per row, as ``check_state`` measured it.
     """
 
-    t: float
-    step_index: int
-    u_free: np.ndarray
-    x: MonotoneMap
-    u: np.ndarray
-    gamma: np.ndarray
-    blocks: BlockPartition
-    s: MonotoneMap
-    force_sum: np.ndarray
-    u_init: np.ndarray
-    slack: float | None = None
-
-    @property
-    def n(self) -> int:
-        return self.x.n
-
-
-@dataclass(frozen=True)
-class Window:
-    """Consecutive states on one block partition, one per row.
-
-    Row j is the state after step ``step_index[j]`` at time ``t[j]``; the
-    fields are those of ``SimState`` stacked into (rows, n) arrays, with
-    ``x`` and ``s`` as plain arrays.  ``slack`` holds the per-row value
-    of ``SimState.slack`` once ``check_state`` has passed the window.
-    """
-
-    t: np.ndarray
-    step_index: np.ndarray
+    t: float | np.ndarray
+    step_index: int | np.ndarray
     u_free: np.ndarray
     x: np.ndarray
     u: np.ndarray
@@ -170,53 +146,31 @@ class Window:
     s: np.ndarray
     force_sum: np.ndarray
     u_init: np.ndarray
-    slack: np.ndarray | None = None
+    slack: float | np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[-1]
 
     def __len__(self) -> int:
-        return self.t.size
+        """The number of rows: 1 for a state."""
+        return np.size(self.t)
 
-    @classmethod
-    def of(cls, state: SimState) -> Window:
-        """The one-row window of a state (views of its arrays)."""
-        return cls(
-            t=np.array([state.t]),
-            step_index=np.array([state.step_index]),
-            u_free=state.u_free[None],
-            x=state.x.values[None],
-            u=state.u[None],
-            gamma=state.gamma[None],
-            blocks=state.blocks,
-            s=state.s.values[None],
-            force_sum=state.force_sum[None],
-            u_init=state.u_init,
-            slack=None if state.slack is None else np.array([state.slack]),
-        )
+    def as_window(self) -> SimState:
+        """A state as a one-row window (views of its arrays); a window as it is."""
+        return self if np.ndim(self.t) else self._per_row(lambda a: np.asarray(a)[None])
 
-    def tail(self) -> Window:
-        """The last row as a window of its own, copied so that it does
-        not keep the rest of this window alive."""
-        return Window(
-            **{f.name: getattr(self, f.name)[-1:].copy() for f in fields(self)
-               if f.name not in ("blocks", "u_init")},
-            blocks=self.blocks,
-            u_init=self.u_init,
-        )
+    def row(self, j: int) -> SimState:
+        """Row j as a state of its own, with a float ``t`` and an int
+        ``step_index``; its arrays are copies, so that it does not keep
+        the window alive."""
+        return self.as_window()._per_row(lambda a: a[j].item() if a.ndim == 1 else a[j].copy())
 
-    def state(self, j: int) -> SimState:
-        """Row j as a snapshot; the row has been checked with the window."""
-        return SimState(
-            t=float(self.t[j]),
-            step_index=int(self.step_index[j]),
-            u_free=self.u_free[j],
-            x=MonotoneMap(self.x[j]),
-            u=self.u[j],
-            gamma=self.gamma[j],
-            blocks=self.blocks,
-            s=MonotoneMap(self.s[j]),
-            force_sum=self.force_sum[j],
-            u_init=self.u_init,
-            slack=None if self.slack is None else float(self.slack[j]),
-        )
+    _PER_ROW = ("t", "step_index", "u_free", "x", "u", "gamma", "s", "force_sum", "slack")
+
+    def _per_row(self, take: Callable[[np.ndarray], object]) -> SimState:
+        return replace(self, **{f: take(getattr(self, f)) for f in self._PER_ROW
+                                if getattr(self, f) is not None})
 
 
 def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarray) -> np.ndarray:
@@ -252,7 +206,7 @@ def _new_state(
     ps: ParticleSystem,
     t: float,
     step_index: int,
-    s: MonotoneMap,
+    s: np.ndarray,
     u_free: np.ndarray,
     u: np.ndarray,
     blocks: BlockPartition,
@@ -265,7 +219,7 @@ def _new_state(
         t=t,
         step_index=step_index,
         u_free=u_free,
-        x=MonotoneMap(ps.packed.values + s.values),
+        x=ps.packed.values + s,
         u=u,
         gamma=adhesion_potential(u, u_free, ps.masses),
         blocks=blocks,
@@ -316,7 +270,7 @@ def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
         raise ValueError("non-finite initial velocity")
     s, pos_blocks = project_monotone(ps.positions - ps.packed.values, ps.masses)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
-    return _new_state(ps, 0.0, 0, s, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
+    return _new_state(ps, 0.0, 0, s.values, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
 
 
 def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSystem) -> SimState:
@@ -329,13 +283,13 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     """
     dt = cfg.dt
     masses = ps.masses
-    fval = force(state.t, state.x.values)
+    fval = force(state.t, state.x)
     force_sum = state.force_sum + fval
     u_free = state.u_init + dt * force_sum
-    s, blocks = project_monotone(state.s.values + dt * u_free, masses)
+    s, blocks = project_monotone(state.s + dt * u_free, masses)
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
-    return _new_state(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init)
+    return _new_state(ps, k * dt, k, s.values, u_free, u, blocks, force_sum, state.u_init)
 
 
 def position_tol(x: np.ndarray) -> float | np.ndarray:
@@ -344,14 +298,14 @@ def position_tol(x: np.ndarray) -> float | np.ndarray:
     return 1e-12 * np.maximum(1.0, np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
-def check_state(state: SimState | Window, ps: ParticleSystem) -> SimState | Window:
+def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     """Return the state carrying its measured ``slack`` (the same object
     if it already does), or raise InvariantViolation (with its time and
     step) unless it satisfies the structural invariants: feasibility of
     x, exact block-constancy of u, nonpositive gamma vanishing at block
     right edges and globally, and momentum balance.
 
-    A window is checked row by row, as if each row were a state: the
+    A state is checked as a one-row window, and a window row by row: the
     error names the first failing row's first failing check, with that
     row's time and step.
 
@@ -359,9 +313,8 @@ def check_state(state: SimState | Window, ps: ParticleSystem) -> SimState | Wind
     ``position_tol(x)``; gamma's sign at 1e-10, and its edge values and
     the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
     """
-    single = isinstance(state, SimState)
-    x = state.x.values if single else state.x
-    u, u_free, gamma, blocks = state.u, state.u_free, state.gamma, state.blocks
+    win = state.as_window()
+    x, u, u_free, gamma, blocks = win.x, win.u, win.u_free, win.gamma, win.blocks
 
     gaps = np.diff(x)
     gaps -= ps.packed.gaps()
@@ -391,17 +344,15 @@ def check_state(state: SimState | Window, ps: ParticleSystem) -> SimState | Wind
         ("momentum_balance", drift > edge_tol, drift, ""),
     ]
     if any(failed.any() for _, failed, _, _ in checks):
-        row = min(int(np.argmax(np.atleast_1d(f))) for _, f, _, _ in checks if f.any())
-        name, _, value, message = next(c for c in checks if np.atleast_1d(c[1])[row])
+        row = min(int(np.argmax(f)) for _, f, _, _ in checks if f.any())
+        name, _, value, message = next(c for c in checks if c[1][row])
         if value is None:  # the first block edge over the tolerance
-            bad = np.atleast_2d(edges)[row]
-            value = bad[bad > np.atleast_1d(edge_tol)[row]][0]
+            value = edges[row][edges[row] > edge_tol[row]][0]
         raise InvariantViolation(
-            name, float(np.broadcast_to(value, np.shape(slack)).flat[row]), message,
-            t=float(np.atleast_1d(state.t)[row]), step=int(np.atleast_1d(state.step_index)[row]),
+            name, float(np.broadcast_to(value, slack.shape)[row]), message,
+            t=float(win.t[row]), step=int(win.step_index[row]),
         )
-    if single:
-        slack = float(slack)
+    slack = slack if np.ndim(state.t) else float(slack[0])
     return state if np.array_equal(state.slack, slack) else replace(state, slack=slack)
 
 
@@ -411,9 +362,9 @@ def check_state(state: SimState | Window, ps: ParticleSystem) -> SimState | Wind
 _WINDOW_CELLS = 1 << 14
 
 
-def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
-            ps: ParticleSystem) -> Window | None:
-    """Up to ``rows`` steps from the last row of ``prev``, all at once on
+def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
+            ps: ParticleSystem) -> SimState | None:
+    """A window of up to ``rows`` steps from ``state``, all at once on
     its block partition with the force values sampled there held fixed.
 
     Row j is what ``step`` would give if the partition and the force
@@ -438,17 +389,17 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
     """
     dt = cfg.dt
     m = ps.masses
-    blocks = prev.blocks
-    f = force(float(prev.t[-1]), prev.x[-1])
+    blocks = state.blocks
+    f = force(state.t, state.x)
     fs = np.empty((rows, ps.n))
-    fs[0] = prev.force_sum[-1] + f
+    fs[0] = state.force_sum + f
     fs[1:] = f
     _running_sum(fs)
     u_free = dt * fs
-    u_free += prev.u_init
+    u_free += state.u_init
     u = block_velocity(u_free, blocks, m)
     s = dt * u
-    s[0] += prev.s[-1]
+    s[0] += state.s
     _running_sum(s)
     gamma = adhesion_potential(u, u_free, m)
 
@@ -457,7 +408,7 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
     ok = ((s[:, 1:] > s[:, :-1]) | inside).all(axis=-1)  # (b)
     if not blocks.is_empty:  # (c)
         varies = np.zeros(len(blocks), dtype=bool)
-        changes = (np.diff(prev.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
+        changes = (np.diff(state.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
         varies[labels[:-1][changes & inside]] = True
         if varies.any():
             lo, hi = blocks.lo, blocks.hi
@@ -466,7 +417,7 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
             before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
             ok &= ((top <= before) | ~varies).all(axis=-1)
     kept = rows if ok.all() else int(np.argmin(ok))
-    steps = prev.step_index[-1] + np.arange(1, kept + 1)
+    steps = state.step_index + np.arange(1, kept + 1)
     t = steps * dt
     x = ps.packed.values + s[:kept]
     for j in range(kept - 1):  # (a)
@@ -474,8 +425,8 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
             kept = j + 1
             break
 
-    def first(k: int) -> Window:
-        return Window(
+    def first(k: int) -> SimState:
+        return SimState(
             t=t[:k],
             step_index=steps[:k],
             u_free=u_free[:k],
@@ -485,7 +436,7 @@ def _window(prev: Window, rows: int, force: ForceField, cfg: StepperConfig,
             blocks=blocks,
             s=s[:k],
             force_sum=fs[:k],
-            u_init=prev.u_init,
+            u_init=state.u_init,
         )
 
     if kept == 0:
@@ -508,32 +459,32 @@ def _running_sum(a: np.ndarray) -> None:
 
 def run_windows(
     ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
-) -> Iterator[Window]:
+) -> Iterator[SimState]:
     """Yield the run as consecutive checked windows: the state at t=0,
     then every step up to t_end, each once.
 
     Between topology events the run advances a window of many steps at
     once (see ``_window``); where a window stops short, one ``step``
-    finds the new partition.  A window is tried only when it would hold
-    at least two rows, and never more rows than the run has gone steps
-    without a partition change or a stopped window, nor more than
-    ``_WINDOW_CELLS`` cells.  Only the last row of a yielded window is
-    kept for the next, so a consumer that drops each window before
-    asking for the next holds one window at a time.
+    finds the new partition and is yielded as a one-row window.  A
+    window is tried only when it would hold at least two rows, and never
+    more rows than the run has gone steps without a partition change or
+    a stopped window, nor more than ``_WINDOW_CELLS`` cells.  Only a
+    copy of the last row of a yielded window is kept for the next, so a
+    consumer that drops each window before asking for the next holds
+    one window at a time.
     """
     state = init_state(ps, u0)
-    last = Window.of(state)
-    yield last
+    yield state.as_window()
     calm = 0  # steps since the partition changed or a window stopped short
     most = _WINDOW_CELLS // ps.n
     left = cfg.n_steps
     while left:
         rows = min(calm, most, left)
         if rows >= 2:
-            win = _window(last, rows, force, cfg, ps)
+            win = _window(state, rows, force, cfg, ps)
             if win is not None:
                 kept = len(win)
-                last, state = win.tail(), None
+                state = win.row(-1)
                 left -= kept
                 yield win
                 del win
@@ -543,14 +494,11 @@ def run_windows(
             calm = 0
             if not left:
                 break
-        if state is None:
-            state = last.state(0)
         nxt = step(state, force, cfg, ps)
         calm = calm + 1 if nxt.blocks == state.blocks else 0
         state = nxt
-        last = Window.of(state)
         left -= 1
-        yield last
+        yield state.as_window()
 
 
 def run_simulation(
@@ -559,7 +507,7 @@ def run_simulation(
     """Yield the state at t=0 and after every step up to t_end."""
     for win in run_windows(ps, u0, force, cfg):
         for j in range(len(win)):
-            yield win.state(j)
+            yield win.row(j)
 
 
 @dataclass
@@ -622,7 +570,7 @@ def picard_solve(
             fsum = fsum + force(times[j], packed + prev_s[j])
             ufree[j + 1] = u0 + dt * fsum
         s_new = np.empty_like(ufree)
-        s_new[0] = state0.s.values
+        s_new[0] = state0.s
         blocks_list = [state0.blocks]
         path = z0.copy()
         for j in range(1, n_steps + 1):
@@ -632,7 +580,7 @@ def picard_solve(
             blocks_list.append(blocks)
         return s_new, blocks_list, ufree
 
-    prev = np.tile(state0.s.values, (n_steps + 1, 1))
+    prev = np.tile(state0.s, (n_steps + 1, 1))
     residuals: list[float] = []
     converged = False
     for _ in range(options.max_iters):
@@ -655,7 +603,7 @@ def picard_solve(
         u = block_velocity(ufree[j], blocks_list[j], m)
         states.append(
             _new_state(
-                ps, float(times[j]), j, MonotoneMap(cur[j]), ufree[j].copy(), u,
+                ps, float(times[j]), j, cur[j], ufree[j].copy(), u,
                 blocks_list[j], fsum_running.copy(), u0.copy(),
             )
         )

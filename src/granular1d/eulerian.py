@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import SimState, position_tol
 from .errors import InvariantViolation
-from .transport import MonotoneMap, ParticleSystem, weighted_norm
+from .transport import ParticleSystem, weighted_norm
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     below its packed value by more than ``position_tol`` raises
     ``density_bound``; smaller rounding excesses are clipped to the bound.
     """
-    x = state.x.values
+    x = state.x
     m = ps.masses
     n = ps.n
     if n == 1:
@@ -123,9 +123,9 @@ def check_exclusion(field: EulerianField, tol: float) -> ExclusionReport:
     )
 
 
-def wasserstein2(x1: MonotoneMap, x2: MonotoneMap, masses: np.ndarray) -> float:
+def wasserstein2(x1: np.ndarray, x2: np.ndarray, masses: np.ndarray) -> float:
     """Quadratic transport distance between the two pushed-forward
     measures: the mass-weighted L2 distance of their monotone maps."""
-    if x1.n != x2.n or x1.n != np.asarray(masses).size:
+    if np.shape(x1) != np.shape(x2) or np.shape(x1) != np.shape(masses):
         raise ValueError("maps and masses must have equal length")
-    return weighted_norm(x1.values - x2.values, masses)
+    return weighted_norm(np.subtract(x1, x2), masses)

@@ -136,7 +136,7 @@ def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> Erro
     if sim.n != exact.x_ex.size:
         raise ValueError("state and snapshot index sets differ")
     return ErrorReport(
-        x_error=weighted_norm(sim.x.values - exact.x_ex, masses),
+        x_error=weighted_norm(sim.x - exact.x_ex, masses),
         u_error=weighted_norm(sim.u - exact.u_ex, masses),
         gamma_error=float(np.max(np.abs(sim.gamma - exact.gamma_ex))),
     )

@@ -76,7 +76,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
             if st.t <= 2.0 + 1e-12:
                 merged_gap_times.append(st.t)
 
-        x = st.x.values
+        x = st.x
         scale = max(1.0, float(np.max(np.abs(x))))
         inv["slack_min"] = min(
             inv["slack_min"], float(np.min(np.diff(x) - xtil.gaps())) / scale
@@ -96,7 +96,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
         if x0 is None:
             x0 = st.x
         if st.t <= 0.1 + 1e-12 and st.step_index > 0:
-            w2.append((st.t, weighted_norm(x - x0.values, ps.masses)))
+            w2.append((st.t, weighted_norm(x - x0, ps.masses)))
         if collect_early_x and st.t <= 0.5 + 1e-12:
             early_x[st.step_index] = x
         if st.step_index in out_steps:
@@ -252,7 +252,7 @@ def test_criterion_6_picard_marching_agreement(reference_run):
     )
     elapsed = time.monotonic() - t0
     worst = max(
-        weighted_norm(st.x.values - r["early_x"][st.step_index], ps.masses)
+        weighted_norm(st.x - r["early_x"][st.step_index], ps.masses)
         for st in res.states
     )
     vel_scale = params.alpha * params.t_star
@@ -278,7 +278,7 @@ def test_criterion_7_heterogeneous_run():
     rho_over = -np.inf
     centered = {0.5: False, 0.8: False}
     for st in run_simulation(rs, np.zeros(n), force, cfg):
-        slack_min = min(slack_min, float(np.min(np.diff(st.x.values) - rs.packed.gaps())))
+        slack_min = min(slack_min, float(np.min(np.diff(st.x) - rs.packed.gaps())))
         if st.step_index in (500, 800):
             field = reconstruct(st, rs)
             rho_over = max(rho_over, float(np.max(field.rho - field.rho_star)))
@@ -300,7 +300,7 @@ def test_criterion_7_heterogeneous_run():
     hom = run_simulation(ps1, np.zeros(n), force, cfg_short)
     for a, b in zip(run_simulation(rs1, np.zeros(n), force, cfg_short), hom):
         if not (
-            np.array_equal(a.x.values, b.x.values)
+            np.array_equal(a.x, b.x)
             and np.array_equal(a.u, b.u)
             and np.array_equal(a.gamma, b.gamma)
         ):

@@ -60,7 +60,7 @@ def test_csv_floats_round_trip(tmp_path):
     for i, row in enumerate(rows):
         t, idx, x, u, g = row.split(",")
         assert int(idx) == i
-        assert float(x) == final.x.values[i]  # exact round trip
+        assert float(x) == final.x[i]  # exact round trip
         assert float(u) == final.u[i]
 
 
@@ -231,12 +231,25 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(t_star=1.0),
         dict(force={"alpha": 0.5, "t_sta": 2.0}),
         dict(output={"path": "out/x", "fromat": "json-lines"}),
+        dict(u0=5.0),
+        dict(fill=0.8),
+        dict(density={"blocks": [[0.0, 1.0, 0.5]]}),
+        dict(constraint={"base": 1.0}),
+        dict(force={"breakpoints": [0.5], "values": [0.5, -0.5]}),
+        dict(scenario="heterogeneous", n=200, u0=[1, 2]),
+        dict(scenario="heterogeneous", blocks={"a1": -1.0}),
+        dict(n=True),
+        dict(dt=True, output_times=[0.0, 1.0]),
+        dict(t_end=True, output_times=[0.0]),
+        dict(force={"alpha": 0.5, "t_star": True}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
          "force-scalar", "blocks-scalar", "constraint-scalar", "infinite-t-end",
          "unknown-key-tolerances", "unknown-key-t-star", "unknown-key-in-force",
-         "unknown-key-in-output"],
+         "unknown-key-in-output", "two-block-u0", "two-block-fill", "two-block-density",
+         "two-block-constraint", "two-block-piecewise-force", "heterogeneous-u0",
+         "heterogeneous-blocks", "bool-n", "bool-dt", "bool-t-end", "bool-t-star"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -13,7 +13,6 @@ from granular1d import (
     ParticleSystem,
     PicardOptions,
     StepperConfig,
-    MonotoneMap,
     adhesion_potential,
     block_velocity,
     build_particles,
@@ -92,7 +91,7 @@ def test_adhesion_vanishes_at_block_edges():
 # rest (blocks ((0, 2),), u = u_free = gamma = 0) so that exactly the
 # named check is the first to fail.
 _BAD_STATES = {
-    "feasibility": dict(x=MonotoneMap(np.array([0.0, 0.25, 0.5]))),
+    "feasibility": dict(x=np.array([0.0, 0.25, 0.5])),
     "block_velocity_constant": dict(u=np.array([1.0, 0.0, 0.0])),
     "free_velocity_off_blocks": dict(
         blocks=BlockPartition(((0, 1),)), u=np.array([0.0, 0.0, 1.0])
@@ -127,7 +126,7 @@ def test_init_two_block_at_rest(two_block_params):
     st = init_state(ps, np.zeros(400))
     assert np.all(st.u == 0.0)
     assert np.all(st.gamma == 0.0)
-    assert st.x.values == pytest.approx(ps.positions, abs=1e-13)
+    assert st.x == pytest.approx(ps.positions, abs=1e-13)
     # no block bridges the vacuum gap between the two physical blocks
     assert not st.blocks.spans(199, 200)
 
@@ -211,7 +210,7 @@ def test_step_free_flight_no_contact():
     cfg = StepperConfig(dt=0.25, t_end=1.0)
     st = init_state(ps, np.array([1.0, -0.5, 2.0]))
     nxt = step(st, zero_force(), cfg, ps)
-    assert nxt.x.values == pytest.approx(st.x.values + 0.25 * st.u_free)
+    assert nxt.x == pytest.approx(st.x + 0.25 * st.u_free)
     assert nxt.blocks.is_empty
     assert np.all(nxt.gamma == 0.0)
     assert nxt.t == pytest.approx(0.25)
@@ -238,7 +237,7 @@ def test_two_block_phase1_free_flight(two_block_params, small_two_block):
     t = final.t
     # free flight toward the origin: displacement alpha t^2 / 2 up to O(dt)
     expected = ps.positions + np.where(ps.positions < 0, 1, -1) * 0.5 * t**2 / 2
-    assert np.max(np.abs(final.x.values - expected)) < 0.5 * t * cfg.dt
+    assert np.max(np.abs(final.x - expected)) < 0.5 * t * cfg.dt
     assert not final.blocks.spans(ps.n // 2 - 1, ps.n // 2)
     # block means of identical free velocities agree to rounding only
     assert np.max(np.abs(final.gamma)) < 1e-15
@@ -258,7 +257,7 @@ def test_two_block_contact_and_adhesion(two_block_params, small_two_block):
     w = two_block_params.width
     amp = two_block_params.alpha * final.t
     gamma_exact = np.where(
-        ps.positions < 0, -amp * (final.x.values + w), amp * (final.x.values - w)
+        ps.positions < 0, -amp * (final.x + w), amp * (final.x - w)
     )
     assert np.max(np.abs(final.gamma - gamma_exact)) < 5 * cfg.dt
     assert final.gamma.min() == pytest.approx(-amp, abs=5 * cfg.dt)
@@ -271,12 +270,12 @@ def test_invariants_along_two_block_run(two_block_params, small_two_block):
     root_mass = np.sqrt(ps.total_mass)
     prev = None
     for st in run_simulation(ps, np.zeros(ps.n), two_block_params.force(), cfg):
-        scale = max(1.0, np.max(np.abs(st.x.values)))
-        assert np.min(np.diff(st.x.values) - ps.packed.gaps()) >= -1e-12 * scale
+        scale = max(1.0, np.max(np.abs(st.x)))
+        assert np.min(np.diff(st.x) - ps.packed.gaps()) >= -1e-12 * scale
         assert np.max(st.gamma) <= 1e-10
         assert abs(np.dot(m, st.u) - np.dot(m, st.u_free)) <= 1e-12 * ps.total_mass
         if prev is not None:
-            rate = weighted_norm(st.x.values - prev.x.values, m) / cfg.dt
+            rate = weighted_norm(st.x - prev.x, m) / cfg.dt
             bound = 0.0 + st.t * two_block_params.alpha * root_mass
             assert rate <= bound + 1e-9
         prev = st
@@ -287,7 +286,7 @@ def test_determinism_bitwise(two_block_params):
     cfg = StepperConfig(dt=4e-3, t_end=1.0)
     a = list(run_simulation(ps, np.zeros(100), two_block_params.force(), cfg))[-1]
     b = list(run_simulation(ps, np.zeros(100), two_block_params.force(), cfg))[-1]
-    assert np.array_equal(a.x.values, b.x.values)
+    assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.gamma, b.gamma)
     assert a.blocks.blocks == b.blocks.blocks
 
@@ -311,7 +310,7 @@ def test_picard_no_force_matches_marching(ps, u0, t_end):
     march = _march(ps, np.array(u0), zero_force(), cfg)
     assert len(res.states) == len(march)
     for s_p, s_m in zip(res.states, march):
-        assert s_p.x.values == pytest.approx(s_m.x.values, abs=1e-12)
+        assert s_p.x == pytest.approx(s_m.x, abs=1e-12)
         assert s_p.u == pytest.approx(s_m.u, abs=1e-12)
         assert s_p.gamma == pytest.approx(s_m.gamma, abs=1e-12)
         assert s_p.blocks == s_m.blocks
@@ -324,7 +323,7 @@ def test_picard_agrees_with_marching_precontact(two_block_params, small_two_bloc
     march = _march(ps, np.zeros(ps.n), two_block_params.force(), cfg)
     vel_scale = two_block_params.alpha * two_block_params.t_star
     worst = max(
-        weighted_norm(a.x.values - b.x.values, ps.masses) for a, b in zip(res.states, march)
+        weighted_norm(a.x - b.x, ps.masses) for a, b in zip(res.states, march)
     )
     assert worst <= 2 * cfg.dt * vel_scale
     assert all(r <= 0.25 + 0.1 for r in res.residual_ratios)

@@ -6,7 +6,6 @@ import pytest
 from granular1d import (
     EulerianField,
     InvariantViolation,
-    MonotoneMap,
     ParticleSystem,
     StepperConfig,
     check_exclusion,
@@ -90,7 +89,7 @@ def test_push_forward_consistency():
     ps, st = state_for(np.linspace(0, 1, 200), np.full(200, 1 / 250))
     field = reconstruct(st, ps)
     for xi in (np.cos, lambda x: x**2):
-        lagr = float(np.dot(ps.masses, xi(st.x.values)))
+        lagr = float(np.dot(ps.masses, xi(st.x)))
         quad = float(np.dot(field.rho * field.width, xi(field.x)))
         assert abs(lagr - quad) < 10.0 / ps.n
 
@@ -101,10 +100,10 @@ def test_reconstruct_rejects_crossed_positions():
     object.__setattr__(bad, "__dict__", dict(st.__dict__))
     object.__setattr__(bad, "x", st.x)
     # fabricate coincident positions beyond the congestion tolerance
-    vals = st.x.values.copy()
+    vals = st.x.copy()
     vals[1] = vals[0]
     vals[2] = vals[0]
-    object.__setattr__(bad, "x", MonotoneMap(vals))
+    object.__setattr__(bad, "x", vals)
     with pytest.raises(InvariantViolation):
         reconstruct(bad, ps)
 
@@ -133,7 +132,7 @@ def test_exclusion_flags_corrupted_field():
 def test_reconstruct_flags_density_bound():
     # gaps of 0.25 against packed gaps of 0.5: density 2 exceeds the bound
     ps, st = state_for([0.0, 0.5, 1.0], [0.5, 0.5, 0.5])
-    bad = replace(st, t=0.5, step_index=5, x=MonotoneMap(np.array([0.0, 0.25, 0.5])))
+    bad = replace(st, t=0.5, step_index=5, x=np.array([0.0, 0.25, 0.5]))
     with pytest.raises(InvariantViolation) as err:
         reconstruct(bad, ps)
     assert err.value.check == "density_bound"
@@ -143,12 +142,12 @@ def test_reconstruct_flags_density_bound():
 
 def test_wasserstein_basics():
     m = np.array([0.5, 0.5, 1.0])
-    x1 = MonotoneMap(np.array([0.0, 1.0, 2.0]))
+    x1 = np.array([0.0, 1.0, 2.0])
     assert wasserstein2(x1, x1, m) == 0.0
-    shifted = MonotoneMap(x1.values + 3.0)
+    shifted = x1 + 3.0
     assert wasserstein2(x1, shifted, m) == pytest.approx(3.0 * np.sqrt(2.0))
     with pytest.raises(ValueError):
-        wasserstein2(x1, MonotoneMap(np.array([0.0, 1.0])), m)
+        wasserstein2(x1, np.array([0.0, 1.0]), m)
 
 
 def test_wasserstein_initial_attainment(two_block_params, small_two_block):

@@ -59,7 +59,7 @@ def test_stationary_without_force():
     star = cosine_bump_rho_star()
     rs = build_ratio_system(section6_density(star=star), star, 128)
     states = list(run_simulation(rs, np.zeros(128), zero_force(), StepperConfig(dt=0.01, t_end=0.5)))
-    assert np.array_equal(states[-1].x.values, states[0].x.values)
+    assert np.array_equal(states[-1].x, states[0].x)
     f0 = reconstruct(states[0], rs)
     f1 = reconstruct(states[-1], rs)
     assert np.array_equal(f0.rho, f1.rho)
@@ -91,7 +91,7 @@ def test_ratio_bound_along_run():
     rs = build_ratio_system(section6_density(star=star), star, 200)
     cfg = StepperConfig(dt=2e-3, t_end=0.6)
     for st in run_simulation(rs, np.zeros(200), section6_force(), cfg):
-        slack = np.diff(st.x.values) - rs.packed.gaps()
+        slack = np.diff(st.x) - rs.packed.gaps()
         assert slack.min() >= -1e-12  # r <= 1 + 1e-12 in gap form
 
 
@@ -107,7 +107,7 @@ def test_unit_rho_star_matches_homogeneous_bitwise():
     het = list(run_simulation(rs, np.zeros(150), force, cfg))
     hom = list(run_simulation(ps, np.zeros(150), force, cfg))
     for a, b in zip(het, hom):
-        assert np.array_equal(a.x.values, b.x.values)
+        assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.gamma, b.gamma)
         assert a.blocks.blocks == b.blocks.blocks

@@ -102,7 +102,7 @@ def test_unequal_masses_two_body_collision_velocity():
     assert st.blocks.blocks == ((0, 1),)
     assert st.u == pytest.approx([0.25, 0.25])
     # gap pinned at the packed value (m1 + m2)/2
-    assert np.diff(st.x.values) == pytest.approx(ps.packed.gaps())
+    assert np.diff(st.x) == pytest.approx(ps.packed.gaps())
 
 
 def test_picard_flags_adhesion_sign_past_release():
@@ -129,7 +129,7 @@ def test_picard_valid_through_glued_phase():
     res = picard_solve(ps, np.zeros(60), p.force(), cfg, opts)
     march = list(run_simulation(ps, np.zeros(60), p.force(), cfg))
     worst = max(
-        float(np.max(np.abs(a.x.values - b.x.values))) for a, b in zip(res.states, march)
+        float(np.max(np.abs(a.x - b.x))) for a, b in zip(res.states, march)
     )
     assert worst <= 2 * cfg.dt * p.alpha * p.t_star
     final = res.states[-1]

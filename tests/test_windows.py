@@ -49,7 +49,7 @@ def assert_matches_stepwise(ps, u0, force, cfg):
     for a, b in zip(ref, got):
         assert (b.t, b.step_index) == (a.t, a.step_index)
         assert b.blocks == a.blocks
-        for name, va, vb in [("x", a.x.values, b.x.values), ("u", a.u, b.u),
+        for name, va, vb in [("x", a.x, b.x), ("u", a.u, b.u),
                              ("gamma", a.gamma, b.gamma)]:
             scale = max(1.0, float(np.max(np.abs(va))))
             assert np.max(np.abs(va - vb)) <= 1e-12 * scale, (name, a.step_index)
@@ -183,12 +183,49 @@ def test_failing_window_row_is_left_to_step(monkeypatch, step_fails_too):
     assert any(len(w) > 1 and w.step_index[-1] == bad - 1 for w in windows)
 
 
+PER_ROW = ("u_free", "x", "u", "gamma", "s", "force_sum")
+
+
+def assert_same_state(a, b):
+    assert (type(a.t), type(a.step_index), type(a.slack)) == (float, int, float)
+    assert (a.t, a.step_index, a.slack) == (b.t, b.step_index, b.slack)
+    assert a.blocks == b.blocks and a.u_init is b.u_init
+    for name in PER_ROW:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.mark.parametrize("n", [50, 200, 3000])
-def test_window_arrays_stay_within_the_cell_cap(n):
+def test_window_arrays_stay_within_the_cell_cap(n, monkeypatch):
+    # also: a window's rows are its states, and the state it hands on to
+    # the next window or step is a copy of its last row
     p = TwoBlockParams()
     ps = p.build(n)
     cfg = StepperConfig(dt=2e-3, t_end=1.2)
+    handed = [None]  # the last state run_windows handed to a window or step
+    for name in ("step", "_window"):
+        def spy(state, *args, _f=getattr(dynamics, name)):
+            handed[-1] = state
+            return _f(state, *args)
+        monkeypatch.setattr(dynamics, name, spy)
+    prev, multi = None, 0
     for w in run_windows(ps, np.zeros(n), p.force(), cfg):
         for a in (w.u_free, w.x, w.u, w.gamma, w.s, w.force_sum):
             base = a if a.base is None else a.base
             assert base.size <= max(n, dynamics._WINDOW_CELLS)
+        if prev is not None:  # run_windows has handed on prev's last row
+            assert_same_state(handed[-1], prev.row(-1))
+            for name in PER_ROW if len(prev) >= 2 else ():
+                assert not np.shares_memory(getattr(handed[-1], name), getattr(prev, name))
+        if len(w) >= 2:
+            multi += 1
+            for j in (0, len(w) // 2, len(w) - 1):
+                st = w.row(j)
+                assert st.x.shape == (n,) and len(st) == 1
+                assert (st.t, st.step_index, st.slack) == (w.t[j], w.step_index[j], w.slack[j])
+                for name in PER_ROW:
+                    assert np.array_equal(getattr(st, name), getattr(w, name)[j]), name
+                one = st.as_window()
+                assert one.x.shape == (1, n) and np.shares_memory(one.x, st.x)
+                assert_same_state(one.row(0), st)
+        prev = w
+    assert multi
