@@ -30,7 +30,7 @@ from .dynamics import (
     run_windows,
     two_block_force,
 )
-from .errors import Granular1dError, InvariantViolation
+from .errors import EmptyMeasureError, Granular1dError, InvariantViolation
 from .eulerian import EulerianField, check_exclusion, reconstruct
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import ParticleSystem, build_particles
@@ -42,19 +42,7 @@ EXIT_INVARIANT = 3
 
 _ENV_OUTDIR = "GRANULAR1D_OUTDIR"
 _EXCLUSION_TOL = 1e-6  # complementarity residual gate at every output time
-_COMMON_KEYS = "scenario n dt t_end output_times force integrator output".split()
-_SCENARIO_KEYS = {  # the top-level keys each scenario accepts
-    "two-block": frozenset(_COMMON_KEYS + ["blocks"]),
-    "heterogeneous": frozenset(_COMMON_KEYS + ["fill", "constraint"]),
-    "custom": frozenset(_COMMON_KEYS + ["density", "u0"]),
-}
-_SECTION_KEYS = {
-    "force": frozenset({"alpha", "t_star", "breakpoints", "values"}),
-    "output": frozenset({"path", "format"}),
-    "blocks": frozenset({"a1", "b1", "a2", "b2"}),
-    "constraint": frozenset({"base", "amplitude"}),
-    "density": frozenset({"blocks"}),
-}
+_COMMON_KEYS = frozenset("scenario n dt t_end output_times force integrator output".split())
 
 
 class ConfigError(Granular1dError):
@@ -87,26 +75,32 @@ def _require(cfg: dict, key: str, typ=None):
     return val
 
 
-def _section(cfg: dict, key: str, default: dict | None = None, required: bool = False,
-             allowed: frozenset | None = None) -> dict:
-    """A mapping-valued config key holding only the keys ``allowed`` (its
-    section's, by default); if absent, ``default`` (empty), or an error when required."""
+def _section(cfg: dict, key: str, allowed, default=None, required=False) -> dict:
+    """A mapping-valued config key holding only the keys ``allowed``; if
+    absent, ``default`` (empty), or an error when required."""
     if required:
         _require(cfg, key)
     val = cfg.get(key, {} if default is None else default)
     if not isinstance(val, dict):
         raise ConfigError(f"config key '{key}' must be a mapping")
-    unknown = set(val) - (allowed or _SECTION_KEYS[key])
+    unknown = set(val) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in '{key}': {', '.join(sorted(map(str, unknown)))}")
     return val
 
 
-def _positive(cfg: dict, key: str) -> float:
-    val = float(_require(cfg, key, (int, float)))
-    if not np.isfinite(val) or val <= 0:
-        raise ConfigError(f"config key '{key}' must be a positive finite number")
-    return val
+def _number(val, key: str, positive: bool = False) -> float:
+    """The one reader of numeric config values: a finite YAML number (> 0 if ``positive``)."""
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and np.isfinite(val)
+    if not ok or (positive and val <= 0):
+        raise ConfigError(f"config key '{key}' must be a finite number{' > 0' if positive else ''}")
+    return float(val)
+
+
+def _numbers(val, key: str) -> list[float]:
+    if not isinstance(val, list):
+        raise ConfigError(f"config key '{key}' must be a list of numbers")
+    return [_number(v, key) for v in val]
 
 
 def load_config(path: str | Path) -> dict:
@@ -121,12 +115,11 @@ def load_config(path: str | Path) -> dict:
 
 
 def _output_steps(cfg: dict, dt: float, t_end: float) -> dict[int, float]:
-    times = cfg.get("output_times", [0.0, t_end])
-    if not isinstance(times, list) or not times:
+    times = _numbers(cfg.get("output_times", [0.0, t_end]), "output_times")
+    if not times:
         raise ConfigError("output_times must be a nonempty list")
     out: dict[int, float] = {}
     for t in times:
-        t = float(t)
         if t < 0 or t > t_end + 1e-12:
             raise ConfigError(f"output time {t} outside [0, t_end]")
         out[_grid_step(t, dt, "output time")] = t
@@ -141,36 +134,85 @@ def _grid_step(t: float, dt: float, what: str) -> int:
     return idx
 
 
-def _build_force(spec: dict) -> ForceField:
+def _force(cfg: dict, default: dict | None) -> ForceField:
+    """Either force form, from the ``force`` section or else ``default`` (required if None)."""
+    spec = _section(cfg, "force", ("alpha", "t_star", "breakpoints", "values"), default,
+                    required=default is None)
     if "alpha" in spec:
-        return two_block_force(_positive(spec, "alpha"), _positive(spec, "t_star"))
+        alpha, t_star = (_number(_require(spec, k), k, positive=True) for k in ("alpha", "t_star"))
+        return two_block_force(alpha, t_star)
     if "breakpoints" in spec:
-        return piecewise_constant_force(spec["breakpoints"], _require(spec, "values"))
+        values = _numbers(_require(spec, "values"), "values")
+        return piecewise_constant_force(_numbers(spec["breakpoints"], "breakpoints"), values)
     raise ConfigError("force needs either alpha/t_star or breakpoints/values")
+
+
+# Each builder maps (cfg, n) to (particles, u0, force, two-block params or None).
+def _two_block(cfg: dict, n: int):
+    geom = _section(cfg, "blocks", ("a1", "b1", "a2", "b2"))
+    fspec = _section(cfg, "force", ("alpha", "t_star"))
+    params = TwoBlockParams(
+        **{k: _number(v, k) for k, v in geom.items()},
+        **{k: _number(v, k, positive=True) for k, v in fspec.items()},
+    )
+    return params.build(n), np.zeros(n), params.force(), params
+
+
+def _heterogeneous(cfg: dict, n: int):
+    cspec = _section(cfg, "constraint", ("base", "amplitude"))
+    star = cosine_bump_rho_star(**{k: _number(v, k) for k, v in cspec.items()})
+    fill = _number(cfg.get("fill", 0.8), "fill")
+    if not 0 < fill <= 1:
+        raise ConfigError("fill must lie in (0, 1]")
+    # density = fill * rho_star on [0, 1]
+    rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
+    force = _force(cfg, {"breakpoints": [0.5], "values": [0.5, -0.5]})
+    return build_ratio_system(rho0, star, n), np.zeros(n), force, None
+
+
+def _custom(cfg: dict, n: int):
+    dspec = _section(cfg, "density", ("blocks",), required=True)
+    blocks = [_numbers(b, "density.blocks") for b in _require(dspec, "blocks", list)]
+    # [lo, hi, height] or [lo, hi] at height 1; any other length is a TypeError
+    segs = [Segment(*(b if len(b) == 3 else b + [1.0])) for b in blocks]
+    ps = build_particles(PiecewiseDensity(segs), n)
+    u0 = cfg.get("u0", 0.0)
+    u0 = np.asarray(_numbers(u0, "u0")) if isinstance(u0, list) else np.full(n, _number(u0, "u0"))
+    if u0.size != n:
+        raise ConfigError("u0 list must have length n")
+    return ps, u0, _force(cfg, None), None
+
+
+_SCENARIOS = {  # each scenario's own top-level keys and its builder
+    "two-block": (("blocks",), _two_block),
+    "heterogeneous": (("fill", "constraint"), _heterogeneous),
+    "custom": (("density", "u0"), _custom),
+}
 
 
 def build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     """Parse a config into a runnable setup.  Values that the library
-    rejects (ValueError, TypeError) surface as ConfigError."""
+    rejects (ValueError, TypeError, an empty measure) surface as ConfigError."""
     try:
         return _build_setup(cfg, config_path)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, EmptyMeasureError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     scenario = _require(cfg, "scenario", str)
-    if scenario not in _SCENARIO_KEYS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario '{scenario}'")
-    unknown = set(cfg) - _SCENARIO_KEYS[scenario]
+    own_keys, builder = _SCENARIOS[scenario]
+    unknown = set(cfg) - _COMMON_KEYS - set(own_keys)
     if unknown:
         raise ConfigError(f"unknown keys for '{scenario}': {', '.join(sorted(map(str, unknown)))}")
-    n = int(_require(cfg, "n", int))
+    n = _require(cfg, "n", int)
     if n < 1:
         raise ConfigError("n must be >= 1")
-    dt = _positive(cfg, "dt")
-    t_end = float(_require(cfg, "t_end", (int, float)))
-    if not np.isfinite(t_end) or t_end < 0:
+    dt = _number(_require(cfg, "dt"), "dt", positive=True)
+    t_end = _number(_require(cfg, "t_end"), "t_end")
+    if t_end < 0:
         raise ConfigError("t_end must be a nonnegative finite number")
     _grid_step(t_end, dt, "t_end")
     if cfg.get("integrator", "marching") != "marching":
@@ -179,7 +221,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
             "(granular1d.picard_solve), valid up to the first release"
         )
 
-    out_cfg = _section(cfg, "output")
+    out_cfg = _section(cfg, "output", ("path", "format"))
     prefix = Path(out_cfg.get("path", Path(config_path).stem))
     outdir = os.environ.get(_ENV_OUTDIR)
     if outdir:
@@ -188,48 +230,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     if out_format not in ("csv", "json-lines"):
         raise ConfigError("output.format must be 'csv' or 'json-lines'")
 
-    two_block = None
-    if scenario == "two-block":
-        geom = _section(cfg, "blocks")
-        fspec = _section(cfg, "force", allowed=frozenset({"alpha", "t_star"}))
-        two_block = TwoBlockParams(
-            **{k: float(geom[k]) for k in ("a1", "b1", "a2", "b2") if k in geom},
-            **{k: _positive(fspec, k) for k in ("alpha", "t_star") if k in fspec},
-        )
-        ps = two_block.build(n)
-        force = two_block.force()
-        u0 = np.zeros(n)
-    elif scenario == "heterogeneous":
-        cspec = _section(cfg, "constraint")
-        star = cosine_bump_rho_star(
-            base=float(cspec.get("base", 1.0)), amplitude=float(cspec.get("amplitude", 0.2))
-        )
-        fill = float(cfg.get("fill", 0.8))
-        if not 0 < fill <= 1:
-            raise ConfigError("fill must lie in (0, 1]")
-        # density = fill * rho_star on [0, 1]
-        rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
-        force = _build_force(_section(cfg, "force", {"breakpoints": [0.5], "values": [0.5, -0.5]}))
-        ps = build_ratio_system(rho0, star, n)
-        u0 = np.zeros(n)
-    else:  # custom
-        dspec = _section(cfg, "density", required=True)
-        blocks = _require(dspec, "blocks", list)
-        segs = [(float(lo), float(hi)) for lo, hi, *_ in blocks]
-        heights = [float(b[2]) if len(b) > 2 else 1.0 for b in blocks]
-        density = PiecewiseDensity(
-            [Segment(lo, hi, h) for (lo, hi), h in zip(segs, heights)]
-        )
-        ps = build_particles(density, n)
-        u0_spec = cfg.get("u0", 0.0)
-        if isinstance(u0_spec, list):
-            u0 = np.asarray(u0_spec, dtype=float)
-            if u0.size != n:
-                raise ConfigError("u0 list must have length n")
-        else:
-            u0 = np.full(n, float(u0_spec))
-        force = _build_force(_section(cfg, "force", required=True))
-
+    ps, u0, force, two_block = builder(cfg, n)
     return RunSetup(
         scenario=scenario,
         ps=ps,
@@ -298,41 +299,32 @@ def _check_exclusion(state: SimState, field: EulerianField) -> float:
     return report.max_residual
 
 
-def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter) -> float:
+def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter,
+                errors: dict[str, ErrorReport]) -> float:
+    """Write an output state, record its error norms against the exact
+    solution where there is one, and return its exclusion residual."""
     t = state.t
     lag.write(state.n, [t, np.arange(state.n), state.x, state.u, state.gamma])
     field = reconstruct(state, setup.ps)
     eul.write(field.n_samples, [t, field.x, field.rho, field.u, field.gamma, field.rho_star])
-    return _check_exclusion(state, field)
-
-
-def _emit_output(
-    setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter,
-    errors: dict[str, ErrorReport],
-) -> float:
-    """Write an output state, record its error norms against the exact
-    solution where there is one, and return its exclusion residual."""
-    residual = _emit_state(setup, state, lag, eul)
+    residual = _check_exclusion(state, field)
     if setup.two_block is not None:
-        exact = two_block_exact(setup.two_block, setup.ps, state.t)
-        errors[_fmt(state.t)] = error_norms(state, exact, setup.ps.masses)
+        exact = two_block_exact(setup.two_block, setup.ps, t)
+        errors[_fmt(t)] = error_norms(state, exact, setup.ps.masses)
     return residual
+
+
+def _writer(setup: RunSetup, kind: str, columns: list[str]) -> _RecordWriter:
+    ext = "csv" if setup.out_format == "csv" else "jsonl"
+    return _RecordWriter(setup.out_prefix.with_suffix(f".{kind}.{ext}"), columns, setup.out_format)
 
 
 def run_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     n = setup.ps.n
     tracker = ContactTracker((n // 2 - 1, n // 2)) if n >= 2 else None
-    lag = _RecordWriter(
-        setup.out_prefix.with_suffix(".lagrangian." + _ext(setup)),
-        ["t", "i", "x", "u", "gamma"],
-        setup.out_format,
-    )
-    eul = _RecordWriter(
-        setup.out_prefix.with_suffix(".eulerian." + _ext(setup)),
-        ["t", "x", "rho", "u", "gamma", "rho_star"],
-        setup.out_format,
-    )
+    lag = _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"])
+    eul = _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"])
     max_gamma = -np.inf
     min_slack = np.inf
     max_exclusion = 0.0
@@ -352,7 +344,7 @@ def run_command(config_path: str) -> int:
             for j, k in enumerate(win.step_index.tolist()):
                 if k in setup.output_steps:
                     max_exclusion = max(
-                        max_exclusion, _emit_output(setup, win.row(j), lag, eul, errors)
+                        max_exclusion, _emit_state(setup, win.row(j), lag, eul, errors)
                     )
             del win  # one window in memory at a time
     finally:
@@ -388,10 +380,6 @@ def run_command(config_path: str) -> int:
     return EXIT_OK
 
 
-def _ext(setup: RunSetup) -> str:
-    return "csv" if setup.out_format == "csv" else "jsonl"
-
-
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     state = init_state(setup.ps, setup.u0)
@@ -407,11 +395,7 @@ def oracle_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     if setup.two_block is None:
         raise ConfigError("oracle output exists only for the two-block scenario")
-    out = _RecordWriter(
-        setup.out_prefix.with_suffix(".oracle." + _ext(setup)),
-        ["t", "i", "x", "u", "gamma"],
-        setup.out_format,
-    )
+    out = _writer(setup, "oracle", ["t", "i", "x", "u", "gamma"])
     try:
         for idx in sorted(setup.output_steps):
             t = setup.output_steps[idx]

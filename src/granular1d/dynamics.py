@@ -76,13 +76,15 @@ def two_block_force(alpha: float, t_star: float) -> ForceField:
 def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence[float]) -> ForceField:
     """Piecewise-constant-in-x force, constant in time.
 
-    ``values`` has one more entry than ``breakpoints``; value[k] applies
-    on [breakpoints[k-1], breakpoints[k]).
+    ``values`` has one more entry than the nondecreasing ``breakpoints``;
+    value[k] applies on [breakpoints[k-1], breakpoints[k]).  All finite.
     """
     bp = np.asarray(breakpoints, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if vals.size != bp.size + 1:
-        raise ValueError("need len(values) == len(breakpoints) + 1")
+    if bp.ndim != 1 or vals.shape != (bp.size + 1,):
+        raise ValueError("need 1-D breakpoints and len(values) == len(breakpoints) + 1")
+    if not (np.isfinite(bp).all() and np.isfinite(vals).all() and np.all(np.diff(bp) >= 0)):
+        raise ValueError("breakpoints must be finite and nondecreasing, values finite")
 
     def f(t, x):
         return vals[np.searchsorted(bp, x, side="right")]

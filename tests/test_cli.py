@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -210,6 +211,7 @@ def test_output_time_off_grid_exit_2(tmp_path):
 
 
 _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -0.3]})
+_CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
 
 
 @pytest.mark.parametrize(
@@ -242,6 +244,19 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
         dict(dt=True, output_times=[0.0, 1.0]),
         dict(t_end=True, output_times=[0.0]),
         dict(force={"alpha": 0.5, "t_star": True}),
+        dict(scenario="heterogeneous", fill=True),
+        dict(scenario="heterogeneous", fill="0.5"),
+        dict(scenario="heterogeneous", constraint={"amplitude": True}),
+        dict(_CUSTOM_UNIT, u0=True),
+        dict(_CUSTOM, density={"blocks": [[0.0, 1.0, True]]}),
+        dict(blocks={"a1": "-1.1024"}),
+        dict(_CUSTOM_UNIT, force={"breakpoints": [0.5], "values": ["1", -0.5]}),
+        dict(output_times=[True]),
+        dict(_CUSTOM_UNIT, force={"breakpoints": [0.8, 0.2], "values": [1, 0, -1]}),
+        dict(_CUSTOM_UNIT, u0=float("nan")),
+        dict(_CUSTOM, density={"blocks": []}),
+        dict(_CUSTOM, density={"blocks": [[0, 1, 0.0]]}),
+        dict(_CUSTOM_UNIT, force={"breakpoints": 0.5, "values": [0.5, -0.5]}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -249,13 +264,71 @@ _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -
          "unknown-key-tolerances", "unknown-key-t-star", "unknown-key-in-force",
          "unknown-key-in-output", "two-block-u0", "two-block-fill", "two-block-density",
          "two-block-constraint", "two-block-piecewise-force", "heterogeneous-u0",
-         "heterogeneous-blocks", "bool-n", "bool-dt", "bool-t-end", "bool-t-star"],
+         "heterogeneous-blocks", "bool-n", "bool-dt", "bool-t-end", "bool-t-star",
+         "bool-fill", "string-fill", "bool-amplitude", "bool-u0", "bool-height",
+         "string-block-edge", "string-force-value", "bool-output-time",
+         "unsorted-breakpoints", "nan-u0", "empty-density", "zero-mass-density",
+         "scalar-breakpoints"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+def _numeric_leaves(node, path=()):
+    """The key path of every number in a config, list entries included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, val in items for leaf in _numeric_leaves(val, path + (key,))]
+
+
+def _leaf_configs():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("twoblock.yaml", "heterogeneous.yaml"):
+        yield name, yaml.safe_load((configs / name).read_text(encoding="utf-8"))
+    base = dict(n=4, dt=0.01, t_end=0.1, output_times=[0.0, 0.1], output={"path": "out/leaf"})
+    yield "two-block-blocks", dict(
+        base, scenario="two-block", force={"alpha": 0.5, "t_star": 1.0},
+        blocks={"a1": -1.1, "b1": -0.1, "a2": 0.1, "b2": 1.1},
+    )
+    yield "custom-list-u0", dict(
+        base, scenario="custom", density={"blocks": [[0.0, 1.0, 0.5], [1.5, 2]]},
+        u0=[0.1, 0, -0.1, 0.2], force={"breakpoints": [0.5, 1], "values": [0.3, 0, -0.3]},
+    )
+
+
+_LEAVES = [(name, cfg, path) for name, cfg in _leaf_configs() for path in _numeric_leaves(cfg)]
+
+
+@pytest.mark.parametrize(
+    "cfg, path", [(cfg, path) for _, cfg, path in _LEAVES],
+    ids=[f"{name}:{'.'.join(map(str, path))}" for name, _, path in _LEAVES],
+)
+def test_every_numeric_config_value_is_checked(tmp_path, capsys, cfg, path):
+    # each number, in turn, replaced by a value that is not a finite
+    # number, or by a list where a number belongs, is a config error
+    config = tmp_path / "leaf.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["validate", str(config)]) == EXIT_OK
+    for bad in (True, "1", float("nan"), float("inf"), [1.0]):
+        config.write_text(yaml.safe_dump(_replace_leaf(cfg, path, bad)), encoding="utf-8")
+        assert main(["validate", str(config)]) == EXIT_CONFIG, bad
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def _replace_leaf(cfg: dict, path: tuple, value) -> dict:
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
 
 
 @pytest.mark.parametrize("name", ["twoblock.yaml", "heterogeneous.yaml"])

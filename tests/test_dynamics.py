@@ -19,6 +19,7 @@ from granular1d import (
     check_state,
     init_state,
     picard_solve,
+    piecewise_constant_force,
     project_monotone,
     run_simulation,
     step,
@@ -363,3 +364,21 @@ def test_two_block_force_branches():
     # reversal applies from t_star on
     assert f(1.0, x) == pytest.approx([-0.5, 0.5])
     assert f(2.0, x) == pytest.approx([-0.5, 0.5])
+
+
+def test_piecewise_constant_force_tied_breakpoints():
+    f = piecewise_constant_force([0.5, 0.5], [1.0, 2.0, 3.0])
+    assert list(f(0.0, np.array([0.0, 0.5, 1.0]))) == [1.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values",
+    [([0.8, 0.2], [1.0, 0.0, -1.0]), ([np.nan], [0.5, -0.5]), ([np.inf], [0.5, -0.5]),
+     ([0.5], [np.inf, -0.5]), (0.5, [0.5, -0.5]), ([0.5], [[0.5], [-0.5]]),
+     ([0.5], [0.5])],
+    ids=["unsorted", "nan-cut", "infinite-cut", "infinite-value", "scalar-cut",
+         "nested-values", "too-few-values"],
+)
+def test_piecewise_constant_force_rejects_unevaluable_cuts(breakpoints, values):
+    with pytest.raises(ValueError):
+        piecewise_constant_force(breakpoints, values)
