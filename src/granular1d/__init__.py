@@ -39,7 +39,6 @@ from .eulerian import EulerianField, ExclusionReport, check_exclusion, reconstru
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import (
     BlockPartition,
-    MonotoneMap,
     ParticleSystem,
     build_particles,
     oracle_qp_projection,
@@ -70,7 +69,6 @@ __all__ = [
     "ForceField",
     "Granular1dError",
     "InvariantViolation",
-    "MonotoneMap",
     "OracleLimitError",
     "ParticleSystem",
     "PicardOptions",

@@ -223,6 +223,8 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
 
     out_cfg = _section(cfg, "output", ("path", "format"))
     prefix = Path(out_cfg.get("path", Path(config_path).stem))
+    if not prefix.name:  # "", "." or "/": nothing to add the record suffixes to
+        raise ConfigError("output.path must name a file")
     outdir = os.environ.get(_ENV_OUTDIR)
     if outdir:
         prefix = Path(outdir) / prefix.name

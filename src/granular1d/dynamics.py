@@ -221,7 +221,7 @@ def _new_state(
         t=t,
         step_index=step_index,
         u_free=u_free,
-        x=ps.packed.values + s,
+        x=ps.packed + s,
         u=u,
         gamma=adhesion_potential(u, u_free, ps.masses),
         blocks=blocks,
@@ -251,7 +251,7 @@ def _tangent_velocity(
     for lo, hi in (b for b, v in zip(pos_blocks, varies.tolist()) if v):
         sl = slice(lo, hi + 1)
         fit, sub = project_monotone(u0[sl], masses[sl])
-        u[sl] = fit.values
+        u[sl] = fit
         survivors.extend((lo + a, lo + b) for a, b in sub)
     return u, BlockPartition(sorted(survivors))
 
@@ -270,9 +270,9 @@ def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
         raise ValueError("u0 must match the particle count")
     if not np.all(np.isfinite(u0)):
         raise ValueError("non-finite initial velocity")
-    s, pos_blocks = project_monotone(ps.positions - ps.packed.values, ps.masses)
+    s, pos_blocks = project_monotone(ps.positions - ps.packed, ps.masses)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
-    return _new_state(ps, 0.0, 0, s.values, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
+    return _new_state(ps, 0.0, 0, s, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
 
 
 def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSystem) -> SimState:
@@ -288,10 +288,12 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     fval = force(state.t, state.x)
     force_sum = state.force_sum + fval
     u_free = state.u_init + dt * force_sum
-    s, blocks = project_monotone(state.s + dt * u_free, masses)
+    z = state.s + dt * u_free
+    # a free path that overflowed is left unprojected for the gate to name
+    s, blocks = project_monotone(z, masses) if np.isfinite(z).all() else (z, BlockPartition())
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
-    return _new_state(ps, k * dt, k, s.values, u_free, u, blocks, force_sum, state.u_init)
+    return _new_state(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init)
 
 
 def position_tol(x: np.ndarray) -> float | np.ndarray:
@@ -303,23 +305,24 @@ def position_tol(x: np.ndarray) -> float | np.ndarray:
 def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     """Return the state carrying its measured ``slack`` (the same object
     if it already does), or raise InvariantViolation (with its time and
-    step) unless it satisfies the structural invariants: feasibility of
-    x, exact block-constancy of u, nonpositive gamma vanishing at block
-    right edges and globally, and momentum balance.
+    step) unless it satisfies the structural invariants: finite fields,
+    feasibility of x, exact block-constancy of u, nonpositive gamma
+    vanishing at block right edges and globally, and momentum balance.
 
     A state is checked as a one-row window, and a window row by row: the
     error names the first failing row's first failing check, with that
     row's time and step.
 
-    This is the package's one tolerance policy: gaps are compared at
-    ``position_tol(x)``; gamma's sign at 1e-10, and its edge values and
-    the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
+    This is the package's one tolerance policy: non-finite fields fail
+    first; gaps are compared at ``position_tol(x)``; gamma's sign at
+    1e-10, and its edge values and the momentum drift at 1e-12, times
+    max(1, M * max(1, max|u_free|)).
     """
     win = state.as_window()
     x, u, u_free, gamma, blocks = win.x, win.u, win.u_free, win.gamma, win.blocks
 
     gaps = np.diff(x)
-    gaps -= ps.packed.gaps()
+    gaps -= np.diff(ps.packed)
     slack = gaps.min(axis=-1, initial=np.inf)
 
     labels = blocks.labels(x.shape[-1])
@@ -332,10 +335,15 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     total = np.abs(gamma[..., -1])
     edges = np.abs(gamma[..., blocks.hi])
     drift = np.abs(u @ ps.masses - u_free @ ps.masses)
+    tol = position_tol(x)
+    # a NaN or an infinity in x, u_free, u or gamma reaches one of these
+    # reductions; each is tested on its own, as a sum of them may overflow
+    finite = np.isfinite(np.array((tol, umax, drift, top, gamma.min(axis=-1)))).all(axis=0)
 
     # (name, failed per row, magnitude per row, message), in reporting order
     checks = [
-        ("feasibility", slack < -position_tol(x), -slack, ""),
+        ("finite", ~finite, 0.0, "non-finite x, u, u_free or gamma"),
+        ("feasibility", slack < -tol, -slack, ""),
         ("block_velocity_constant", ((u[..., :-1] != u[..., 1:]) & inside).any(axis=-1),
          0.0, "u not constant on a block"),
         ("free_velocity_off_blocks", ((u != u_free) & (labels < 0)).any(axis=-1),
@@ -421,7 +429,7 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
     kept = rows if ok.all() else int(np.argmin(ok))
     steps = state.step_index + np.arange(1, kept + 1)
     t = steps * dt
-    x = ps.packed.values + s[:kept]
+    x = ps.packed + s[:kept]
     for j in range(kept - 1):  # (a)
         if not np.array_equal(force(float(t[j]), x[j]), f):
             kept = j + 1
@@ -555,7 +563,7 @@ def picard_solve(
     state0 = init_state(ps, u0)
     u0 = state0.u_init
     m = ps.masses
-    packed = ps.packed.values
+    packed = ps.packed
     n_steps = cfg.n_steps
     dt = cfg.dt
     times = np.arange(n_steps + 1) * dt
@@ -578,7 +586,7 @@ def picard_solve(
         for j in range(1, n_steps + 1):
             path = path + dt * ufree[j]
             fit, blocks = project_monotone(path, m)
-            s_new[j] = fit.values
+            s_new[j] = fit
             blocks_list.append(blocks)
         return s_new, blocks_list, ufree
 

@@ -74,7 +74,7 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
         return EulerianField(xs, rho, us, gs, widths, star)
 
     gaps = np.diff(x)
-    packed = ps.packed.gaps()
+    packed = np.diff(ps.packed)
     if np.any(gaps <= 0):
         raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
                                  "invalid transport: coincident particle positions",

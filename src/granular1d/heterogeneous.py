@@ -46,7 +46,7 @@ def build_ratio_system(
             raise ValueError("density exceeds the maximal density rho_star0")
     base = build_particles(PiecewiseDensity(ratio_segments), n)
     ps = ParticleSystem(base.positions, base.masses, rho_star0(base.positions))
-    slack = np.diff(ps.positions) - ps.packed.gaps()
+    slack = np.diff(ps.positions) - np.diff(ps.packed)
     if float(np.min(slack, initial=0.0)) < -position_tol(ps.positions):
         raise ValueError("initial data violates the ratio bound r <= 1")
     return ps

@@ -37,10 +37,11 @@ class ParticleSystem:
     of a run.
 
     ``total_mass`` is always the exact float sum of ``masses``.
-    ``packed`` is the maximal-compression rearrangement, the unit-density
-    interval of length ``total_mass`` centered at the center of mass,
-    with particle i at the midpoint of its own mass cell; its gaps
-    (m_i + m_{i+1})/2 are the lower bounds of the admissible cone.
+    ``packed`` is the maximal-compression rearrangement, a read-only
+    nondecreasing array: the unit-density interval of length
+    ``total_mass`` centered at the center of mass, with particle i at the
+    midpoint of its own mass cell; its gaps (m_i + m_{i+1})/2 are the
+    lower bounds of the admissible cone.
     ``rho_star`` is the maximal density each particle carries along its
     trajectory, or None for the homogeneous bound rho <= 1.
     """
@@ -49,7 +50,7 @@ class ParticleSystem:
     masses: np.ndarray
     rho_star: np.ndarray | None = None
     total_mass: float = field(init=False)
-    packed: MonotoneMap = field(init=False)
+    packed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pos = _readonly(self.positions)
@@ -71,7 +72,9 @@ class ParticleSystem:
             object.__setattr__(self, "rho_star", star)
         total = float(np.sum(m))
         center = float(np.dot(m, pos)) / total
-        packed = MonotoneMap((center - total / 2) + (np.cumsum(m) - m) + m / 2)
+        packed = _readonly((center - total / 2) + (np.cumsum(m) - m) + m / 2)
+        if np.any(np.diff(packed) < 0):
+            raise ValueError("packed map decreases by rounding; masses too disparate")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "total_mass", total)
@@ -80,30 +83,6 @@ class ParticleSystem:
     @property
     def n(self) -> int:
         return self.positions.size
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A nondecreasing vector over the particle index set."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a 1D vector, N >= 1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite values")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("values must be nondecreasing")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.values)
 
 
 class BlockPartition:
@@ -245,7 +224,7 @@ def _validate_projection_args(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
 _CHAIN_ROUNDS = 16
 
 
-def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[MonotoneMap, BlockPartition]:
+def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPartition]:
     """Weighted L2 projection onto the cone of nondecreasing vectors.
 
     Pool-adjacent-violators on groups of particles: runs of exactly equal
@@ -264,7 +243,7 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[MonotoneMap, BlockPa
     z, w = _validate_projection_args(z, w)
     n = z.size
     if n == 1:
-        return MonotoneMap(z), BlockPartition()
+        return z.copy(), BlockPartition()
 
     # run-length compression of exact ties
     starts = np.concatenate([[0], np.flatnonzero(np.diff(z) != 0) + 1])
@@ -292,7 +271,7 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[MonotoneMap, BlockPa
     lengths = np.diff(bounds)
     big = lengths >= 2
     blocks = BlockPartition.from_bounds(bounds[:-1][big], bounds[1:][big] - 1)
-    return MonotoneMap(np.repeat(means, lengths)), blocks
+    return np.repeat(means, lengths), blocks
 
 
 def _pool_scan(
@@ -322,25 +301,25 @@ def _pool_scan(
 
 
 def project_admissible(
-    z: np.ndarray, xtil: MonotoneMap, w: np.ndarray
-) -> tuple[MonotoneMap, BlockPartition]:
+    z: np.ndarray, xtil: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, BlockPartition]:
     """Weighted L2 projection onto the shifted cone {xtil + nondecreasing}.
 
     Membership encodes the density bound: output gaps are at least the
     gaps of ``xtil``.  The pooled groups of the inner isotonic fit are
     the congested zones (gap exactly equal to the packed gap).
     """
-    z, w = _validate_projection_args(z, w)
-    if z.shape != xtil.values.shape:
+    xtil = np.asarray(xtil, dtype=float)
+    if np.shape(z) != xtil.shape:
         raise ValueError("z and xtil must have equal length")
-    inner, blocks = project_monotone(z - xtil.values, w)
-    return MonotoneMap(xtil.values + inner.values), blocks
+    inner, blocks = project_monotone(z - xtil, w)
+    return xtil + inner, blocks
 
 
 _ORACLE_MAX_N = 12
 
 
-def oracle_qp_projection(z: np.ndarray, xtil: MonotoneMap, w: np.ndarray) -> np.ndarray:
+def oracle_qp_projection(z: np.ndarray, xtil: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact constrained minimizer by exhaustive active-set enumeration.
 
     Solves min sum w_i (x_i - z_i)^2 subject to the n-1 gap constraints
@@ -353,11 +332,12 @@ def oracle_qp_projection(z: np.ndarray, xtil: MonotoneMap, w: np.ndarray) -> np.
     n = z.size
     if n > _ORACLE_MAX_N:
         raise OracleLimitError(f"oracle limit: n={n} > {_ORACLE_MAX_N}")
-    g = xtil.gaps()
+    xtil = np.asarray(xtil, dtype=float)
+    g = np.diff(xtil)
     if n == 1:
         return z.copy()
 
-    scale = max(1.0, float(np.max(np.abs(z))), float(np.max(np.abs(xtil.values))))
+    scale = max(1.0, float(np.max(np.abs(z))), float(np.max(np.abs(xtil))))
     feas_tol = 1e-9 * scale
     dual_tol = 1e-9 * scale
     twow = 2.0 * w

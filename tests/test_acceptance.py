@@ -79,7 +79,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
         x = st.x
         scale = max(1.0, float(np.max(np.abs(x))))
         inv["slack_min"] = min(
-            inv["slack_min"], float(np.min(np.diff(x) - xtil.gaps())) / scale
+            inv["slack_min"], float(np.min(np.diff(x) - np.diff(xtil))) / scale
         )
         inv["gamma_max"] = max(inv["gamma_max"], float(np.max(st.gamma)))
         edge = abs(float(st.gamma[-1]))
@@ -140,7 +140,7 @@ def test_criterion_1_projection_oracle_equivalence():
         z, xtil, w = random_projection_instance(rng, n)
         x, _ = project_admissible(z, xtil, w)
         ref = oracle_qp_projection(z, xtil, w)
-        worst = max(worst, float(np.max(np.abs(x.values - ref))))
+        worst = max(worst, float(np.max(np.abs(x - ref))))
     elapsed = time.monotonic() - t0
     _report(
         "1 projection-oracle equivalence",
@@ -224,7 +224,7 @@ def test_criterion_4_projection_contraction():
         p2, _ = project_admissible(z2, xtil, w)
         worst = max(
             worst,
-            weighted_norm(p1.values - p2.values, w) - weighted_norm(z1 - z2, w),
+            weighted_norm(p1 - p2, w) - weighted_norm(z1 - z2, w),
         )
     _report("4 projection contraction", worst <= 1e-12, f"max excess {worst:.2e}")
 
@@ -278,7 +278,7 @@ def test_criterion_7_heterogeneous_run():
     rho_over = -np.inf
     centered = {0.5: False, 0.8: False}
     for st in run_simulation(rs, np.zeros(n), force, cfg):
-        slack_min = min(slack_min, float(np.min(np.diff(st.x) - rs.packed.gaps())))
+        slack_min = min(slack_min, float(np.min(np.diff(st.x) - np.diff(rs.packed))))
         if st.step_index in (500, 800):
             field = reconstruct(st, rs)
             rho_over = max(rho_over, float(np.max(field.rho - field.rho_star)))

@@ -257,6 +257,9 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(_CUSTOM, density={"blocks": []}),
         dict(_CUSTOM, density={"blocks": [[0, 1, 0.0]]}),
         dict(_CUSTOM_UNIT, force={"breakpoints": 0.5, "values": [0.5, -0.5]}),
+        dict(output={"path": ""}),
+        dict(output={"path": "."}),
+        dict(output={"path": "/"}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -268,7 +271,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "bool-fill", "string-fill", "bool-amplitude", "bool-u0", "bool-height",
          "string-block-edge", "string-force-value", "bool-output-time",
          "unsorted-breakpoints", "nan-u0", "empty-density", "zero-mass-density",
-         "scalar-breakpoints"],
+         "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -337,6 +340,16 @@ def test_shipped_configs_validate(name):
     assert main(["validate", str(config)]) == EXIT_OK
 
 
+def test_readme_library_example_runs():
+    # the documented library example runs against the public API as it is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(code, "README.md#library", "exec"), scope)
+    assert scope["field"].n_samples == scope["ps"].n + 1
+
+
 def test_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     # an unsatisfiable exclusion gate makes every sample an offender,
     # driving the invariant-breach exit path
@@ -349,6 +362,23 @@ def test_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     assert err["check"] == "exclusion"
     assert err["t"] == 1.0
     assert err["step"] == 250
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_overflowing_run_exits_3(tmp_path, capsys):
+    # the force sums overflow at step 2; the free path is then infinite,
+    # and the gate names it with the failing time and step
+    cfg = write_config(
+        tmp_path / "big.yaml", scenario="custom", n=20, dt=0.5, t_end=5.0, output_times=[0.0],
+        density={"blocks": [[0, 1]]}, force={"breakpoints": [0.5], "values": [1.0e308, -1.0e308]},
+    )
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
+    assert (err["error"], err["check"]) == ("invariant", "finite")
+    assert (err["t"], err["step"]) == (1.0, 2)
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

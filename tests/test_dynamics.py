@@ -90,7 +90,7 @@ def test_adhesion_vanishes_at_block_edges():
 
 # Each case corrupts one field of a valid packed three-particle state at
 # rest (blocks ((0, 2),), u = u_free = gamma = 0) so that exactly the
-# named check is the first to fail.
+# named check (the case up to any ":") is the first to fail.
 _BAD_STATES = {
     "feasibility": dict(x=np.array([0.0, 0.25, 0.5])),
     "block_velocity_constant": dict(u=np.array([1.0, 0.0, 0.0])),
@@ -104,6 +104,11 @@ _BAD_STATES = {
     ),
     "momentum_balance": dict(u=np.ones(3)),
 }
+# a NaN or an infinity in any field fails "finite" before any other check
+_BAD_STATES.update(
+    (f"finite:{field}={bad}", {field: np.array([0.0, bad, 1.0 if field == "x" else 0.0])})
+    for field in ("x", "u", "u_free", "gamma") for bad in (np.nan, np.inf, -np.inf)
+)
 
 
 @pytest.mark.parametrize("check", sorted(_BAD_STATES))
@@ -115,8 +120,9 @@ def test_check_state_names_each_violation(check):
     bad = replace(good, t=0.75, step_index=3, **_BAD_STATES[check])
     with pytest.raises(InvariantViolation) as err:
         check_state(bad, ps)
-    assert err.value.check == check
+    assert err.value.check == check.partition(":")[0]
     assert (err.value.t, err.value.step) == (0.75, 3)
+    assert np.isfinite(err.value.value)  # the exit-3 JSON stays strict
 
 
 # ---------------------------------------------------------------- init_state
@@ -170,7 +176,7 @@ def test_init_projects_only_zones_with_varying_velocity(two_block_params, monkey
         return project(z, w)
 
     ps = two_block_params.build(2000)
-    _, zones = project(ps.positions - ps.packed.values, ps.masses)
+    _, zones = project(ps.positions - ps.packed, ps.masses)
     monkeypatch.setattr(dynamics, "project_monotone", spy)
     st = init_state(ps, np.zeros(2000))
     assert calls == [2000]
@@ -183,13 +189,13 @@ def test_init_tangent_velocity_matches_per_zone_projection():
     positions = np.array([0.0, 0.5, 1.0, 3.0, 3.5, 4.0, 7.0, 7.5, 8.0])
     ps = ParticleSystem(positions, np.full(9, 0.5))
     u0 = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0])
-    _, zones = project_monotone(ps.positions - ps.packed.values, ps.masses)
+    _, zones = project_monotone(ps.positions - ps.packed, ps.masses)
     assert zones.blocks == ((0, 2), (3, 5), (6, 8))
     u = u0.copy()
     survivors = []
     for lo, hi in zones:
         fit, sub = project_monotone(u0[lo:hi + 1], ps.masses[lo:hi + 1])
-        u[lo:hi + 1] = fit.values
+        u[lo:hi + 1] = fit
         survivors.extend((lo + a, lo + b) for a, b in sub)
     st = init_state(ps, u0)
     assert np.array_equal(st.u, u)
@@ -272,7 +278,7 @@ def test_invariants_along_two_block_run(two_block_params, small_two_block):
     prev = None
     for st in run_simulation(ps, np.zeros(ps.n), two_block_params.force(), cfg):
         scale = max(1.0, np.max(np.abs(st.x)))
-        assert np.min(np.diff(st.x) - ps.packed.gaps()) >= -1e-12 * scale
+        assert np.min(np.diff(st.x) - np.diff(ps.packed)) >= -1e-12 * scale
         assert np.max(st.gamma) <= 1e-10
         assert abs(np.dot(m, st.u) - np.dot(m, st.u_free)) <= 1e-12 * ps.total_mass
         if prev is not None:

@@ -33,8 +33,8 @@ def test_build_ratio_system_section6():
     assert rs.positions[0] == pytest.approx(0.0005, abs=1e-6)
     assert rs.positions[-1] == pytest.approx(0.9995, abs=1e-6)
     # packed rearrangement of the ratio measure fills [0.1, 0.9]
-    assert rs.packed.values[0] == pytest.approx(0.1 + 8e-4 / 2, abs=1e-6)
-    assert rs.packed.values[-1] == pytest.approx(0.9 - 8e-4 / 2, abs=1e-6)
+    assert rs.packed[0] == pytest.approx(0.1 + 8e-4 / 2, abs=1e-6)
+    assert rs.packed[-1] == pytest.approx(0.9 - 8e-4 / 2, abs=1e-6)
     assert rs.rho_star == pytest.approx(
         1 + 0.2 * (1 - np.cos(2 * np.pi * (rs.positions - 0.5)))
     )
@@ -91,7 +91,7 @@ def test_ratio_bound_along_run():
     rs = build_ratio_system(section6_density(star=star), star, 200)
     cfg = StepperConfig(dt=2e-3, t_end=0.6)
     for st in run_simulation(rs, np.zeros(200), section6_force(), cfg):
-        slack = np.diff(st.x) - rs.packed.gaps()
+        slack = np.diff(st.x) - np.diff(rs.packed)
         assert slack.min() >= -1e-12  # r <= 1 + 1e-12 in gap form
 
 

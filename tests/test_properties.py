@@ -102,7 +102,7 @@ def test_unequal_masses_two_body_collision_velocity():
     assert st.blocks.blocks == ((0, 1),)
     assert st.u == pytest.approx([0.25, 0.25])
     # gap pinned at the packed value (m1 + m2)/2
-    assert np.diff(st.x) == pytest.approx(ps.packed.gaps())
+    assert np.diff(st.x) == pytest.approx(np.diff(ps.packed))
 
 
 def test_picard_flags_adhesion_sign_past_release():

@@ -3,7 +3,6 @@ import pytest
 
 from granular1d import (
     BlockPartition,
-    MonotoneMap,
     OracleLimitError,
     ParticleSystem,
     PiecewiseDensity,
@@ -42,17 +41,20 @@ def test_particle_system_validation():
     carried = ParticleSystem(np.array([0.0, 1.0]), np.array([0.5, 0.5]), star)
     star[0] = 5.0  # the system keeps its own copy
     assert carried.rho_star.tolist() == [1.0, 2.0]
-    for frozen in (carried.rho_star, carried.packed.values):
+    for frozen in (carried.rho_star, carried.packed):
         with pytest.raises(ValueError):
             frozen[0] = 0.0
 
 
-def test_monotone_map_validation():
-    MonotoneMap(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        MonotoneMap(np.array([0.0, -1e-15]))
-    with pytest.raises(ValueError):
-        MonotoneMap(np.array([0.0, np.inf]))
+def test_particle_system_rejects_decreasing_packed_map():
+    # disparate masses whose packed map decreases by one rounding step
+    # between the last two particles
+    m = [0.7366296896391183, 2.7052781153323467e-15, 0.0060577826135551,
+         0.39522003550412277, 4.726374099776117e-16, 1.1297420716733437e-16]
+    pos = [-3.8643243051398204, -2.2065605349654436, -0.877923884371152,
+           -0.7935785035176955, 1.0244212226829736, 1.4596746397753149]
+    with pytest.raises(ValueError, match="packed"):
+        ParticleSystem(np.array(pos), np.array(m))
 
 
 def test_block_partition_validation():
@@ -115,23 +117,23 @@ def test_build_particles_errors():
 def test_congested_transport_unit_block_is_fixed_point():
     ps = build_particles(uniform_blocks([(0.0, 1.0)]), 2)
     xt = ps.packed
-    assert xt.values == pytest.approx([0.25, 0.75])
+    assert xt == pytest.approx([0.25, 0.75])
 
 
 def test_congested_transport_two_far_particles():
     ps = ParticleSystem(np.array([-10.0, 10.0]), np.array([0.5, 0.5]))
     xt = ps.packed
-    assert xt.values == pytest.approx([-0.25, 0.25])
+    assert xt == pytest.approx([-0.25, 0.25])
 
 
 def test_congested_transport_two_block_span(two_block_params):
     ps = two_block_params.build(2000)
     xt = ps.packed
-    lo = xt.values[0] - ps.masses[0] / 2
-    hi = xt.values[-1] + ps.masses[-1] / 2
+    lo = xt[0] - ps.masses[0] / 2
+    hi = xt[-1] + ps.masses[-1] / 2
     assert hi - lo == pytest.approx(ps.total_mass, rel=1e-12)
     assert (lo + hi) / 2 == pytest.approx(0.0, abs=1e-12)
-    assert np.diff(xt.values) == pytest.approx(np.full(1999, 1e-3))
+    assert np.diff(xt) == pytest.approx(np.full(1999, 1e-3))
 
 
 def test_congested_transport_gaps_and_translation():
@@ -140,9 +142,9 @@ def test_congested_transport_gaps_and_translation():
     m = rng.uniform(0.1, 1.0, 9)
     ps = ParticleSystem(pos, m)
     xt = ps.packed
-    assert xt.gaps() == pytest.approx((m[:-1] + m[1:]) / 2, rel=1e-12)
+    assert np.diff(xt) == pytest.approx((m[:-1] + m[1:]) / 2, rel=1e-12)
     shifted = ParticleSystem(pos + 5.0, m).packed
-    assert shifted.values == pytest.approx(xt.values + 5.0, rel=1e-12)
+    assert shifted == pytest.approx(xt + 5.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- project_monotone
@@ -150,31 +152,40 @@ def test_congested_transport_gaps_and_translation():
 
 def test_project_monotone_identity_on_sorted():
     fit, blocks = project_monotone(np.array([1.0, 2.0, 3.0]), np.ones(3))
-    assert fit.values == pytest.approx([1.0, 2.0, 3.0])
+    assert fit == pytest.approx([1.0, 2.0, 3.0])
     assert blocks.is_empty
+
+
+def test_project_monotone_returns_a_plain_array():
+    z = np.array([3.0])
+    fit, blocks = project_monotone(z, np.ones(1))
+    assert type(fit) is np.ndarray and fit.tolist() == [3.0] and blocks.is_empty
+    assert not np.shares_memory(fit, z)  # n = 1 is a copy, not the input
+    fit, _ = project_monotone(np.array([2.0, 1.0, 3.0]), np.ones(3))
+    assert type(fit) is np.ndarray and fit.dtype == float
 
 
 def test_project_monotone_two_point_pool():
     # brute force: constrained min of (2-a)^2 + (1-b)^2 over a <= b sits at a = b = 1.5
     fit, blocks = project_monotone(np.array([2.0, 1.0]), np.ones(2))
-    assert fit.values == pytest.approx([1.5, 1.5])
+    assert fit == pytest.approx([1.5, 1.5])
     assert blocks.blocks == ((0, 1),)
 
 
 def test_project_monotone_weighted_example():
     # enumeration over monotone partitions gives [5/3, 5/3, 2]
     fit, blocks = project_monotone(np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
-    assert fit.values == pytest.approx([5 / 3, 5 / 3, 2.0])
+    assert fit == pytest.approx([5 / 3, 5 / 3, 2.0])
     assert blocks.blocks == ((0, 1),)
 
 
 def test_project_monotone_pools_exact_ties():
     fit, blocks = project_monotone(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4))
-    assert fit.values == pytest.approx([0.0, 0.0, 1.0, 1.0])
+    assert fit == pytest.approx([0.0, 0.0, 1.0, 1.0])
     assert blocks.blocks == ((0, 1), (2, 3))
     # a pooled mean that ties the next value pools with it too
     fit, blocks = project_monotone(np.array([2.0, 0.0, 1.0]), np.ones(3))
-    assert fit.values.tolist() == [1.0, 1.0, 1.0]
+    assert fit.tolist() == [1.0, 1.0, 1.0]
     assert blocks.blocks == ((0, 2),)
 
 
@@ -189,13 +200,13 @@ def test_project_monotone_errors():
 
 def test_project_monotone_matches_enumeration_oracle():
     rng = np.random.default_rng(11)
-    flat = MonotoneMap(np.zeros(5))  # zero gaps: plain isotonic regression
+    flat = np.zeros(5)  # zero gaps: plain isotonic regression
     for _ in range(50):
         z = rng.normal(0, 1, 5)
         w = rng.uniform(0.1, 2.0, 5)
         fit, _ = project_monotone(z, w)
         ref = oracle_qp_projection(z, flat, w)
-        assert fit.values == pytest.approx(ref, abs=1e-10)
+        assert fit == pytest.approx(ref, abs=1e-10)
 
 
 def _stack_scan_reference(z, w):
@@ -229,12 +240,12 @@ def test_chain_pooling_agrees_with_oracle_on_ties():
         n = int(rng.integers(2, 13))
         z, w = _tie_heavy_instance(rng, n)
         gaps = rng.uniform(0.0, 1.0, n - 1) * (rng.random(n - 1) > 0.5)
-        xtil = MonotoneMap(np.concatenate([[0.0], np.cumsum(gaps)]))
+        xtil = np.concatenate([[0.0], np.cumsum(gaps)])
         x, _ = project_admissible(z, xtil, w)
         ref = oracle_qp_projection(z, xtil, w)
-        assert x.values == pytest.approx(ref, abs=1e-10)
-        scale = max(1.0, float(np.max(np.abs(x.values))))
-        assert np.min(np.diff(x.values) - xtil.gaps()) >= -1e-12 * scale
+        assert x == pytest.approx(ref, abs=1e-10)
+        scale = max(1.0, float(np.max(np.abs(x))))
+        assert np.min(np.diff(x) - np.diff(xtil)) >= -1e-12 * scale
 
 
 def test_chain_pooling_agrees_with_stack_scan():
@@ -248,13 +259,13 @@ def test_chain_pooling_agrees_with_stack_scan():
         fit, blocks = project_monotone(z, w)
         ref = _stack_scan_reference(z, w)
         scale = max(1.0, float(np.max(np.abs(z))))
-        assert np.max(np.abs(fit.values - ref)) <= 1e-12 * scale
-        assert np.all(np.diff(fit.values) >= 0)
+        assert np.max(np.abs(fit - ref)) <= 1e-12 * scale
+        assert np.all(np.diff(fit) >= 0)
         # pooled groups are exactly tied, and distinct groups are distinct values
         lab = blocks.labels(n)
         inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
-        assert np.all(np.diff(fit.values)[inside] == 0)
-        assert np.all(np.diff(fit.values)[~inside] > 0)
+        assert np.all(np.diff(fit)[inside] == 0)
+        assert np.all(np.diff(fit)[~inside] > 0)
 
 
 def test_staircase_drives_scan_fallback(monkeypatch):
@@ -271,7 +282,7 @@ def test_staircase_drives_scan_fallback(monkeypatch):
     fit, blocks = project_monotone(z, np.ones(k + 1))
     assert calls, "chain pooling finished a staircase without the scan"
     expected = (k * (k - 1) / 2 - k**2) / (k + 1)
-    assert fit.values == pytest.approx(np.full(k + 1, expected), rel=1e-12)
+    assert fit == pytest.approx(np.full(k + 1, expected), rel=1e-12)
     assert blocks.blocks == ((0, k),)
 
 
@@ -307,19 +318,19 @@ def test_partition_arrays_match_naive_definitions():
 
 
 def test_project_admissible_identity_when_feasible():
-    xtil = MonotoneMap(np.array([0.0, 1.0, 2.0]))
+    xtil = np.array([0.0, 1.0, 2.0])
     z = np.array([0.0, 1.5, 3.5])  # gaps 1.5 >= 1 everywhere
     x, blocks = project_admissible(z, xtil, np.ones(3))
-    assert x.values == pytest.approx(z)
+    assert x == pytest.approx(z)
     assert blocks.is_empty
 
 
 def test_project_admissible_two_particle_hand_check():
-    xtil = MonotoneMap(np.array([-0.25, 0.25]))
+    xtil = np.array([-0.25, 0.25])
     w = np.array([0.5, 0.5])
     x, blocks = project_admissible(np.array([0.2, -0.2]), xtil, w)
     # inner isotonic of [0.45, -0.45] pools to [0, 0]
-    assert x.values == pytest.approx([-0.25, 0.25])
+    assert x == pytest.approx([-0.25, 0.25])
     assert blocks.blocks == ((0, 1),)
 
 
@@ -330,26 +341,26 @@ def test_project_admissible_matches_qp_oracle_small():
         z, xtil, w = random_projection_instance(rng, n)
         x, _ = project_admissible(z, xtil, w)
         ref = oracle_qp_projection(z, xtil, w)
-        assert np.max(np.abs(x.values - ref)) < 1e-8
+        assert np.max(np.abs(x - ref)) < 1e-8
 
 
 # ---------------------------------------------------------------- oracle
 
 
 def test_oracle_returns_feasible_point_unchanged():
-    xtil = MonotoneMap(np.array([0.0, 0.5, 1.0]))
+    xtil = np.array([0.0, 0.5, 1.0])
     z = np.array([0.0, 0.7, 1.9])
     assert oracle_qp_projection(z, xtil, np.ones(3)) == pytest.approx(z)
 
 
 def test_oracle_two_point_pool():
-    flat = MonotoneMap(np.zeros(2))
+    flat = np.zeros(2)
     assert oracle_qp_projection(np.array([2.0, 1.0]), flat, np.ones(2)) == pytest.approx([1.5, 1.5])
 
 
 def test_oracle_size_limit():
     with pytest.raises(OracleLimitError):
-        oracle_qp_projection(np.zeros(13), MonotoneMap(np.arange(13.0)), np.ones(13))
+        oracle_qp_projection(np.zeros(13), np.arange(13.0), np.ones(13))
 
 
 # ---------------------------------------------------------------- invariants
@@ -361,8 +372,8 @@ def test_projection_idempotent():
         n = int(rng.integers(2, 12))
         z, xtil, w = random_projection_instance(rng, n)
         x, _ = project_admissible(z, xtil, w)
-        again, blocks = project_admissible(x.values, xtil, w)
-        assert again.values == pytest.approx(x.values, abs=1e-13)
+        again, blocks = project_admissible(x, xtil, w)
+        assert again == pytest.approx(x, abs=1e-13)
 
 
 def test_projection_contraction():
@@ -373,7 +384,7 @@ def test_projection_contraction():
         z2 = z1 + rng.normal(0, 1.5, n)
         p1, _ = project_admissible(z1, xtil, w)
         p2, _ = project_admissible(z2, xtil, w)
-        assert weighted_norm(p1.values - p2.values, w) <= weighted_norm(z1 - z2, w) + 1e-12
+        assert weighted_norm(p1 - p2, w) <= weighted_norm(z1 - z2, w) + 1e-12
 
 
 def test_block_mean_preservation():
@@ -385,7 +396,7 @@ def test_block_mean_preservation():
         fit, blocks = project_monotone(z, w)
         for lo, hi in blocks:
             sl = slice(lo, hi + 1)
-            assert np.dot(w[sl], fit.values[sl] - z[sl]) == pytest.approx(0.0, abs=1e-12)
+            assert np.dot(w[sl], fit[sl] - z[sl]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_feasibility_of_projection_output():
@@ -394,5 +405,5 @@ def test_feasibility_of_projection_output():
         n = int(rng.integers(2, 50))
         z, xtil, w = random_projection_instance(rng, n)
         x, _ = project_admissible(z, xtil, w)
-        scale = max(1.0, np.max(np.abs(x.values)))
-        assert np.min(np.diff(x.values) - xtil.gaps()) >= -1e-12 * scale
+        scale = max(1.0, np.max(np.abs(x)))
+        assert np.min(np.diff(x) - np.diff(xtil)) >= -1e-12 * scale
