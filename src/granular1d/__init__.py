@@ -12,7 +12,6 @@ release.
 from .density import PiecewiseDensity, Segment, uniform_blocks
 from .dynamics import (
     ForceField,
-    PicardOptions,
     PicardResult,
     SimState,
     StepperConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "InvariantViolation",
     "OracleLimitError",
     "ParticleSystem",
-    "PicardOptions",
     "PicardResult",
     "PiecewiseDensity",
     "Segment",

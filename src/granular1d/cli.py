@@ -424,7 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"run": run_command, "validate": validate_command, "oracle": oracle_command}
     try:
-        return handlers[args.command](args.config)
+        with np.errstate(over="ignore", invalid="ignore"):  # the gate names non-finite states
+            return handlers[args.command](args.config)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

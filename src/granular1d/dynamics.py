@@ -93,16 +93,6 @@ def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence[floa
 
 
 @dataclass(frozen=True)
-class PicardOptions:
-    max_iters: int = 30
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iters < 1 or not (self.tol > 0):
-            raise ValueError("need max_iters >= 1 and tol > 0")
-
-
-@dataclass(frozen=True)
 class StepperConfig:
     dt: float
     t_end: float
@@ -522,27 +512,20 @@ def run_simulation(
 
 @dataclass
 class PicardResult:
-    times: np.ndarray
     states: list[SimState]
-    sweeps: int
     residuals: list[float]
 
     @property
+    def sweeps(self) -> int:
+        return len(self.residuals)
+
+    @property
     def residual_ratios(self) -> list[float]:
-        out = []
-        for a, b in zip(self.residuals, self.residuals[1:]):
-            if a > 0:
-                out.append(b / a)
-        return out
+        return [b / a for a, b in zip(self.residuals, self.residuals[1:]) if a > 0]
 
 
-def picard_solve(
-    ps: ParticleSystem,
-    u0: np.ndarray,
-    force: ForceField,
-    cfg: StepperConfig,
-    options: PicardOptions = PicardOptions(),
-) -> PicardResult:
+def picard_solve(ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig,
+                 max_iters: int = 30, tol: float = 1e-12) -> PicardResult:
     """Solve the global fixed point on the uniform time grid.
 
     Each sweep integrates the force along the previous iterate
@@ -551,8 +534,9 @@ def picard_solve(
     time.  Convergence is measured in the exponentially weighted
     sup-in-time norm  max_t exp(-2 sqrt(k) t) ||X'_t - X_t||_w  with k
     the declared Lipschitz constant of the force, in which one sweep
-    contracts by at least 1/4 for Lipschitz forces.  The state at t=0
-    is ``init_state``'s, as for the marching stepper.
+    contracts by at least 1/4 for Lipschitz forces; the iteration stops
+    below ``tol`` or raises ConvergenceError after ``max_iters`` sweeps.
+    The state at t=0 is ``init_state``'s, as for the marching stepper.
 
     The accumulated-path formula coincides with the marching dynamics up
     to the first release event (a glued block whose adhesion potential
@@ -560,61 +544,43 @@ def picard_solve(
     derived adhesion potential turns positive, which ``check_state``
     raises as an InvariantViolation rather than silently accepting.
     """
+    if max_iters < 1 or not tol > 0:
+        raise ValueError("need max_iters >= 1 and tol > 0")
     state0 = init_state(ps, u0)
-    u0 = state0.u_init
-    m = ps.masses
-    packed = ps.packed
-    n_steps = cfg.n_steps
-    dt = cfg.dt
+    m, dt, n_steps = ps.masses, cfg.dt, cfg.n_steps
     times = np.arange(n_steps + 1) * dt
-    k = max(0.0, force.lipschitz_k)
-    decay = np.exp(-2.0 * np.sqrt(k) * times)
-    z0 = ps.positions - packed
+    decay = np.exp(-2.0 * np.sqrt(max(0.0, force.lipschitz_k)) * times).tolist()
 
-    def sweep(prev_s: np.ndarray) -> tuple[np.ndarray, list[BlockPartition], np.ndarray]:
-        # force partial sums along the previous iterate
-        fsum = np.zeros_like(z0)
-        ufree = np.empty((n_steps + 1, ps.n))
-        ufree[0] = u0
+    def force_sums(s: np.ndarray) -> np.ndarray:
+        # row j: the force sum after step j + 1 along the offsets s
+        fs = np.empty((n_steps, ps.n))
         for j in range(n_steps):
-            fsum = fsum + force(times[j], packed + prev_s[j])
-            ufree[j + 1] = u0 + dt * fsum
-        s_new = np.empty_like(ufree)
-        s_new[0] = state0.s
-        blocks_list = [state0.blocks]
-        path = z0.copy()
-        for j in range(1, n_steps + 1):
-            path = path + dt * ufree[j]
-            fit, blocks = project_monotone(path, m)
-            s_new[j] = fit
-            blocks_list.append(blocks)
-        return s_new, blocks_list, ufree
+            fs[j] = force(times[j], ps.packed + s[j])
+        _running_sum(fs)
+        return fs
 
     prev = np.tile(state0.s, (n_steps + 1, 1))
     residuals: list[float] = []
-    converged = False
-    for _ in range(options.max_iters):
-        cur, blocks_list, ufree = sweep(prev)
-        res = max(
-            float(decay[j]) * weighted_norm(cur[j] - prev[j], m) for j in range(n_steps + 1)
-        )
-        residuals.append(res)
+    for _ in range(max_iters):
+        # rows of u_free, path and blocks are steps 1..n_steps; rows of cur 0..n_steps
+        u_free = dt * force_sums(prev)
+        u_free += state0.u_init
+        path = dt * u_free
+        path[:1] += ps.positions - ps.packed
+        _running_sum(path)
+        fits = [project_monotone(z, m) for z in path]
+        cur = np.array([state0.s] + [fit for fit, _ in fits])
+        residuals.append(max(d * weighted_norm(c - p, m) for d, c, p in zip(decay, cur, prev)))
         prev = cur
-        if res < options.tol:
-            converged = True
+        if residuals[-1] < tol:
             break
-    if not converged:
+    else:
         raise ConvergenceError(residuals[-1], len(residuals))
 
-    states = [state0]
-    fsum_running = np.zeros(ps.n)
-    for j in range(1, n_steps + 1):
-        fsum_running = fsum_running + force(times[j - 1], packed + cur[j - 1])
-        u = block_velocity(ufree[j], blocks_list[j], m)
-        states.append(
-            _new_state(
-                ps, float(times[j]), j, cur[j], ufree[j].copy(), u,
-                blocks_list[j], fsum_running.copy(), u0.copy(),
-            )
-        )
-    return PicardResult(times=times, states=states, sweeps=len(residuals), residuals=residuals)
+    fs = force_sums(cur)
+    states = [state0] + [
+        _new_state(ps, float(times[j + 1]), j + 1, cur[j + 1], u_free[j],
+                   block_velocity(u_free[j], blocks, m), blocks, fs[j], state0.u_init)
+        for j, (_, blocks) in enumerate(fits)
+    ]
+    return PicardResult(states=states, residuals=residuals)

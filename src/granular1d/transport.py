@@ -242,8 +242,6 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
     """
     z, w = _validate_projection_args(z, w)
     n = z.size
-    if n == 1:
-        return z.copy(), BlockPartition()
 
     # run-length compression of exact ties
     starts = np.concatenate([[0], np.flatnonzero(np.diff(z) != 0) + 1])

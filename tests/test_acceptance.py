@@ -13,7 +13,6 @@ import pytest
 import yaml
 
 from granular1d import (
-    PicardOptions,
     PiecewiseDensity,
     Segment,
     StepperConfig,
@@ -247,9 +246,7 @@ def test_criterion_6_picard_marching_agreement(reference_run):
     dt = r["dt"]
     cfg = StepperConfig(dt=dt, t_end=0.5)
     t0 = time.monotonic()
-    res = picard_solve(
-        ps, np.zeros(ps.n), params.force(), cfg, PicardOptions(max_iters=30, tol=1e-12)
-    )
+    res = picard_solve(ps, np.zeros(ps.n), params.force(), cfg, max_iters=30, tol=1e-12)
     elapsed = time.monotonic() - t0
     worst = max(
         weighted_norm(st.x - r["early_x"][st.step_index], ps.masses)

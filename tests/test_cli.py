@@ -368,9 +368,10 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_overflowing_run_exits_3(tmp_path, capsys):
+def test_overflowing_run_exits_3(tmp_path, capsys, recwarn):
     # the force sums overflow at step 2; the free path is then infinite,
-    # and the gate names it with the failing time and step
+    # and the gate names it with the failing time and step; numpy's
+    # overflow warnings stay off stderr, which holds the one JSON line
     cfg = write_config(
         tmp_path / "big.yaml", scenario="custom", n=20, dt=0.5, t_end=5.0, output_times=[0.0],
         density={"blocks": [[0, 1]]}, force={"breakpoints": [0.5], "values": [1.0e308, -1.0e308]},
@@ -379,6 +380,7 @@ def test_overflowing_run_exits_3(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
     assert (err["error"], err["check"]) == ("invariant", "finite")
     assert (err["t"], err["step"]) == (1.0, 2)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

@@ -11,7 +11,6 @@ from granular1d import (
     Granular1dError,
     InvariantViolation,
     ParticleSystem,
-    PicardOptions,
     StepperConfig,
     adhesion_potential,
     block_velocity,
@@ -342,8 +341,7 @@ def test_picard_contraction_factor_smooth_force():
     force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
     cfg = StepperConfig(dt=0.02, t_end=1.0)
     rng = np.random.default_rng(2)
-    opts = PicardOptions(max_iters=60, tol=1e-13)
-    res = picard_solve(ps, rng.normal(0, 1, 24), force, cfg, opts)
+    res = picard_solve(ps, rng.normal(0, 1, 24), force, cfg, max_iters=60, tol=1e-13)
     meaningful = [
         b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-10
     ]
@@ -356,8 +354,17 @@ def test_picard_nonconvergence_carries_residual():
     force = ForceField(lambda t, x: 0.3 * np.cos(x), lipschitz_k=0.3)
     cfg = StepperConfig(dt=0.02, t_end=1.0)
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(ps, np.ones(8), force, cfg, PicardOptions(max_iters=1, tol=1e-16))
+        picard_solve(ps, np.ones(8), force, cfg, max_iters=1, tol=1e-16)
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("max_iters, tol", [(0, 1e-12), (30, 0.0), (30, float("nan"))],
+                         ids=["no-sweeps", "zero-tol", "nan-tol"])
+def test_picard_rejects_bad_iteration_arguments(max_iters, tol):
+    ps = ParticleSystem(np.array([0.0, 2.0, 5.0]), np.ones(3))
+    with pytest.raises(ValueError, match="max_iters >= 1 and tol > 0"):
+        picard_solve(ps, np.zeros(3), zero_force(), StepperConfig(dt=0.1, t_end=0.2),
+                     max_iters=max_iters, tol=tol)
 
 
 # ---------------------------------------------------------------- force fields

@@ -11,7 +11,6 @@ from granular1d import (
     ForceField,
     InvariantViolation,
     ParticleSystem,
-    PicardOptions,
     StepperConfig,
     TwoBlockParams,
     check_exclusion,
@@ -113,9 +112,8 @@ def test_picard_flags_adhesion_sign_past_release():
     p = TwoBlockParams()
     ps = p.build(60)
     cfg = StepperConfig(dt=5e-3, t_end=2.5)
-    opts = PicardOptions(max_iters=40, tol=1e-10)
     with pytest.raises(InvariantViolation) as err:
-        picard_solve(ps, np.zeros(60), p.force(), cfg, opts)
+        picard_solve(ps, np.zeros(60), p.force(), cfg, max_iters=40, tol=1e-10)
     assert err.value.check == "gamma_sign"
 
 
@@ -125,8 +123,7 @@ def test_picard_valid_through_glued_phase():
     p = TwoBlockParams()
     ps = p.build(60)
     cfg = StepperConfig(dt=5e-3, t_end=1.5)
-    opts = PicardOptions(max_iters=40, tol=1e-10)
-    res = picard_solve(ps, np.zeros(60), p.force(), cfg, opts)
+    res = picard_solve(ps, np.zeros(60), p.force(), cfg, max_iters=40, tol=1e-10)
     march = list(run_simulation(ps, np.zeros(60), p.force(), cfg))
     worst = max(
         float(np.max(np.abs(a.x - b.x))) for a, b in zip(res.states, march)
