@@ -246,8 +246,19 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     )
 
 
+def _open_output(path: Path):
+    """Open an output file for writing, creating its directory; a
+    location that cannot be written is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 class _RecordWriter:
-    """Fixed-schema record emitter, CSV or JSON-lines.
+    """Fixed-schema record emitter, CSV or JSON-lines, and the context
+    manager that closes its file.
 
     Rows are written column-wise: each cell is the shortest round-trip
     ``repr`` of its value, which is what ``json.dumps`` emits for finite
@@ -258,8 +269,7 @@ class _RecordWriter:
     def __init__(self, path: Path, columns: list[str], fmt: str):
         self.columns = columns
         self.fmt = fmt
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.fh = open(path, "w", encoding="utf-8", newline="\n")
+        self.fh = _open_output(path)
         if fmt == "csv":
             self.fh.write(",".join(columns) + "\n")
             self._row = ",".join(["%s"] * len(columns)) + "\n"
@@ -290,7 +300,10 @@ class _RecordWriter:
             raise ValueError(f"column of shape {arr.shape}, expected ({n},)")
         return map(cell, arr.tolist())
 
-    def close(self) -> None:
+    def __enter__(self) -> _RecordWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
         self.fh.close()
 
 
@@ -325,21 +338,21 @@ def run_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     n = setup.ps.n
     tracker = ContactTracker((n // 2 - 1, n // 2)) if n >= 2 else None
-    lag = _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"])
-    eul = _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"])
     max_gamma = -np.inf
     min_slack = np.inf
     max_exclusion = 0.0
     first_congested: float | None = None
     errors: dict[str, ErrorReport] = {}
-    try:
+    # if the Eulerian writer cannot be opened, the Lagrangian one is closed
+    with _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"]) as lag, \
+            _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"]) as eul:
         # the rows of a window share one partition, so the partition's
         # consumers look at a window once, through its first row
         for win in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
             t0 = float(win.t[0])
             if tracker is not None:
                 tracker.observe(t0, win.blocks)
-            if first_congested is None and not win.blocks.is_empty:
+            if first_congested is None and len(win.blocks):
                 first_congested = t0
             max_gamma = max(max_gamma, float(win.gamma.max()))
             min_slack = min(min_slack, float(win.slack.min()))
@@ -349,9 +362,6 @@ def run_command(config_path: str) -> int:
                         max_exclusion, _emit_state(setup, win.row(j), lag, eul, errors)
                     )
             del win  # one window in memory at a time
-    finally:
-        lag.close()
-        eul.close()
 
     summary = {
         "scenario": setup.scenario,
@@ -374,9 +384,7 @@ def run_command(config_path: str) -> int:
         }
         or None,
     }
-    path = setup.out_prefix.with_suffix(".summary.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(setup.out_prefix.with_suffix(".summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
@@ -397,14 +405,11 @@ def oracle_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     if setup.two_block is None:
         raise ConfigError("oracle output exists only for the two-block scenario")
-    out = _writer(setup, "oracle", ["t", "i", "x", "u", "gamma"])
-    try:
+    with _writer(setup, "oracle", ["t", "i", "x", "u", "gamma"]) as out:
         for idx in sorted(setup.output_steps):
             t = setup.output_steps[idx]
             snap = two_block_exact(setup.two_block, setup.ps, t)
             out.write(setup.ps.n, [t, np.arange(setup.ps.n), snap.x_ex, snap.u_ex, snap.gamma_ex])
-    finally:
-        out.close()
     return EXIT_OK
 
 

@@ -169,7 +169,7 @@ def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarra
     """Replace the free velocity by its mass average on each block, along
     the last axis (one state per row)."""
     u = np.array(u_free, dtype=float)
-    if blocks.is_empty:
+    if not len(blocks):
         return u
     mean = blocks.sums(masses * u) / blocks.sums(masses)
     labels = blocks.labels(u.shape[-1])
@@ -237,13 +237,15 @@ def _tangent_velocity(
     labels = pos_blocks.labels(u.size)
     varies = np.zeros(len(pos_blocks), dtype=bool)
     varies[labels[:-1][(np.diff(u0) != 0) & pos_blocks.interior_cells(u.size)]] = True
-    survivors = [b for b, v in zip(pos_blocks, varies.tolist()) if not v]
-    for lo, hi in (b for b, v in zip(pos_blocks, varies.tolist()) if v):
-        sl = slice(lo, hi + 1)
-        fit, sub = project_monotone(u0[sl], masses[sl])
-        u[sl] = fit
-        survivors.extend((lo + a, lo + b) for a, b in sub)
-    return u, BlockPartition(sorted(survivors))
+    lo, hi = [pos_blocks.lo[~varies]], [pos_blocks.hi[~varies]]
+    for a, b in zip(pos_blocks.lo[varies].tolist(), pos_blocks.hi[varies].tolist()):
+        fit, sub = project_monotone(u0[a:b + 1], masses[a:b + 1])
+        u[a:b + 1] = fit
+        lo.append(a + sub.lo)
+        hi.append(a + sub.hi)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.argsort(lo)
+    return u, BlockPartition(lo[order], hi[order])
 
 
 def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
@@ -406,7 +408,7 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
     labels = blocks.labels(ps.n)
     inside = blocks.interior_cells(ps.n)
     ok = ((s[:, 1:] > s[:, :-1]) | inside).all(axis=-1)  # (b)
-    if not blocks.is_empty:  # (c)
+    if len(blocks):  # (c)
         varies = np.zeros(len(blocks), dtype=bool)
         changes = (np.diff(state.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
         varies[labels[:-1][changes & inside]] = True
@@ -492,8 +494,6 @@ def run_windows(
                     calm += rows
                     continue
             calm = 0
-            if not left:
-                break
         nxt = step(state, force, cfg, ps)
         calm = calm + 1 if nxt.blocks == state.blocks else 0
         state = nxt

@@ -17,7 +17,6 @@ systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,25 +88,15 @@ class BlockPartition:
     """Disjoint, sorted index ranges [lo, hi] (inclusive, hi > lo).
 
     Each range is a congested zone: a maximal group of particles pooled
-    by the cone projection.  The ranges are carried as two read-only
-    int arrays, ``lo`` and ``hi``, so that per-block work is a numpy
-    operation rather than a Python loop.
+    by the cone projection.  A partition is built as
+    ``BlockPartition(lo, hi)`` from the first and last particle index of
+    each block, kept as two read-only int arrays, so that per-block work
+    is a numpy operation rather than a Python loop.
     """
 
     __slots__ = ("lo", "hi", "_per_particle")
 
-    def __init__(self, blocks: Iterable[tuple[int, int]] = ()):
-        pairs = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
-        self._set(pairs[:, 0], pairs[:, 1])
-
-    @classmethod
-    def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> BlockPartition:
-        """Partition from arrays of first and last particle indices."""
-        part = cls.__new__(cls)
-        part._set(lo, hi)
-        return part
-
-    def _set(self, lo, hi) -> None:
+    def __init__(self, lo=(), hi=()):
         lo = np.array(lo, dtype=np.intp)
         hi = np.array(hi, dtype=np.intp)
         if lo.ndim != 1 or lo.shape != hi.shape:
@@ -133,21 +122,10 @@ class BlockPartition:
         return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
 
     def __repr__(self) -> str:
-        return f"BlockPartition({self.blocks!r})"
-
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.lo.tolist(), self.hi.tolist())
+        return f"BlockPartition({self.lo.tolist()}, {self.hi.tolist()})"
 
     def __len__(self) -> int:
         return self.lo.size
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo.size == 0
 
     def labels(self, n: int) -> np.ndarray:
         """Block id per particle, -1 outside all blocks (read-only)."""
@@ -183,7 +161,7 @@ class BlockPartition:
     def sums(self, a: np.ndarray) -> np.ndarray:
         """Sum of the per-particle values a over each block, along the
         last axis."""
-        if self.is_empty:
+        if not len(self):
             return np.zeros(a.shape[:-1] + (0,))
         # block starts interleaved with the ends of all but the last block;
         # cutting a after the last block ends that block's segment
@@ -268,7 +246,7 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
     bounds = np.append(starts, n)
     lengths = np.diff(bounds)
     big = lengths >= 2
-    blocks = BlockPartition.from_bounds(bounds[:-1][big], bounds[1:][big] - 1)
+    blocks = BlockPartition(bounds[:-1][big], bounds[1:][big] - 1)
     return np.repeat(means, lengths), blocks
 
 

@@ -82,7 +82,7 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
         )
         inv["gamma_max"] = max(inv["gamma_max"], float(np.max(st.gamma)))
         edge = abs(float(st.gamma[-1]))
-        for _, hi in st.blocks:
+        for hi in st.blocks.hi.tolist():
             edge = max(edge, abs(float(st.gamma[hi])))
         inv["gamma_edge_max"] = max(inv["gamma_edge_max"], edge)
         field = reconstruct(st, ps)

@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import yaml
 import granular1d
 from granular1d import cli
 from granular1d.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _RecordWriter, main
+from granular1d.dynamics import two_block_force
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -112,10 +115,9 @@ def test_column_writer_matches_per_row_formatting(tmp_path, fmt):
     g = np.array([np.nan, np.inf, -np.inf, 1e300, -2.5e-310, 7.0])
     columns = ["t", "i", "x", "u", "gamma", "rho_star"]
     t = 0.1 + 0.2
-    writer = _RecordWriter(tmp_path / "out.rec", columns, fmt)
-    writer.write(x.size, [t, np.arange(x.size), x, u, g, None])
-    writer.write(2, [3.0, np.arange(2), x[:2], u[:2], x[2:4], u[2:4]])
-    writer.close()
+    with _RecordWriter(tmp_path / "out.rec", columns, fmt) as writer:
+        writer.write(x.size, [t, np.arange(x.size), x, u, g, None])
+        writer.write(2, [3.0, np.arange(2), x[:2], u[:2], x[2:4], u[2:4]])
     rows = [[t, i, x[i].item(), u[i].item(), g[i].item(), None] for i in range(x.size)]
     rows += [[3.0, i, x[i].item(), u[i].item(), x[2 + i].item(), u[2 + i].item()] for i in range(2)]
     assert (tmp_path / "out.rec").read_bytes() == _per_row_bytes(columns, rows, fmt)
@@ -260,6 +262,17 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(output={"path": ""}),
         dict(output={"path": "."}),
         dict(output={"path": "/"}),
+        dict(scenario="three-block"),
+        dict(n=0),
+        dict(t_end=-1.0),
+        dict(output_times=[]),
+        dict(output_times=[0.0, 2.0]),
+        dict(output_times=[-0.004]),
+        dict(output={"path": "out/x", "format": "xml"}),
+        dict(scenario="heterogeneous", fill=0.0),
+        dict(scenario="heterogeneous", fill=1.5),
+        dict(_CUSTOM_UNIT, n=4, u0=[0.1, 0.2]),
+        dict(_CUSTOM_UNIT, force={}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -271,13 +284,77 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "bool-fill", "string-fill", "bool-amplitude", "bool-u0", "bool-height",
          "string-block-edge", "string-force-value", "bool-output-time",
          "unsorted-breakpoints", "nan-u0", "empty-density", "zero-mass-density",
-         "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path"],
+         "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
+         "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
+         "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
+         "fill-above-one", "short-u0-list", "force-neither-form"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+def test_config_root_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "list.yaml"
+    cfg.write_text("- scenario: two-block\n- n: 10\n", encoding="utf-8")
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "detail": "config root must be a mapping"
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(scenario="heterogeneous"), _CUSTOM_UNIT], ids=["heterogeneous", "custom"]
+)
+def test_alpha_t_star_force_outside_two_block(tmp_path, overrides):
+    # either force form is accepted by every scenario that takes a force
+    cfg = write_config(
+        tmp_path / "f.yaml", n=20, dt=1e-2, t_end=1.0, output_times=[0.0, 1.0],
+        **dict(overrides, force={"alpha": 0.5, "t_star": 0.5}),
+    )
+    setup = cli.build_setup(cli.load_config(cfg), cfg)
+    reference = two_block_force(0.5, 0.5)
+    x = np.array([-0.7, -0.1, 0.0, 0.1, 0.7])
+    for t in (0.25, 0.75):  # before and after t_star
+        assert np.array_equal(setup.force(t, x), reference(t, x))
+    assert main(["run", str(cfg)]) == EXIT_OK
+
+
+def _unwritable_run(command, cfg, capsys):
+    """Run a command whose output cannot be written: exit 2, one JSON
+    config line on stderr, and no output file left open."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "config"
+    assert record["detail"].startswith("cannot write output ")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_output_under_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
+    (tmp_path / "afile").touch()
+    cfg = write_config(
+        tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1],
+        output={"path": str(tmp_path / "afile" / "run")},
+    )
+    _unwritable_run(command, cfg, capsys)
+
+
+def test_eulerian_output_in_the_way_exits_2(tmp_path, capsys, monkeypatch):
+    # the Lagrangian file opens, the Eulerian one cannot: the first is closed
+    monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
+    cfg = write_config(tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1])
+    (tmp_path / "out" / "run.eulerian.csv").mkdir(parents=True)
+    _unwritable_run("run", cfg, capsys)
+    assert (tmp_path / "out" / "run.lagrangian.csv").read_text() == "t,i,x,u,gamma\n"
 
 
 def _numeric_leaves(node, path=()):

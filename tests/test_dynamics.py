@@ -43,13 +43,13 @@ def test_block_velocity_empty_partition():
 
 
 def test_block_velocity_full_block_mean():
-    u = block_velocity(np.array([1.0, -1.0]), BlockPartition(((0, 1),)), np.ones(2))
+    u = block_velocity(np.array([1.0, -1.0]), BlockPartition([0], [1]), np.ones(2))
     assert u == pytest.approx([0.0, 0.0])
 
 
 def test_block_velocity_weighted_mean():
     u = block_velocity(
-        np.array([4.0, 0.0, 7.0]), BlockPartition(((0, 1),)), np.array([1.0, 3.0, 2.0])
+        np.array([4.0, 0.0, 7.0]), BlockPartition([0], [1]), np.array([1.0, 3.0, 2.0])
     )
     assert u == pytest.approx([1.0, 1.0, 7.0])
 
@@ -71,11 +71,11 @@ def test_adhesion_vanishes_at_block_edges():
         n = 12
         uf = rng.normal(0, 1, n)
         m = rng.uniform(0.1, 1.0, n)
-        blocks = BlockPartition(((1, 4), (7, 10)))
+        blocks = BlockPartition([1, 7], [4, 10])
         u = block_velocity(uf, blocks, m)
         gamma = adhesion_potential(u, uf, m)
         scale = np.sum(m) * max(1.0, np.max(np.abs(uf)))
-        for lo, hi in blocks:
+        for lo, hi in zip(blocks.lo.tolist(), blocks.hi.tolist()):
             assert abs(gamma[hi]) <= 1e-12 * scale
         outside = blocks.labels(n) < 0
         # outside blocks gamma carries no increment
@@ -94,12 +94,12 @@ _BAD_STATES = {
     "feasibility": dict(x=np.array([0.0, 0.25, 0.5])),
     "block_velocity_constant": dict(u=np.array([1.0, 0.0, 0.0])),
     "free_velocity_off_blocks": dict(
-        blocks=BlockPartition(((0, 1),)), u=np.array([0.0, 0.0, 1.0])
+        blocks=BlockPartition([0], [1]), u=np.array([0.0, 0.0, 1.0])
     ),
     "gamma_sign": dict(gamma=np.array([0.5, 0.0, 0.0])),
     "gamma_total": dict(gamma=np.array([0.0, 0.0, -0.5])),
     "gamma_block_edge": dict(
-        blocks=BlockPartition(((0, 1),)), gamma=np.array([-0.5, -0.5, 0.0])
+        blocks=BlockPartition([0], [1]), gamma=np.array([-0.5, -0.5, 0.0])
     ),
     "momentum_balance": dict(u=np.ones(3)),
 }
@@ -114,7 +114,7 @@ _BAD_STATES.update(
 def test_check_state_names_each_violation(check):
     ps = packed_three()
     good = init_state(ps, np.zeros(3))
-    assert good.blocks.blocks == ((0, 2),)
+    assert good.blocks == BlockPartition([0], [2])
     assert check_state(good, ps) is good
     bad = replace(good, t=0.75, step_index=3, **_BAD_STATES[check])
     with pytest.raises(InvariantViolation) as err:
@@ -142,7 +142,7 @@ def test_init_rigid_translation_is_admissible():
     st = init_state(ps, np.full(3, 2.5))
     assert np.all(st.u == 2.5)
     assert np.all(st.gamma == 0.0)
-    assert st.blocks.blocks == ((0, 2),)
+    assert st.blocks == BlockPartition([0], [2])
 
 
 def test_init_decreasing_velocity_collapses_to_block_mean():
@@ -151,7 +151,7 @@ def test_init_decreasing_velocity_collapses_to_block_mean():
     assert st.u == pytest.approx([1.0, 1.0, 1.0])
     assert st.gamma == pytest.approx([-0.5, -0.5, 0.0])
     assert st.gamma.max() <= 0.0
-    assert st.blocks.blocks == ((0, 2),)
+    assert st.blocks == BlockPartition([0], [2])
 
 
 def test_init_spreading_velocity_is_kept():
@@ -161,7 +161,7 @@ def test_init_spreading_velocity_is_kept():
     st = init_state(ps, np.array([0.0, 1.0, 2.0]))
     assert st.u == pytest.approx([0.0, 1.0, 2.0])
     assert np.all(st.gamma == 0.0)
-    assert st.blocks.is_empty
+    assert len(st.blocks) == 0
 
 
 def test_init_projects_only_zones_with_varying_velocity(two_block_params, monkeypatch):
@@ -189,17 +189,18 @@ def test_init_tangent_velocity_matches_per_zone_projection():
     ps = ParticleSystem(positions, np.full(9, 0.5))
     u0 = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0])
     _, zones = project_monotone(ps.positions - ps.packed, ps.masses)
-    assert zones.blocks == ((0, 2), (3, 5), (6, 8))
+    assert zones == BlockPartition([0, 3, 6], [2, 5, 8])
     u = u0.copy()
-    survivors = []
-    for lo, hi in zones:
+    survivors_lo, survivors_hi = [], []
+    for lo, hi in zip(zones.lo.tolist(), zones.hi.tolist()):
         fit, sub = project_monotone(u0[lo:hi + 1], ps.masses[lo:hi + 1])
         u[lo:hi + 1] = fit
-        survivors.extend((lo + a, lo + b) for a, b in sub)
+        survivors_lo += (lo + sub.lo).tolist()
+        survivors_hi += (lo + sub.hi).tolist()
     st = init_state(ps, u0)
     assert np.array_equal(st.u, u)
-    assert st.blocks == BlockPartition(survivors)
-    assert st.blocks.blocks == ((0, 2), (3, 5))
+    assert st.blocks == BlockPartition(survivors_lo, survivors_hi)
+    assert st.blocks == BlockPartition([0, 3], [2, 5])
 
 
 def test_init_length_mismatch():
@@ -217,7 +218,7 @@ def test_step_free_flight_no_contact():
     st = init_state(ps, np.array([1.0, -0.5, 2.0]))
     nxt = step(st, zero_force(), cfg, ps)
     assert nxt.x == pytest.approx(st.x + 0.25 * st.u_free)
-    assert nxt.blocks.is_empty
+    assert len(nxt.blocks) == 0
     assert np.all(nxt.gamma == 0.0)
     assert nxt.t == pytest.approx(0.25)
 
@@ -294,7 +295,7 @@ def test_determinism_bitwise(two_block_params):
     b = list(run_simulation(ps, np.zeros(100), two_block_params.force(), cfg))[-1]
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.gamma, b.gamma)
-    assert a.blocks.blocks == b.blocks.blocks
+    assert a.blocks == b.blocks
 
 
 # ---------------------------------------------------------------- picard

@@ -110,4 +110,4 @@ def test_unit_rho_star_matches_homogeneous_bitwise():
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.gamma, b.gamma)
-        assert a.blocks.blocks == b.blocks.blocks
+        assert a.blocks == b.blocks

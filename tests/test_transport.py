@@ -58,14 +58,25 @@ def test_particle_system_rejects_decreasing_packed_map():
 
 
 def test_block_partition_validation():
-    bp = BlockPartition(((0, 1), (3, 5)))
+    bp = BlockPartition([0, 3], [1, 5])
     assert bp.spans(3, 4) and not bp.spans(2, 3)
     assert list(bp.interior_cells(7)) == [True, False, False, True, True, False]
     assert bp.labels(7).tolist() == [0, 0, -1, 1, 1, 1, -1]
     with pytest.raises(ValueError):
-        BlockPartition(((0, 0),))
+        BlockPartition([0], [0])
     with pytest.raises(ValueError):
-        BlockPartition(((0, 2), (2, 4)))
+        BlockPartition([0, 2], [2, 4])
+    assert repr(bp) == "BlockPartition([0, 3], [1, 5])"
+    assert eval(repr(bp)) == bp and eval(repr(BlockPartition())) == BlockPartition()
+    assert len(bp) == 2 and len(BlockPartition()) == 0
+    assert not bp.lo.flags.writeable and not bp.hi.flags.writeable
+    with pytest.raises(AttributeError):
+        bp.lo = np.array([0])
+    # a sequence of (lo, hi) pairs is 2-D bounds, refused rather than misread
+    with pytest.raises(ValueError, match="1D"):
+        BlockPartition([(0, 1)])
+    with pytest.raises(ValueError, match="equal-length"):
+        BlockPartition([0, 3], [1])
 
 
 # ---------------------------------------------------------------- build_particles
@@ -153,13 +164,13 @@ def test_congested_transport_gaps_and_translation():
 def test_project_monotone_identity_on_sorted():
     fit, blocks = project_monotone(np.array([1.0, 2.0, 3.0]), np.ones(3))
     assert fit == pytest.approx([1.0, 2.0, 3.0])
-    assert blocks.is_empty
+    assert len(blocks) == 0
 
 
 def test_project_monotone_returns_a_plain_array():
     z = np.array([3.0])
     fit, blocks = project_monotone(z, np.ones(1))
-    assert type(fit) is np.ndarray and fit.tolist() == [3.0] and blocks.is_empty
+    assert type(fit) is np.ndarray and fit.tolist() == [3.0] and len(blocks) == 0
     assert not np.shares_memory(fit, z)  # n = 1 is a copy, not the input
     fit, _ = project_monotone(np.array([2.0, 1.0, 3.0]), np.ones(3))
     assert type(fit) is np.ndarray and fit.dtype == float
@@ -169,24 +180,24 @@ def test_project_monotone_two_point_pool():
     # brute force: constrained min of (2-a)^2 + (1-b)^2 over a <= b sits at a = b = 1.5
     fit, blocks = project_monotone(np.array([2.0, 1.0]), np.ones(2))
     assert fit == pytest.approx([1.5, 1.5])
-    assert blocks.blocks == ((0, 1),)
+    assert blocks == BlockPartition([0], [1])
 
 
 def test_project_monotone_weighted_example():
     # enumeration over monotone partitions gives [5/3, 5/3, 2]
     fit, blocks = project_monotone(np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
     assert fit == pytest.approx([5 / 3, 5 / 3, 2.0])
-    assert blocks.blocks == ((0, 1),)
+    assert blocks == BlockPartition([0], [1])
 
 
 def test_project_monotone_pools_exact_ties():
     fit, blocks = project_monotone(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4))
     assert fit == pytest.approx([0.0, 0.0, 1.0, 1.0])
-    assert blocks.blocks == ((0, 1), (2, 3))
+    assert blocks == BlockPartition([0, 2], [1, 3])
     # a pooled mean that ties the next value pools with it too
     fit, blocks = project_monotone(np.array([2.0, 0.0, 1.0]), np.ones(3))
     assert fit.tolist() == [1.0, 1.0, 1.0]
-    assert blocks.blocks == ((0, 2),)
+    assert blocks == BlockPartition([0], [2])
 
 
 def test_project_monotone_errors():
@@ -283,16 +294,17 @@ def test_staircase_drives_scan_fallback(monkeypatch):
     assert calls, "chain pooling finished a staircase without the scan"
     expected = (k * (k - 1) / 2 - k**2) / (k + 1)
     assert fit == pytest.approx(np.full(k + 1, expected), rel=1e-12)
-    assert blocks.blocks == ((0, k),)
+    assert blocks == BlockPartition([0], [k])
 
 
 def _random_partition(rng, n):
-    blocks, i = [], int(rng.integers(0, 3))
+    los, his, i = [], [], int(rng.integers(0, 3))
     while i < n - 1:
         hi = min(n - 1, i + int(rng.integers(1, 5)))
-        blocks.append((i, hi))
+        los.append(i)
+        his.append(hi)
         i = hi + 1 + int(rng.integers(0, 3))
-    return BlockPartition(blocks)
+    return BlockPartition(los, his)
 
 
 def test_partition_arrays_match_naive_definitions():
@@ -300,18 +312,19 @@ def test_partition_arrays_match_naive_definitions():
     for _ in range(100):
         n = int(rng.integers(2, 30))
         bp = _random_partition(rng, n)
-        naive_labels = [next((k for k, (lo, hi) in enumerate(bp) if lo <= i <= hi), -1)
+        pairs = list(zip(bp.lo.tolist(), bp.hi.tolist()))
+        naive_labels = [next((k for k, (lo, hi) in enumerate(pairs) if lo <= i <= hi), -1)
                         for i in range(n)]
         assert bp.labels(n).tolist() == naive_labels
-        naive_inside = [any(lo <= c < hi for lo, hi in bp) for c in range(n - 1)]
+        naive_inside = [any(lo <= c < hi for lo, hi in pairs) for c in range(n - 1)]
         assert bp.interior_cells(n).tolist() == naive_inside
         for i in range(n):
             for j in range(n):
-                assert bp.spans(i, j) == any(lo <= i and j <= hi for lo, hi in bp)
+                assert bp.spans(i, j) == any(lo <= i and j <= hi for lo, hi in pairs)
         a = rng.normal(0.0, 1.0, n)
-        naive_sums = [a[lo : hi + 1].sum() for lo, hi in bp]
+        naive_sums = [a[lo : hi + 1].sum() for lo, hi in pairs]
         assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)
-        assert BlockPartition.from_bounds(bp.lo, bp.hi) == bp
+        assert BlockPartition(bp.lo, bp.hi) == bp
 
 
 # ---------------------------------------------------------------- project_admissible
@@ -322,7 +335,7 @@ def test_project_admissible_identity_when_feasible():
     z = np.array([0.0, 1.5, 3.5])  # gaps 1.5 >= 1 everywhere
     x, blocks = project_admissible(z, xtil, np.ones(3))
     assert x == pytest.approx(z)
-    assert blocks.is_empty
+    assert len(blocks) == 0
 
 
 def test_project_admissible_two_particle_hand_check():
@@ -331,7 +344,7 @@ def test_project_admissible_two_particle_hand_check():
     x, blocks = project_admissible(np.array([0.2, -0.2]), xtil, w)
     # inner isotonic of [0.45, -0.45] pools to [0, 0]
     assert x == pytest.approx([-0.25, 0.25])
-    assert blocks.blocks == ((0, 1),)
+    assert blocks == BlockPartition([0], [1])
 
 
 def test_project_admissible_matches_qp_oracle_small():
@@ -394,7 +407,7 @@ def test_block_mean_preservation():
         z = rng.normal(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
         fit, blocks = project_monotone(z, w)
-        for lo, hi in blocks:
+        for lo, hi in zip(blocks.lo.tolist(), blocks.hi.tolist()):
             sl = slice(lo, hi + 1)
             assert np.dot(w[sl], fit[sl] - z[sl]) == pytest.approx(0.0, abs=1e-12)
 

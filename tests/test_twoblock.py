@@ -128,9 +128,9 @@ def test_contact_tracker_interval():
     tracker = ContactTracker((1, 2))
     seq = [
         (0.0, BlockPartition()),
-        (0.1, BlockPartition(((0, 3),))),
-        (0.2, BlockPartition(((1, 2),))),
-        (0.3, BlockPartition(((0, 1),))),  # no longer spans the interface
+        (0.1, BlockPartition([0], [3])),
+        (0.2, BlockPartition([1], [2])),
+        (0.3, BlockPartition([0], [1])),  # no longer spans the interface
     ]
     for t, blocks in seq:
         tracker.observe(t, blocks)
