@@ -10,6 +10,7 @@ formatting, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -256,6 +257,24 @@ def _open_output(path: Path):
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
+def _check_output(path: Path) -> None:
+    """Raise a config error, as ``_open_output`` would, unless path can
+    be written, creating nothing: its nearest existing ancestor must be a
+    directory, and the file (if it exists, else that ancestor) writable."""
+    ancestor = path.parent
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if path.is_dir():
+        code, where = errno.EISDIR, path
+    elif not ancestor.is_dir():
+        code, where = errno.ENOTDIR, ancestor
+    elif not os.access(path if path.exists() else ancestor, os.W_OK):
+        code, where = errno.EACCES, path
+    else:
+        return
+    raise ConfigError(f"cannot write output {path}: {OSError(code, os.strerror(code), str(where))}")
+
+
 class _RecordWriter:
     """Fixed-schema record emitter, CSV or JSON-lines, and the context
     manager that closes its file.
@@ -329,9 +348,13 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
     return residual
 
 
-def _writer(setup: RunSetup, kind: str, columns: list[str]) -> _RecordWriter:
+def _record_path(setup: RunSetup, kind: str) -> Path:
     ext = "csv" if setup.out_format == "csv" else "jsonl"
-    return _RecordWriter(setup.out_prefix.with_suffix(f".{kind}.{ext}"), columns, setup.out_format)
+    return setup.out_prefix.with_suffix(f".{kind}.{ext}")
+
+
+def _writer(setup: RunSetup, kind: str, columns: list[str]) -> _RecordWriter:
+    return _RecordWriter(_record_path(setup, kind), columns, setup.out_format)
 
 
 def run_command(config_path: str) -> int:
@@ -380,7 +403,7 @@ def run_command(config_path: str) -> int:
         },
         "error_norms": {
             t: {"x": e.x_error, "u": e.u_error, "gamma_sup": e.gamma_error}
-            for t, e in sorted(errors.items())
+            for t, e in errors.items()
         }
         or None,
     }
@@ -392,6 +415,10 @@ def run_command(config_path: str) -> int:
 
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
+    # the files ``run`` writes, in the order it opens them, before its first state
+    for kind in ("lagrangian", "eulerian"):
+        _check_output(_record_path(setup, kind))
+    _check_output(setup.out_prefix.with_suffix(".summary.json"))
     state = init_state(setup.ps, setup.u0)
     _check_exclusion(state, reconstruct(state, setup.ps))
     print(
@@ -421,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in [
         ("run", "run a scenario and write Lagrangian/Eulerian records"),
-        ("validate", "parse a config and dry-run the initial data checks"),
+        ("validate", "parse a config, check its output location, dry-run the initial data"),
         ("oracle", "emit the closed-form reference solution only"),
     ]:
         p = sub.add_parser(name, help=help_)

@@ -194,32 +194,15 @@ def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) ->
     return np.cumsum(gamma, axis=-1, out=gamma)
 
 
-def _new_state(
-    ps: ParticleSystem,
-    t: float,
-    step_index: int,
-    s: np.ndarray,
-    u_free: np.ndarray,
-    u: np.ndarray,
-    blocks: BlockPartition,
-    force_sum: np.ndarray,
-    u_init: np.ndarray,
-) -> SimState:
-    """The checked snapshot with offset s and velocities (u_free, u):
-    x = ps.packed + s and gamma from ``adhesion_potential``."""
-    state = SimState(
-        t=t,
-        step_index=step_index,
-        u_free=u_free,
-        x=ps.packed + s,
-        u=u,
-        gamma=adhesion_potential(u, u_free, ps.masses),
-        blocks=blocks,
-        s=s,
-        force_sum=force_sum,
-        u_init=u_init,
-    )
-    return check_state(state, ps)
+def _states(ps: ParticleSystem, t: float | np.ndarray, step_index: int | np.ndarray,
+            s: np.ndarray, u_free: np.ndarray, u: np.ndarray, blocks: BlockPartition,
+            force_sum: np.ndarray, u_init: np.ndarray) -> SimState:
+    """The unchecked state, or window, with offset s and velocities
+    (u_free, u): x = ps.packed + s and gamma from ``adhesion_potential``,
+    along the last axis."""
+    return SimState(t=t, step_index=step_index, u_free=u_free, x=ps.packed + s, u=u,
+                    gamma=adhesion_potential(u, u_free, ps.masses), blocks=blocks, s=s,
+                    force_sum=force_sum, u_init=u_init)
 
 
 def _tangent_velocity(
@@ -264,7 +247,7 @@ def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
         raise ValueError("non-finite initial velocity")
     s, pos_blocks = project_monotone(ps.positions - ps.packed, ps.masses)
     u, blocks = _tangent_velocity(u0, pos_blocks, ps.masses)
-    return _new_state(ps, 0.0, 0, s, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy())
+    return check_state(_states(ps, 0.0, 0, s, u0.copy(), u, blocks, np.zeros(ps.n), u0.copy()), ps)
 
 
 def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSystem) -> SimState:
@@ -285,7 +268,7 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     s, blocks = project_monotone(z, masses) if np.isfinite(z).all() else (z, BlockPartition())
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
-    return _new_state(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init)
+    return check_state(_states(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init), ps)
 
 
 def position_tol(x: np.ndarray) -> float | np.ndarray:
@@ -403,7 +386,9 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
     s = dt * u
     s[0] += state.s
     _running_sum(s)
-    gamma = adhesion_potential(u, u_free, m)
+    steps = state.step_index + np.arange(1, rows + 1)
+    win = _states(ps, steps * dt, steps, s, u_free, u, blocks, fs, state.u_init)
+    gamma = win.gamma
 
     labels = blocks.labels(ps.n)
     inside = blocks.interior_cells(ps.n)
@@ -419,37 +404,19 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
             before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
             ok &= ((top <= before) | ~varies).all(axis=-1)
     kept = rows if ok.all() else int(np.argmin(ok))
-    steps = state.step_index + np.arange(1, kept + 1)
-    t = steps * dt
-    x = ps.packed + s[:kept]
     for j in range(kept - 1):  # (a)
-        if not np.array_equal(force(float(t[j]), x[j]), f):
+        if not np.array_equal(force(float(win.t[j]), win.x[j]), f):
             kept = j + 1
             break
-
-    def first(k: int) -> SimState:
-        return SimState(
-            t=t[:k],
-            step_index=steps[:k],
-            u_free=u_free[:k],
-            x=x[:k],
-            u=u[:k],
-            gamma=gamma[:k],
-            blocks=blocks,
-            s=s[:k],
-            force_sum=fs[:k],
-            u_init=state.u_init,
-        )
-
     if kept == 0:
         return None
     try:
-        return check_state(first(kept), ps)
+        return check_state(win._per_row(lambda a: a[:kept]), ps)
     except InvariantViolation as exc:
         # the rows before the failing one passed; the failing row is left
         # to ``step``, whose own state the gate then passes or rejects
         kept = exc.step - int(steps[0])
-        return check_state(first(kept), ps) if kept else None
+        return check_state(win._per_row(lambda a: a[:kept]), ps) if kept else None
 
 
 def _running_sum(a: np.ndarray) -> None:
@@ -579,8 +546,8 @@ def picard_solve(ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: Ste
 
     fs = force_sums(cur)
     states = [state0] + [
-        _new_state(ps, float(times[j + 1]), j + 1, cur[j + 1], u_free[j],
-                   block_velocity(u_free[j], blocks, m), blocks, fs[j], state0.u_init)
+        check_state(_states(ps, float(times[j + 1]), j + 1, cur[j + 1], u_free[j],
+                            block_velocity(u_free[j], blocks, m), blocks, fs[j], state0.u_init), ps)
         for j, (_, blocks) in enumerate(fits)
     ]
     return PicardResult(states=states, residuals=residuals)

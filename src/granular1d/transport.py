@@ -37,7 +37,7 @@ class ParticleSystem:
 
     ``total_mass`` is always the exact float sum of ``masses``.
     ``packed`` is the maximal-compression rearrangement, a read-only
-    nondecreasing array: the unit-density interval of length
+    increasing array: the unit-density interval of length
     ``total_mass`` centered at the center of mass, with particle i at the
     midpoint of its own mass cell; its gaps (m_i + m_{i+1})/2 are the
     lower bounds of the admissible cone.
@@ -72,8 +72,8 @@ class ParticleSystem:
         total = float(np.sum(m))
         center = float(np.dot(m, pos)) / total
         packed = _readonly((center - total / 2) + (np.cumsum(m) - m) + m / 2)
-        if np.any(np.diff(packed) < 0):
-            raise ValueError("packed map decreases by rounding; masses too disparate")
+        if np.any(np.diff(packed) <= 0):
+            raise ValueError("packed map does not increase after rounding; masses too disparate")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "total_mass", total)

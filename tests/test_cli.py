@@ -258,6 +258,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(_CUSTOM_UNIT, u0=float("nan")),
         dict(_CUSTOM, density={"blocks": []}),
         dict(_CUSTOM, density={"blocks": [[0, 1, 0.0]]}),
+        dict(_CUSTOM, n=3, density={"blocks": [[0, 1, 1.0e-300]]}),
         dict(_CUSTOM_UNIT, force={"breakpoints": 0.5, "values": [0.5, -0.5]}),
         dict(output={"path": ""}),
         dict(output={"path": "."}),
@@ -284,6 +285,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "bool-fill", "string-fill", "bool-amplitude", "bool-u0", "bool-height",
          "string-block-edge", "string-force-value", "bool-output-time",
          "unsorted-breakpoints", "nan-u0", "empty-density", "zero-mass-density",
+         "vanishing-packed-gaps",
          "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
          "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
@@ -324,7 +326,7 @@ def test_alpha_t_star_force_outside_two_block(tmp_path, overrides):
 
 def _unwritable_run(command, cfg, capsys):
     """Run a command whose output cannot be written: exit 2, one JSON
-    config line on stderr, and no output file left open."""
+    config line on stderr, and no output file left open; return its detail."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, str(cfg)]) == EXIT_CONFIG
@@ -335,9 +337,14 @@ def _unwritable_run(command, cfg, capsys):
     record = json.loads(err[0])
     assert record["error"] == "config"
     assert record["detail"].startswith("cannot write output ")
+    return record["detail"]
 
 
-@pytest.mark.parametrize("command", ["run", "oracle"])
+def _tree(root: Path) -> set[Path]:
+    return set(root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "oracle"])
 def test_output_under_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
     (tmp_path / "afile").touch()
@@ -345,16 +352,33 @@ def test_output_under_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
         tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1],
         output={"path": str(tmp_path / "afile" / "run")},
     )
-    _unwritable_run(command, cfg, capsys)
+    before = _tree(tmp_path)
+    detail = _unwritable_run(command, cfg, capsys)
+    assert detail.startswith(f"cannot write output {tmp_path / 'afile' / 'run'}.")
+    assert _tree(tmp_path) == before
+
+
+def _eulerian_in_the_way(tmp_path, capsys, monkeypatch, command) -> None:
+    """Run a command whose Eulerian output file is a directory; the
+    config error names that file."""
+    monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
+    cfg = write_config(tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1])
+    (tmp_path / "out" / "run.eulerian.csv").mkdir(parents=True)
+    detail = _unwritable_run(command, cfg, capsys)
+    assert detail.startswith(f"cannot write output {tmp_path / 'out' / 'run.eulerian.csv'}:")
 
 
 def test_eulerian_output_in_the_way_exits_2(tmp_path, capsys, monkeypatch):
     # the Lagrangian file opens, the Eulerian one cannot: the first is closed
-    monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
-    cfg = write_config(tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1])
-    (tmp_path / "out" / "run.eulerian.csv").mkdir(parents=True)
-    _unwritable_run("run", cfg, capsys)
+    _eulerian_in_the_way(tmp_path, capsys, monkeypatch, "run")
     assert (tmp_path / "out" / "run.lagrangian.csv").read_text() == "t,i,x,u,gamma\n"
+
+
+def test_validate_with_eulerian_output_in_the_way_exits_2(tmp_path, capsys, monkeypatch):
+    # validate names the file that run cannot open, and creates nothing
+    _eulerian_in_the_way(tmp_path, capsys, monkeypatch, "validate")
+    assert _tree(tmp_path) == {tmp_path / "tb.yaml", tmp_path / "out",
+                               tmp_path / "out" / "run.eulerian.csv"}
 
 
 def _numeric_leaves(node, path=()):

@@ -57,6 +57,13 @@ def test_particle_system_rejects_decreasing_packed_map():
         ParticleSystem(np.array(pos), np.array(m))
 
 
+def test_particle_system_rejects_packed_gaps_that_round_to_zero():
+    # masses so small next to the center of mass that every packed gap
+    # rounds to zero: the packed map must strictly increase
+    with pytest.raises(ValueError, match="does not increase"):
+        ParticleSystem(np.array([1 / 6, 0.5, 5 / 6]), np.full(3, 1.0e-300 / 3))
+
+
 def test_block_partition_validation():
     bp = BlockPartition([0, 3], [1, 5])
     assert bp.spans(3, 4) and not bp.spans(2, 3)

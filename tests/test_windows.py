@@ -17,10 +17,12 @@ from granular1d import (
     Segment,
     StepperConfig,
     TwoBlockParams,
+    adhesion_potential,
     build_ratio_system,
     check_state,
     cosine_bump_rho_star,
     init_state,
+    picard_solve,
     piecewise_constant_force,
     run_simulation,
     run_windows,
@@ -63,22 +65,54 @@ def multi_row(windows):
     return [w for w in windows if len(w) >= 2]
 
 
-def test_two_block_matches_stepwise():
+def two_block_run():
     p = TwoBlockParams()
-    ps = p.build(200)
-    cfg = StepperConfig(dt=2e-3, t_end=2.5)
-    assert multi_row(run_windows(ps, np.zeros(ps.n), p.force(), cfg))
-    assert_matches_stepwise(ps, np.zeros(ps.n), p.force(), cfg)
+    return p.build(200), p.force(), StepperConfig(dt=2e-3, t_end=2.5)
+
+
+def heterogeneous_run():
+    star = cosine_bump_rho_star()
+    density = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 0.8 * star(x))])
+    force = piecewise_constant_force([0.5], [0.5, -0.5])
+    return build_ratio_system(density, star, 300), force, StepperConfig(dt=2e-3, t_end=0.8)
+
+
+def test_two_block_matches_stepwise():
+    ps, force, cfg = two_block_run()
+    assert multi_row(run_windows(ps, np.zeros(ps.n), force, cfg))
+    assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
 
 
 def test_heterogeneous_matches_stepwise():
-    star = cosine_bump_rho_star()
-    density = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 0.8 * star(x))])
-    ps = build_ratio_system(density, star, 300)
-    force = piecewise_constant_force([0.5], [0.5, -0.5])
-    cfg = StepperConfig(dt=2e-3, t_end=0.8)
+    ps, force, cfg = heterogeneous_run()
     assert multi_row(run_windows(ps, np.zeros(ps.n), force, cfg))
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
+
+
+@pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run],
+                         ids=["two-block", "heterogeneous"])
+def test_derived_fields_are_exact(setup):
+    # every state and window carries x, gamma and slack derived bit for
+    # bit from its offset, its velocities and its own x
+    ps, force, cfg = setup()
+    u0 = np.zeros(ps.n)
+
+    def assert_derived(st):
+        assert np.array_equal(st.x, ps.packed + st.s)
+        assert np.array_equal(st.gamma, adhesion_potential(st.u, st.u_free, ps.masses))
+        gaps = np.diff(st.x) - np.diff(ps.packed)
+        assert np.array_equal(st.slack, gaps.min(axis=-1, initial=np.inf))
+
+    for st in stepwise(ps, u0, force, cfg):  # init_state, then step
+        assert_derived(st)
+    windows = list(run_windows(ps, u0, force, cfg))
+    assert multi_row(windows)
+    for w in windows:
+        assert_derived(w)
+    # the Picard reference holds up to the first release
+    picard = picard_solve(ps, u0, force, replace(cfg, t_end=0.8))
+    for st in picard.states:
+        assert_derived(st)
 
 
 @pytest.mark.parametrize("seed", range(12))
