@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     OracleLimitError,
 )
-from .eulerian import EulerianField, ExclusionReport, check_exclusion, reconstruct, wasserstein2
+from .eulerian import EulerianField, check_exclusion, reconstruct, wasserstein2
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import (
     BlockPartition,
@@ -47,7 +47,6 @@ from .transport import (
 )
 from .twoblock import (
     ContactTracker,
-    ErrorReport,
     ExactSnapshot,
     TwoBlockParams,
     error_norms,
@@ -61,10 +60,8 @@ __all__ = [
     "ContactTracker",
     "ConvergenceError",
     "EmptyMeasureError",
-    "ErrorReport",
     "EulerianField",
     "ExactSnapshot",
-    "ExclusionReport",
     "ForceField",
     "Granular1dError",
     "InvariantViolation",

@@ -35,7 +35,7 @@ from .errors import EmptyMeasureError, Granular1dError, InvariantViolation
 from .eulerian import EulerianField, check_exclusion, reconstruct
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import ParticleSystem, build_particles
-from .twoblock import ContactTracker, ErrorReport, TwoBlockParams, error_norms, two_block_exact
+from .twoblock import ContactTracker, TwoBlockParams, error_norms, two_block_exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,7 +61,7 @@ class RunSetup:
     u0: np.ndarray
     force: ForceField
     stepper: StepperConfig
-    output_steps: dict[int, float]
+    output_steps: set[int]
     out_prefix: Path
     out_format: str
     two_block: TwoBlockParams | None = None
@@ -115,16 +115,14 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _output_steps(cfg: dict, dt: float, t_end: float) -> dict[int, float]:
+def _output_steps(cfg: dict, dt: float, t_end: float) -> set[int]:
     times = _numbers(cfg.get("output_times", [0.0, t_end]), "output_times")
     if not times:
         raise ConfigError("output_times must be a nonempty list")
-    out: dict[int, float] = {}
     for t in times:
         if t < 0 or t > t_end + 1e-12:
             raise ConfigError(f"output time {t} outside [0, t_end]")
-        out[_grid_step(t, dt, "output time")] = t
-    return out
+    return {_grid_step(t, dt, "output time") for t in times}
 
 
 def _grid_step(t: float, dt: float, what: str) -> int:
@@ -174,6 +172,8 @@ def _heterogeneous(cfg: dict, n: int):
 def _custom(cfg: dict, n: int):
     dspec = _section(cfg, "density", ("blocks",), required=True)
     blocks = [_numbers(b, "density.blocks") for b in _require(dspec, "blocks", list)]
+    if any(len(b) == 3 and b[2] > 1 for b in blocks):
+        raise ConfigError("a density block height must be at most 1, the maximal density")
     # [lo, hi, height] or [lo, hi] at height 1; any other length is a TypeError
     segs = [Segment(*(b if len(b) == 3 else b + [1.0])) for b in blocks]
     ps = build_particles(PiecewiseDensity(segs), n)
@@ -327,14 +327,14 @@ class _RecordWriter:
 
 
 def _check_exclusion(state: SimState, field: EulerianField) -> float:
-    report = check_exclusion(field, _EXCLUSION_TOL)
-    if report.offenders.size:
-        raise InvariantViolation("exclusion", report.max_residual, t=state.t, step=state.step_index)
-    return report.max_residual
+    residual = check_exclusion(field)
+    if residual > _EXCLUSION_TOL:
+        raise InvariantViolation("exclusion", residual, t=state.t, step=state.step_index)
+    return residual
 
 
 def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _RecordWriter,
-                errors: dict[str, ErrorReport]) -> float:
+                errors: dict[str, dict[str, float]]) -> float:
     """Write an output state, record its error norms against the exact
     solution where there is one, and return its exclusion residual."""
     t = state.t
@@ -365,7 +365,7 @@ def run_command(config_path: str) -> int:
     min_slack = np.inf
     max_exclusion = 0.0
     first_congested: float | None = None
-    errors: dict[str, ErrorReport] = {}
+    errors: dict[str, dict[str, float]] = {}
     # if the Eulerian writer cannot be opened, the Lagrangian one is closed
     with _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"]) as lag, \
             _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"]) as eul:
@@ -401,11 +401,7 @@ def run_command(config_path: str) -> int:
             "feasibility_slack_min": None if not np.isfinite(min_slack) else min_slack,
             "exclusion_residual_max": max_exclusion,
         },
-        "error_norms": {
-            t: {"x": e.x_error, "u": e.u_error, "gamma_sup": e.gamma_error}
-            for t, e in errors.items()
-        }
-        or None,
+        "error_norms": errors or None,
     }
     with _open_output(setup.out_prefix.with_suffix(".summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -433,8 +429,8 @@ def oracle_command(config_path: str) -> int:
     if setup.two_block is None:
         raise ConfigError("oracle output exists only for the two-block scenario")
     with _writer(setup, "oracle", ["t", "i", "x", "u", "gamma"]) as out:
-        for idx in sorted(setup.output_steps):
-            t = setup.output_steps[idx]
+        for k in sorted(setup.output_steps):
+            t = k * setup.stepper.dt  # the step's time, as ``run`` labels it
             snap = two_block_exact(setup.two_block, setup.ps, t)
             out.write(setup.ps.n, [t, np.arange(setup.ps.n), snap.x_ex, snap.u_ex, snap.gamma_ex])
     return EXIT_OK

@@ -44,12 +44,6 @@ class EulerianField:
         return float(np.dot(self.rho, self.width))
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
-    max_residual: float
-    offenders: np.ndarray  # sample indices above tolerance
-
-
 def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     """Midpoint-sampled density, velocity and adhesion fields.
 
@@ -113,14 +107,10 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     return EulerianField(xs, rat * star, us, gs, widths, star)
 
 
-def check_exclusion(field: EulerianField, tol: float) -> ExclusionReport:
+def check_exclusion(field: EulerianField) -> float:
     """Largest violation of the complementarity (bound - rho) * gamma = 0."""
     bound = np.ones_like(field.rho) if field.rho_star is None else field.rho_star
-    residual = np.abs((bound - field.rho) * field.gamma)
-    return ExclusionReport(
-        max_residual=float(np.max(residual, initial=0.0)),
-        offenders=np.flatnonzero(residual > tol),
-    )
+    return float(np.max(np.abs((bound - field.rho) * field.gamma), initial=0.0))
 
 
 def wasserstein2(x1: np.ndarray, x2: np.ndarray, masses: np.ndarray) -> float:

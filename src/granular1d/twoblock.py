@@ -125,21 +125,15 @@ def two_block_exact(params: TwoBlockParams, ps: ParticleSystem, t: float) -> Exa
     return ExactSnapshot(x, u, gamma)
 
 
-@dataclass
-class ErrorReport:
-    x_error: float        # mass-weighted L2
-    u_error: float        # mass-weighted L2
-    gamma_error: float    # sup norm
-
-
-def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> ErrorReport:
+def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> dict[str, float]:
+    """L2 (mass-weighted) errors of x and u, sup error of gamma; the summary's keys."""
     if sim.n != exact.x_ex.size:
         raise ValueError("state and snapshot index sets differ")
-    return ErrorReport(
-        x_error=weighted_norm(sim.x - exact.x_ex, masses),
-        u_error=weighted_norm(sim.u - exact.u_ex, masses),
-        gamma_error=float(np.max(np.abs(sim.gamma - exact.gamma_ex))),
-    )
+    return {
+        "x": weighted_norm(sim.x - exact.x_ex, masses),
+        "u": weighted_norm(sim.u - exact.u_ex, masses),
+        "gamma_sup": float(np.max(np.abs(sim.gamma - exact.gamma_ex))),
+    }
 
 
 class ContactTracker:

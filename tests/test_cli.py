@@ -148,6 +148,27 @@ def test_oracle_two_block(tmp_path):
     assert len(lines) == 1 + 2 * 10
 
 
+def test_oracle_labels_steps_like_run(tmp_path):
+    # output time 0.3 is step 3, whose time 3 * 0.1 is 0.30000000000000004
+    cfg = write_config(tmp_path / "tb.yaml", n=10, dt=0.1, t_end=3.0,
+                       output_times=[0.3, 0.7, 2.1])
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert main(["oracle", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    oracle = [r.split(",") for r in (out / "run.oracle.csv").read_text().splitlines()[1:]]
+    lag = [r.split(",") for r in (out / "run.lagrangian.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in oracle] == [r[0] for r in lag]
+    times = [k * 0.1 for k in (3, 7, 21)]
+    summary = json.loads((out / "run.summary.json").read_text())
+    assert sorted(summary["error_norms"]) == sorted(map(repr, times))
+    setup = cli.build_setup(cli.load_config(cfg), cfg)
+    for j, t in enumerate(times):
+        rows = oracle[10 * j:10 * (j + 1)]
+        assert {r[0] for r in rows} == {repr(t)}
+        exact = granular1d.two_block_exact(setup.two_block, setup.ps, t)
+        assert [float(r[2]) for r in rows] == exact.x_ex.tolist()
+
+
 def test_oracle_rejected_for_heterogeneous(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "het.yaml",
@@ -274,6 +295,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(scenario="heterogeneous", fill=1.5),
         dict(_CUSTOM_UNIT, n=4, u0=[0.1, 0.2]),
         dict(_CUSTOM_UNIT, force={}),
+        dict(_CUSTOM, n=10, density={"blocks": [[0, 1, 2.0]]}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -289,7 +311,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
          "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
-         "fill-above-one", "short-u0-list", "force-neither-form"],
+         "fill-above-one", "short-u0-list", "force-neither-form", "height-above-bound"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -111,9 +111,9 @@ def test_error_norms_zero_against_self(two_block_params):
     st = init_state(ps, np.zeros(50))
     snap = two_block_exact(two_block_params, ps, 0.0)
     rep = error_norms(st, snap, ps.masses)
-    assert rep.x_error == pytest.approx(0.0, abs=1e-12)
-    assert rep.u_error == 0.0
-    assert rep.gamma_error == 0.0
+    assert rep["x"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["u"] == 0.0
+    assert rep["gamma_sup"] == 0.0
 
 
 def test_error_norms_index_mismatch(two_block_params):
@@ -147,7 +147,7 @@ def test_first_order_convergence_in_dt(two_block_params):
         for st in run_simulation(ps, np.zeros(200), two_block_params.force(), cfg):
             pass
         rep = error_norms(st, two_block_exact(two_block_params, ps, st.t), ps.masses)
-        return rep.x_error
+        return rep["x"]
 
     coarse, fine = x_error_at_half_second(4e-3), x_error_at_half_second(2e-3)
     assert 1.5 < coarse / fine < 2.5
