@@ -115,14 +115,15 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _output_steps(cfg: dict, dt: float, t_end: float) -> set[int]:
+def _output_steps(cfg: dict, dt: float, t_end: float, last: int) -> set[int]:
     times = _numbers(cfg.get("output_times", [0.0, t_end]), "output_times")
     if not times:
         raise ConfigError("output_times must be a nonempty list")
-    for t in times:
-        if t < 0 or t > t_end + 1e-12:
+    steps = {t: _grid_step(t, dt, "output time") for t in times}
+    for t, k in steps.items():
+        if not 0 <= k <= last:
             raise ConfigError(f"output time {t} outside [0, t_end]")
-    return {_grid_step(t, dt, "output time") for t in times}
+    return set(steps.values())
 
 
 def _grid_step(t: float, dt: float, what: str) -> int:
@@ -215,7 +216,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     t_end = _number(_require(cfg, "t_end"), "t_end")
     if t_end < 0:
         raise ConfigError("t_end must be a nonnegative finite number")
-    _grid_step(t_end, dt, "t_end")
+    last = _grid_step(t_end, dt, "t_end")
     if cfg.get("integrator", "marching") != "marching":
         raise ConfigError(
             "integrator must be 'marching'; the Picard fixed point is library-only "
@@ -240,7 +241,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         u0=u0,
         force=force,
         stepper=StepperConfig(dt=dt, t_end=t_end),
-        output_steps=_output_steps(cfg, dt, t_end),
+        output_steps=_output_steps(cfg, dt, t_end, last),
         out_prefix=prefix,
         out_format=out_format,
         two_block=two_block,

@@ -84,19 +84,15 @@ class PiecewiseDensity:
         if np.any(targets <= 0) or np.any(targets >= self.total_mass):
             raise ValueError("quantile targets must lie strictly inside (0, total_mass)")
         out = np.empty_like(targets)
-        # segment index for each target: first segment whose cumulative covers it
+        # segment k with cum[k] < target <= cum[k + 1]: it exists and has positive mass
         idx = np.searchsorted(self._cum_masses, targets, side="left") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
         for k, seg in enumerate(self.segments):
             sel = idx == k
             if not np.any(sel):
                 continue
             local = targets[sel] - self._cum_masses[k]
             if self._tables[k] is None:
-                height = float(seg.profile)
-                if height == 0.0:
-                    raise ValueError("quantile target falls in a zero-density segment")
-                out[sel] = seg.lo + local / height
+                out[sel] = seg.lo + local / float(seg.profile)
             else:
                 xs, cum = self._tables[k]
                 out[sel] = np.interp(local, cum, xs)

@@ -57,23 +57,13 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     x = state.x
     m = ps.masses
     n = ps.n
-    if n == 1:
-        ratio = np.array([1.0])
-        widths = np.array([float(m[0])])
-        xs = np.array([float(x[0])])
-        us = np.array([float(state.u[0])])
-        gs = np.array([0.0])
-        star = None if ps.rho_star is None else np.array([ps.rho_star[0]])
-        rho = ratio if star is None else ratio * star
-        return EulerianField(xs, rho, us, gs, widths, star)
-
     gaps = np.diff(x)
     packed = np.diff(ps.packed)
     if np.any(gaps <= 0):
         raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
                                  "invalid transport: coincident particle positions",
                                  t=state.t, step=state.step_index)
-    deficit = float(np.max(packed - gaps))
+    deficit = float(np.max(packed - gaps, initial=-np.inf))
     if deficit > position_tol(x):
         raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index)
     ratio = np.minimum(packed / gaps, 1.0)
@@ -86,8 +76,7 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
 
     # boundary half-cells so the quadrature carries the full mass
     labels = state.blocks.labels(n)
-    r_left = ratio[0]
-    r_right = ratio[-1]
+    r_left, r_right = (ratio[0], ratio[-1]) if n > 1 else (1.0, 1.0)
     w_left = (m[0] / 2) / r_left
     w_right = (m[-1] / 2) / r_right
     g_left = state.gamma[0] / 2 if labels[0] >= 0 else 0.0

@@ -33,8 +33,8 @@ from .transport import BlockPartition, ParticleSystem, build_particles, weighted
 class TwoBlockParams:
     """Geometry and forcing of the two-block scenario.
 
-    Blocks [a1, b1] and [a2, b2] of equal width, mirror-symmetric about
-    the origin, unit density; force magnitude alpha with reversal at
+    Blocks [a1, b1] and [a2, b2], exact mirror images about the origin
+    (so of equal width), unit density; force magnitude alpha with reversal at
     t_star.  Contact happens at t1 = sqrt((a2 - b1)/alpha), separation
     at t2 = 2 t_star.
     """
@@ -47,14 +47,10 @@ class TwoBlockParams:
     t_star: float = 1.0
 
     def __post_init__(self):
-        w1 = self.b1 - self.a1
-        w2 = self.b2 - self.a2
-        if w1 <= 0 or abs(w1 - w2) > 1e-12 * max(w1, w2):
-            raise ValueError("blocks must have equal positive widths")
-        if self.b1 >= self.a2:
-            raise ValueError("blocks must be separated (b1 < a2)")
-        if abs(self.a1 + self.b2) > 1e-12 or abs(self.b1 + self.a2) > 1e-12:
-            raise ValueError("blocks must be mirror images about 0")
+        if self.a1 != -self.b2 or self.b1 != -self.a2:
+            raise ValueError("blocks must be exact mirror images about 0 (a1 == -b2, b1 == -a2)")
+        if not self.a1 < self.b1 < self.a2:
+            raise ValueError("blocks must be nonempty and separated (a1 < b1 < a2)")
         if self.alpha <= 0 or self.t_star <= 0:
             raise ValueError("alpha and t_star must be positive")
         if not self.t1 < self.t_star:

@@ -214,6 +214,22 @@ def test_custom_scenario(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_OK
 
 
+def test_single_particle_run(tmp_path):
+    # one particle writes n + 1 = 2 Eulerian rows per output time: two
+    # half-cells of width m/2 at x -/+ m/4
+    cfg = write_config(
+        tmp_path / "one.yaml", scenario="custom", n=1, dt=0.1, t_end=0.2,
+        output_times=[0.0, 0.2], density={"blocks": [[0, 1]]},
+        force={"breakpoints": [0.5], "values": [0.3, -0.3]},
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / "out" / "run.eulerian.csv").read_text().splitlines()[1:]
+    cells = [[float(c) for c in r.split(",")[:4]] for r in rows]
+    assert [c[0] for c in cells] == [0.0, 0.0, 0.2, 0.2]
+    assert [c[2] for c in cells] == [1.0] * 4
+    assert [c[1] for c in cells[:2]] == [0.25, 0.75]  # x of the particle at 0.5, m = 1
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario: [unclosed", encoding="utf-8")
@@ -231,6 +247,17 @@ def test_missing_keys_exit_2(tmp_path):
 def test_output_time_off_grid_exit_2(tmp_path):
     cfg = write_config(tmp_path / "tb.yaml", output_times=[0.0015])
     assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_output_time_on_the_last_step_within_grid_tolerance(tmp_path):
+    # 3.0000000005 names step 3000, as t_end 3.0 does: the grid rule
+    # alone decides, and the row is labelled with the step's time
+    cfg = write_config(tmp_path / "tb.yaml", n=10, dt=1e-3, t_end=3.0,
+                       output_times=[0.0, 3.0000000005])
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    assert main(["run", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / "out" / "run.lagrangian.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.0"] * 10 + ["3.0"] * 10
 
 
 _CUSTOM = dict(scenario="custom", force={"breakpoints": [0.5], "values": [0.3, -0.3]})
@@ -296,6 +323,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(_CUSTOM_UNIT, n=4, u0=[0.1, 0.2]),
         dict(_CUSTOM_UNIT, force={}),
         dict(_CUSTOM, n=10, density={"blocks": [[0, 1, 2.0]]}),
+        dict(blocks={"a1": -1.1024, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024 + 5e-13}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -311,7 +339,8 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
          "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
-         "fill-above-one", "short-u0-list", "force-neither-form", "height-above-bound"],
+         "fill-above-one", "short-u0-list", "force-neither-form", "height-above-bound",
+         "near-mirror-blocks"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -388,6 +417,19 @@ def _eulerian_in_the_way(tmp_path, capsys, monkeypatch, command) -> None:
     (tmp_path / "out" / "run.eulerian.csv").mkdir(parents=True)
     detail = _unwritable_run(command, cfg, capsys)
     assert detail.startswith(f"cannot write output {tmp_path / 'out' / 'run.eulerian.csv'}:")
+
+
+def test_validate_without_write_permission_exits_2(tmp_path, capsys, monkeypatch):
+    # root is granted every access, so the denial is simulated
+    monkeypatch.delenv("GRANULAR1D_OUTDIR", raising=False)
+    cfg = write_config(tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1])
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    before = _tree(tmp_path)
+    detail = _unwritable_run("validate", cfg, capsys)
+    lag = tmp_path / "out" / "run.lagrangian.csv"
+    assert detail.startswith(f"cannot write output {lag}: ")
+    assert "Permission denied" in detail
+    assert _tree(tmp_path) == before
 
 
 def test_eulerian_output_in_the_way_exits_2(tmp_path, capsys, monkeypatch):
@@ -504,6 +546,23 @@ def test_overflowing_run_exits_3(tmp_path, capsys, recwarn):
     assert (err["error"], err["check"]) == ("invariant", "finite")
     assert (err["t"], err["step"]) == (1.0, 2)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a library error that is neither a config error nor an invariant
+    # breach: exit 3 with one strict-JSON "runtime" line
+    def failing_run(*args):
+        raise granular1d.Granular1dError("solver failed")
+        yield
+
+    monkeypatch.setattr(cli, "run_windows", failing_run)
+    cfg = write_config(tmp_path / "tb.yaml", n=10, t_end=0.1, output_times=[0.1])
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0], parse_constant=_reject_constant) == {
+        "error": "runtime", "detail": "solver failed"
+    }
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

@@ -18,6 +18,15 @@ def test_two_block_quantiles_skip_the_gap():
     assert q == pytest.approx([-1.5, 1.5])
 
 
+def test_quantiles_never_land_in_a_zero_density_segment():
+    # a target on a zero-mass segment's cumulative value belongs to the
+    # segment before it; the first quantile is found past a leading one
+    d = PiecewiseDensity([Segment(-1.0, 0.0, 0.0), Segment(0.0, 1.0, 1.0),
+                          Segment(1.0, 2.0, 0.0), Segment(2.0, 3.0, 0.5)])
+    q = d.mass_quantiles(np.array([0.25, 1.0, 1.25]))
+    assert q.tolist() == [0.25, 1.0, 2.5]
+
+
 def test_callable_segment_against_quadrature():
     # mass and quantiles of a smooth profile checked against analytic integrals
     d = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 2.0 * x)])

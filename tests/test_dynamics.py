@@ -396,3 +396,19 @@ def test_piecewise_constant_force_tied_breakpoints():
 def test_piecewise_constant_force_rejects_unevaluable_cuts(breakpoints, values):
     with pytest.raises(ValueError):
         piecewise_constant_force(breakpoints, values)
+
+
+def test_scalar_force_broadcasts_like_a_full_array():
+    # a force that returns one number acts on every particle alike
+    ps = build_particles(uniform_blocks([(0.0, 1.0), (1.5, 2.5)], 0.5), 20)
+    u0 = np.where(ps.positions < 1.2, 1.0, -1.0)
+    cfg = StepperConfig(dt=0.05, t_end=1.5)
+    scalar = run_simulation(ps, u0, ForceField(lambda t, x: 0.5), cfg)
+    full = run_simulation(ps, u0, ForceField(lambda t, x: np.full_like(x, 0.5)), cfg)
+    states = list(zip(scalar, full, strict=True))
+    assert len(states) == cfg.n_steps + 1
+    assert any(len(a.blocks) for a, _ in states)
+    for a, b in states:
+        for name in ("x", "u", "gamma"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
+        assert a.blocks == b.blocks

@@ -38,11 +38,14 @@ def test_spread_particles_have_half_density():
 
 
 def test_single_particle_field():
+    # n + 1 samples as for every n: two half-cells of width m/2 at x -/+ m/4
     ps, st = state_for([3.0], [0.25])
     field = reconstruct(st, ps)
-    assert field.n_samples == 1
-    assert field.rho == pytest.approx([1.0])
+    assert field.n_samples == 2
+    assert field.rho == pytest.approx([1.0, 1.0])
     assert field.total_mass() == pytest.approx(0.25)
+    assert field.x.tolist() == [2.9375, 3.0625]
+    assert field.width.tolist() == [0.125, 0.125]
 
 
 def test_velocity_and_gamma_carried_from_particles():

@@ -25,6 +25,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TwoBlockParams(a1=-1.5, b1=0.2, a2=-0.2, b2=1.5)  # overlapping
     with pytest.raises(ValueError):
+        TwoBlockParams(b2=1.1024 + 5e-13)  # mirrored only to within 1e-12
+    with pytest.raises(ValueError):
+        TwoBlockParams(a1=-0.1024, b1=-1.1024, a2=1.1024, b2=0.1024)  # reversed
+    with pytest.raises(ValueError):
         TwoBlockParams(alpha=0.5, t_star=0.5)  # contact after reversal
 
 
