@@ -50,10 +50,6 @@ class ConfigError(Granular1dError):
     pass
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 @dataclass
 class RunSetup:
     scenario: str
@@ -280,45 +276,49 @@ class _RecordWriter:
     """Fixed-schema record emitter, CSV or JSON-lines, and the context
     manager that closes its file.
 
-    Rows are written column-wise: each cell is the shortest round-trip
-    ``repr`` of its value, which is what ``json.dumps`` emits for finite
-    floats and ints, and rows are streamed to the file without building
-    the whole output in memory.
+    Each cell is the shortest round-trip ``repr`` of its value, which is
+    what ``json.dumps`` emits for finite floats and ints.  Each distinct
+    value of a column (by bits: -0.0 keeps its text) is formatted once per
+    write, with its share of the row's text; rows are joined and streamed.
     """
 
     def __init__(self, path: Path, columns: list[str], fmt: str):
-        self.columns = columns
         self.fmt = fmt
         self.fh = _open_output(path)
         if fmt == "csv":
             self.fh.write(",".join(columns) + "\n")
-            self._row = ",".join(["%s"] * len(columns)) + "\n"
-            self._null = ""
+            self._sep, self._null, end = ",", "", "\n"
+            self._prefix = [""] * len(columns)
         else:
-            self._row = "{" + ", ".join(f"{json.dumps(c)}: %s" for c in columns) + "}\n"
-            self._null = "null"
+            self._sep, self._null, end = ", ", "null", "}\n"
+            self._prefix = [f"{json.dumps(c)}: " for c in columns]
+            self._prefix[0] = "{" + self._prefix[0]
+        self._suffix = [""] * (len(columns) - 1) + [end]
 
     def write(self, n: int, values: list) -> None:
         """Write n rows.  ``values`` holds one entry per column: a vector
         of n numbers, a number repeated on every row, or None (an empty
         CSV cell, a JSON null)."""
-        if len(values) != len(self.columns):
+        if len(values) != len(self._prefix):
             raise ValueError("one value per column expected")
-        cells = [self._cells(v, n) for v in values]
-        self.fh.writelines(self._row % row for row in zip(*cells))
+        cells = [self._cells(*c, n) for c in zip(values, self._prefix, self._suffix)]
+        self.fh.writelines(map(self._sep.join, zip(*cells)))
 
-    def _cells(self, value, n: int):
+    def _cells(self, value, prefix: str, suffix: str, n: int):
         if value is None:
-            return repeat(self._null, n)
+            return repeat(prefix + self._null + suffix, n)
         arr = np.asarray(value)
         cell = repr
         if self.fmt != "csv" and not np.all(np.isfinite(arr)):
             cell = json.dumps  # NaN and Infinity, as json.dumps spells them
         if arr.ndim == 0:
-            return repeat(cell(arr.item()), n)
+            return repeat(prefix + cell(arr.item()) + suffix, n)
         if arr.shape != (n,):
             raise ValueError(f"column of shape {arr.shape}, expected ({n},)")
-        return map(cell, arr.tolist())
+        bits = arr.astype(np.float64, copy=False).view(np.int64) if arr.dtype.kind == "f" else arr
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        texts = np.array([prefix + cell(v) + suffix for v in arr[first].tolist()], dtype=object)
+        return texts[inverse].tolist()
 
     def __enter__(self) -> _RecordWriter:
         return self
@@ -345,7 +345,7 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
     residual = _check_exclusion(state, field)
     if setup.two_block is not None:
         exact = two_block_exact(setup.two_block, setup.ps, t)
-        errors[_fmt(t)] = error_norms(state, exact, setup.ps.masses)
+        errors[repr(float(t))] = error_norms(state, exact, setup.ps.masses)
     return residual
 
 
@@ -419,7 +419,7 @@ def validate_command(config_path: str) -> int:
     state = init_state(setup.ps, setup.u0)
     _check_exclusion(state, reconstruct(state, setup.ps))
     print(
-        f"ok: scenario={setup.scenario} n={setup.ps.n} mass={_fmt(setup.ps.total_mass)} "
+        f"ok: scenario={setup.scenario} n={setup.ps.n} mass={float(setup.ps.total_mass)!r} "
         f"steps={setup.stepper.n_steps} outputs={len(setup.output_steps)}"
     )
     return EXIT_OK

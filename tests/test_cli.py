@@ -123,6 +123,63 @@ def test_column_writer_matches_per_row_formatting(tmp_path, fmt):
     assert (tmp_path / "out.rec").read_bytes() == _per_row_bytes(columns, rows, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_writer_formats_repeated_values_like_per_cell(tmp_path, fmt):
+    # few distinct values, heavily repeated: 0.0 and -0.0 (equal, with
+    # different text), NaN of either sign, infinities and subnormals
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1e22])
+    assert np.signbit(pool[3]) and not np.signbit(pool[2])
+    rng = np.random.default_rng(3)
+    columns = ["t", "i", "a", "b", "k", "none"]
+    writes, rows = [], []
+
+    def add(n, t, i, a, b, k):
+        writes.append((n, [t, i, a, b, k, None]))
+        rows.extend([t, *(np.asarray(c)[j].item() for c in (i, a, b, k)), None] for j in range(n))
+
+    a, b, k = rng.choice(pool, 24)[::2], rng.choice(pool, 12), rng.integers(-2, 3, 12)
+    add(12, 0.1 + 0.2, np.arange(12), a, b, k)  # a is a strided view
+    add(12, -0.0, np.arange(12), a, b, k)  # the same vectors again
+    add(12, np.nan, np.arange(12), a[::-1], b, -k)  # new values at the same positions
+    add(12, np.inf, np.arange(12).view(np.float64), a, b, k)  # int bits as subnormal floats
+    add(0, 1.0, np.arange(0), np.empty(0), np.empty(0), np.arange(0))
+    add(5, 2.0, np.arange(5), a[:5], pool[[0, 1, 6, 7, 8]].astype(np.float32), k[:5])  # ±0.0 twice
+    add(12, 3.0, np.arange(12), a, rng.choice(pool, 12), k)
+    with _RecordWriter(tmp_path / "out.rec", columns, fmt) as writer:
+        for n, values in writes:
+            writer.write(n, values)
+    assert (tmp_path / "out.rec").read_bytes() == _per_row_bytes(columns, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_run_records_match_per_row_formatting(tmp_path, fmt):
+    # an output at every step: the writers see many writes of the same
+    # index column and of congested blocks sharing one velocity
+    from granular1d import run_simulation
+    from granular1d.eulerian import reconstruct
+
+    cfg = write_config(
+        tmp_path / "cust.yaml", scenario="custom", n=50, dt=0.02, t_end=1.2,
+        output_times=[round(0.02 * k, 12) for k in range(61)],
+        density={"blocks": [[-1.0, -0.2, 0.6], [0.2, 1.0, 0.6]]}, u0=0.0,
+        force={"breakpoints": [0.0], "values": [0.5, -0.5]},
+        output={"path": str(tmp_path / "out" / "run"), "format": fmt},
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    setup = cli.build_setup(cli.load_config(cfg), cfg)
+    lag, eul = [], []
+    for st in run_simulation(setup.ps, setup.u0, setup.force, setup.stepper):
+        lag += [[st.t, i, *c] for i, c in enumerate(zip(*(a.tolist() for a in (st.x, st.u, st.gamma))))]
+        f = reconstruct(st, setup.ps)
+        eul += [[st.t, *c, None] for c in zip(*(a.tolist() for a in (f.x, f.rho, f.u, f.gamma)))]
+    assert len({row[3] for row in lag[-50:]}) < 50  # some particles share one velocity
+    ext = "csv" if fmt == "csv" else "jsonl"
+    assert (tmp_path / "out" / f"run.lagrangian.{ext}").read_bytes() == _per_row_bytes(
+        ["t", "i", "x", "u", "gamma"], lag, fmt)
+    assert (tmp_path / "out" / f"run.eulerian.{ext}").read_bytes() == _per_row_bytes(
+        ["t", "x", "rho", "u", "gamma", "rho_star"], eul, fmt)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs far more start-up time and memory than a run's set-up
     code = "import sys, granular1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
