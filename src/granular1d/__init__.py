@@ -24,7 +24,6 @@ from .dynamics import (
     run_simulation,
     run_windows,
     step,
-    two_block_force,
     zero_force,
 )
 from .errors import (
@@ -92,7 +91,6 @@ __all__ = [
     "run_windows",
     "step",
     "two_block_exact",
-    "two_block_force",
     "uniform_blocks",
     "wasserstein2",
     "weighted_norm",

@@ -29,7 +29,6 @@ from .dynamics import (
     init_state,
     piecewise_constant_force,
     run_windows,
-    two_block_force,
 )
 from .errors import EmptyMeasureError, Granular1dError, InvariantViolation
 from .eulerian import EulerianField, check_exclusion, reconstruct
@@ -134,13 +133,14 @@ def _force(cfg: dict, default: dict | None) -> ForceField:
     """Either force form, from the ``force`` section or else ``default`` (required if None)."""
     spec = _section(cfg, "force", ("alpha", "t_star", "breakpoints", "values"), default,
                     required=default is None)
-    if "alpha" in spec:
-        alpha, t_star = (_number(_require(spec, k), k, positive=True) for k in ("alpha", "t_star"))
-        return two_block_force(alpha, t_star)
-    if "breakpoints" in spec:
-        values = _numbers(_require(spec, "values"), "values")
-        return piecewise_constant_force(_numbers(spec["breakpoints"], "breakpoints"), values)
-    raise ConfigError("force needs either alpha/t_star or breakpoints/values")
+    two_block = {"alpha", "t_star"} & spec.keys()
+    if bool(two_block) == bool({"breakpoints", "values"} & spec.keys()):
+        raise ConfigError("force takes one form: alpha/t_star or breakpoints/values")
+    if two_block:
+        a, t_star = (_number(_require(spec, k), k, positive=True) for k in ("alpha", "t_star"))
+        return piecewise_constant_force([0.0], [[a, -a], [-a, a]], [t_star])
+    values = _numbers(_require(spec, "values"), "values")
+    return piecewise_constant_force(_numbers(_require(spec, "breakpoints"), "breakpoints"), values)
 
 
 # Each builder maps (cfg, n) to (particles, u0, force, two-block params or None).

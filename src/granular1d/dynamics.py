@@ -40,10 +40,15 @@ class ForceField:
     weighted norm of the fixed-point iteration; for piecewise-constant
     forces (which are not Lipschitz across their jumps) declare 0 and
     rely on the jump locations staying away from the particles.
+
+    ``breakpoints`` is (x cuts, t cuts) when ``piecewise_constant_force``
+    built the force, which then evaluates along the last axis; None for a
+    plain callable, which ``run_windows`` advances one step at a time.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_k: float = 0.0
+    breakpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.eval(t, x), dtype=float)
@@ -54,42 +59,40 @@ class ForceField:
         return out
 
 
-def zero_force() -> ForceField:
-    return ForceField(lambda t, x: np.zeros_like(x))
+def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence,
+                             t_breakpoints: Sequence[float] = ()) -> ForceField:
+    """Force constant between nondecreasing finite x ``breakpoints`` and
+    ``t_breakpoints``, evaluated along the last axis, one t per row.
 
-
-def two_block_force(alpha: float, t_star: float) -> ForceField:
-    """Compress toward x=0 until t_star, then pull apart.
-
-    The reversal applies from t >= t_star on (the instant itself carries
-    no mass; taking the reversed branch at exactly t_star makes the
-    discrete release land one step after 2*t_star on a uniform grid).
+    ``values`` (finite) has len(breakpoints) + 1 entries, value[k] on
+    [breakpoints[k-1], breakpoints[k]), or one such row per time piece.
+    A time equal to a breakpoint takes the later piece: the two-block
+    force reverses at t_star itself, so the discrete release lands one
+    step after 2*t_star on a uniform grid.
     """
-
-    def f(t, x):
-        a = alpha if t < t_star else -alpha
-        return np.where(x < 0.0, a, -a)
-
-    return ForceField(f)
-
-
-def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence[float]) -> ForceField:
-    """Piecewise-constant-in-x force, constant in time.
-
-    ``values`` has one more entry than the nondecreasing ``breakpoints``;
-    value[k] applies on [breakpoints[k-1], breakpoints[k]).  All finite.
-    """
-    bp = np.asarray(breakpoints, dtype=float)
+    bp, tbp = np.asarray(breakpoints, dtype=float), np.asarray(t_breakpoints, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if bp.ndim != 1 or vals.shape != (bp.size + 1,):
-        raise ValueError("need 1-D breakpoints and len(values) == len(breakpoints) + 1")
-    if not (np.isfinite(bp).all() and np.isfinite(vals).all() and np.all(np.diff(bp) >= 0)):
+    cols = np.atleast_2d(vals).T  # one row per x piece, one column per time piece
+    if (bp.ndim != 1 or tbp.ndim != 1 or vals.ndim not in (1, 2)
+            or cols.shape != (bp.size + 1, tbp.size + 1)):
+        raise ValueError("need 1-D breakpoints and len(breakpoints) + 1 values per time piece")
+    if not (all(np.isfinite(a).all() for a in (bp, tbp, vals))
+            and np.all(np.diff(bp) >= 0) and np.all(np.diff(tbp) >= 0)):
         raise ValueError("breakpoints must be finite and nondecreasing, values finite")
 
     def f(t, x):
-        return vals[np.searchsorted(bp, x, side="right")]
+        # the piece searchsorted(bp, x, side="right") picks, NaN the last: one where per cut
+        at_t = cols[:, np.searchsorted(tbp, t, side="right")][..., None]
+        out = at_t[-1]
+        for b, v in zip(bp.tolist()[::-1], at_t[-2::-1]):
+            out = np.where(x < b, v, out)
+        return out
 
-    return ForceField(f)
+    return ForceField(f, breakpoints=(bp, tbp))
+
+
+def zero_force() -> ForceField:
+    return piecewise_constant_force([], [0.0])
 
 
 @dataclass(frozen=True)
@@ -359,7 +362,7 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
     fails one of these, each decided exactly, without a tolerance:
 
     (a) force unchanged: the force at a kept row (which feeds the next
-        row) equals the held values;
+        row) equals the held values, in one call over all rows;
     (b) no new contact: s strictly increases across every gap that is
         not inside one block (projection pools exact ties);
     (c) no release: every proper prefix of a block's m (u - u_free) is
@@ -403,11 +406,8 @@ def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
             top = np.maximum.reduceat(gamma, np.stack([lo, hi], axis=1).ravel(), axis=-1)[:, ::2]
             before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
             ok &= ((top <= before) | ~varies).all(axis=-1)
+    ok[1:] &= (force(win.t[:-1], win.x[:-1]) == f).all(axis=-1)  # (a)
     kept = rows if ok.all() else int(np.argmin(ok))
-    for j in range(kept - 1):  # (a)
-        if not np.array_equal(force(float(win.t[j]), win.x[j]), f):
-            kept = j + 1
-            break
     if kept == 0:
         return None
     try:
@@ -435,17 +435,17 @@ def run_windows(
     Between topology events the run advances a window of many steps at
     once (see ``_window``); where a window stops short, one ``step``
     finds the new partition and is yielded as a one-row window.  A
-    window is tried only when it would hold at least two rows, and never
-    more rows than the run has gone steps without a partition change or
-    a stopped window, nor more than ``_WINDOW_CELLS`` cells.  Only a
-    copy of the last row of a yielded window is kept for the next, so a
-    consumer that drops each window before asking for the next holds
-    one window at a time.
+    window is tried only for a force that declares its breakpoints, when
+    it would hold at least two rows, and never more rows than the run has
+    gone steps without a partition change or a stopped window, nor more
+    than ``_WINDOW_CELLS`` cells.  Only a copy of the last row of a
+    yielded window is kept for the next, so a consumer that drops each
+    window before asking for the next holds one window at a time.
     """
     state = init_state(ps, u0)
     yield state.as_window()
     calm = 0  # steps since the partition changed or a window stopped short
-    most = _WINDOW_CELLS // ps.n
+    most = _WINDOW_CELLS // ps.n if force.breakpoints is not None else 0
     left = cfg.n_steps
     while left:
         rows = min(calm, most, left)

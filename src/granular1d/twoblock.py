@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PiecewiseDensity, uniform_blocks
-from .dynamics import ForceField, SimState, two_block_force
+from .dynamics import ForceField, SimState, piecewise_constant_force
 from .transport import BlockPartition, ParticleSystem, build_particles, weighted_norm
 
 
@@ -72,7 +72,8 @@ class TwoBlockParams:
         return uniform_blocks([(self.a1, self.b1), (self.a2, self.b2)])
 
     def force(self) -> ForceField:
-        return two_block_force(self.alpha, self.t_star)
+        a = self.alpha
+        return piecewise_constant_force([0.0], [[a, -a], [-a, a]], [self.t_star])
 
     def build(self, n: int) -> ParticleSystem:
         return build_particles(self.density(), n)

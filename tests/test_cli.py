@@ -14,7 +14,6 @@ import yaml
 import granular1d
 from granular1d import cli
 from granular1d.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _RecordWriter, main
-from granular1d.dynamics import two_block_force
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -379,6 +378,8 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(scenario="heterogeneous", fill=1.5),
         dict(_CUSTOM_UNIT, n=4, u0=[0.1, 0.2]),
         dict(_CUSTOM_UNIT, force={}),
+        dict(_CUSTOM_UNIT, force={"alpha": 0.5, "t_star": 1.0, "breakpoints": [0.3],
+                                  "values": [1.0, 2.0]}),
         dict(_CUSTOM, n=10, density={"blocks": [[0, 1, 2.0]]}),
         dict(blocks={"a1": -1.1024, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024 + 5e-13}),
     ],
@@ -396,7 +397,8 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
          "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
-         "fill-above-one", "short-u0-list", "force-neither-form", "height-above-bound",
+         "fill-above-one", "short-u0-list", "force-neither-form", "mixed-force-forms",
+         "height-above-bound",
          "near-mirror-blocks"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
@@ -425,10 +427,9 @@ def test_alpha_t_star_force_outside_two_block(tmp_path, overrides):
         **dict(overrides, force={"alpha": 0.5, "t_star": 0.5}),
     )
     setup = cli.build_setup(cli.load_config(cfg), cfg)
-    reference = two_block_force(0.5, 0.5)
     x = np.array([-0.7, -0.1, 0.0, 0.1, 0.7])
-    for t in (0.25, 0.75):  # before and after t_star
-        assert np.array_equal(setup.force(t, x), reference(t, x))
+    for t, a in ((0.25, 0.5), (0.75, -0.5)):  # before and after t_star
+        assert np.array_equal(setup.force(t, x), np.where(x < 0.0, a, -a))
     assert main(["run", str(cfg)]) == EXIT_OK
 
 

@@ -12,6 +12,7 @@ from granular1d import (
     InvariantViolation,
     ParticleSystem,
     StepperConfig,
+    TwoBlockParams,
     adhesion_potential,
     block_velocity,
     build_particles,
@@ -22,7 +23,6 @@ from granular1d import (
     project_monotone,
     run_simulation,
     step,
-    two_block_force,
     uniform_blocks,
     weighted_norm,
     zero_force,
@@ -372,12 +372,33 @@ def test_picard_rejects_bad_iteration_arguments(max_iters, tol):
 
 
 def test_two_block_force_branches():
-    f = two_block_force(0.5, 1.0)
-    x = np.array([-1.0, 1.0])
-    assert f(0.0, x) == pytest.approx([0.5, -0.5])
-    # reversal applies from t_star on
-    assert f(1.0, x) == pytest.approx([-0.5, 0.5])
-    assert f(2.0, x) == pytest.approx([-0.5, 0.5])
+    # the folded two-block force has the bits of the formula it replaced:
+    # compression toward 0 while t < t_star, reversed from t_star on, and
+    # -0.0 on the right of the cut, as x < 0.0 puts it
+    p = TwoBlockParams(alpha=0.5, t_star=1.0)
+    f = p.force()
+    x = np.array([-1.0, -0.0, 0.0, 1.0])
+    for t in (0.0, np.nextafter(p.t_star, 0.0), p.t_star, 2.0):
+        a = p.alpha if t < p.t_star else -p.alpha
+        got, want = f(t, x), np.where(x < 0.0, a, -a)
+        assert got.tobytes() == want.tobytes(), t
+    assert [list(row) for row in f.breakpoints] == [[0.0], [1.0]]
+
+
+def test_declared_force_evaluates_rows_like_single_calls():
+    # one call on (rows, n) positions with (rows,) times is the stack of
+    # the per-row calls, across tied x cuts and a time cut
+    f = piecewise_constant_force([-0.5, 0.5, 0.5], [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0],
+                                                   [7.0, 8.0, 9.0, 10.0]], [1.0, 1.0 + 2**-20])
+    x = np.array([[-1.0, -0.5, 0.0, 0.5, 0.7], [-0.6, -0.5, 0.49, 0.5, 1.0],
+                  [-0.0, 0.0, 0.5, 0.5, 2.0], [-2.0, -0.5, 0.5, 0.5, 0.6]])
+    t = np.array([np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-20, 5.0])
+    rows = f(t, x)
+    assert rows.shape == x.shape
+    stacked = np.stack([f(float(tj), xj) for tj, xj in zip(t, x)])
+    assert rows.tobytes() == stacked.tobytes()
+    assert list(rows[:, 3]) == [4.0, -4.0, 10.0, 10.0]
+    assert f.breakpoints is not None and ForceField(lambda t, x: x).breakpoints is None
 
 
 def test_piecewise_constant_force_tied_breakpoints():
@@ -386,16 +407,19 @@ def test_piecewise_constant_force_tied_breakpoints():
 
 
 @pytest.mark.parametrize(
-    "breakpoints, values",
-    [([0.8, 0.2], [1.0, 0.0, -1.0]), ([np.nan], [0.5, -0.5]), ([np.inf], [0.5, -0.5]),
-     ([0.5], [np.inf, -0.5]), (0.5, [0.5, -0.5]), ([0.5], [[0.5], [-0.5]]),
-     ([0.5], [0.5])],
+    "breakpoints, values, t_breakpoints",
+    [([0.8, 0.2], [1.0, 0.0, -1.0], ()), ([np.nan], [0.5, -0.5], ()),
+     ([np.inf], [0.5, -0.5], ()), ([0.5], [np.inf, -0.5], ()), (0.5, [0.5, -0.5], ()),
+     ([0.5], [[0.5], [-0.5]], ()), ([0.5], [0.5], ()),
+     ([0.5], [[0.5, -0.5]] * 3, [2.0, 1.0]), ([0.5], [[0.5, -0.5]] * 2, [np.nan]),
+     ([0.5], [[0.5, -0.5]] * 3, [1.0]), ([0.5], [0.5, -0.5], [1.0])],
     ids=["unsorted", "nan-cut", "infinite-cut", "infinite-value", "scalar-cut",
-         "nested-values", "too-few-values"],
+         "nested-values", "too-few-values", "unsorted-t-cuts", "nan-t-cut",
+         "too-many-value-rows", "flat-values-with-t-cut"],
 )
-def test_piecewise_constant_force_rejects_unevaluable_cuts(breakpoints, values):
+def test_piecewise_constant_force_rejects_unevaluable_cuts(breakpoints, values, t_breakpoints):
     with pytest.raises(ValueError):
-        piecewise_constant_force(breakpoints, values)
+        piecewise_constant_force(breakpoints, values, t_breakpoints)
 
 
 def test_scalar_force_broadcasts_like_a_full_array():

@@ -11,6 +11,7 @@ import pytest
 
 from granular1d import (
     ContactTracker,
+    ForceField,
     InvariantViolation,
     ParticleSystem,
     PiecewiseDensity,
@@ -87,6 +88,23 @@ def test_heterogeneous_matches_stepwise():
     ps, force, cfg = heterogeneous_run()
     assert multi_row(run_windows(ps, np.zeros(ps.n), force, cfg))
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
+
+
+def test_only_declared_forces_get_windows():
+    # a plain callable declares no breakpoints, so every step after t=0
+    # is a one-row window with the bits of the stepwise run; the same
+    # colliding blocks under a declared force (zero) still get windows
+    ps, _, cfg = two_block_run()
+    u0 = np.where(ps.positions < 0.0, 0.3, -0.3)
+    plain = ForceField(lambda t, x: np.full_like(x, 0.5))
+    windows = list(run_windows(ps, u0, plain, cfg))
+    assert [len(w) for w in windows] == [1] * (cfg.n_steps + 1)
+    for w, ref in zip(windows, stepwise(ps, u0, plain, cfg), strict=True):
+        assert w.blocks == ref.blocks
+        for name in PER_ROW:
+            assert np.array_equal(getattr(w, name)[0], getattr(ref, name)), (name, ref.step_index)
+    assert multi_row(run_windows(ps, u0, zero_force(), cfg))
+    assert_matches_stepwise(ps, u0, zero_force(), cfg)
 
 
 @pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run],
