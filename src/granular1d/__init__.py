@@ -15,6 +15,7 @@ from .dynamics import (
     PicardResult,
     SimState,
     StepperConfig,
+    Stretch,
     adhesion_potential,
     block_velocity,
     check_state,
@@ -71,6 +72,7 @@ __all__ = [
     "Segment",
     "SimState",
     "StepperConfig",
+    "Stretch",
     "TwoBlockParams",
     "adhesion_potential",
     "block_velocity",

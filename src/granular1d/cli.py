@@ -370,22 +370,21 @@ def run_command(config_path: str) -> int:
     # if the Eulerian writer cannot be opened, the Lagrangian one is closed
     with _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"]) as lag, \
             _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"]) as eul:
-        # the rows of a window share one partition, so the partition's
-        # consumers look at a window once, through its first row
-        for win in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
-            t0 = float(win.t[0])
+        # the states of a stretch share one partition, so the partition's
+        # consumers look at a stretch once, at its first time; only output
+        # states are evaluated
+        for stretch in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
+            t0 = stretch.steps[0] * setup.stepper.dt  # the time ``step`` gives that step
             if tracker is not None:
-                tracker.observe(t0, win.blocks)
-            if first_congested is None and len(win.blocks):
+                tracker.observe(t0, stretch.blocks)
+            if first_congested is None and len(stretch.blocks):
                 first_congested = t0
-            max_gamma = max(max_gamma, float(win.gamma.max()))
-            min_slack = min(min_slack, float(win.slack.min()))
-            for j, k in enumerate(win.step_index.tolist()):
-                if k in setup.output_steps:
-                    max_exclusion = max(
-                        max_exclusion, _emit_state(setup, win.row(j), lag, eul, errors)
-                    )
-            del win  # one window in memory at a time
+            max_gamma = max(max_gamma, stretch.gamma_max)
+            min_slack = min(min_slack, stretch.slack_min)
+            for state in stretch.rows(k for k in stretch.steps if k in setup.output_steps):
+                max_exclusion = max(max_exclusion, _emit_state(setup, state, lag, eul, errors))
+                del state
+            del stretch  # one stretch in memory at a time
 
     summary = {
         "scenario": setup.scenario,

@@ -18,8 +18,9 @@ independent integrator for cross-checks before any contact occurs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class ForceField:
 
     ``breakpoints`` is (x cuts, t cuts) when ``piecewise_constant_force``
     built the force, which then evaluates along the last axis; None for a
-    plain callable, which ``run_windows`` advances one step at a time.
+    plain callable, which ``run_windows`` advances one step at a time and
+    whose values are checked finite on every call.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
@@ -54,7 +56,8 @@ class ForceField:
         out = np.asarray(self.eval(t, x), dtype=float)
         if out.shape != x.shape:
             out = np.broadcast_to(out, x.shape).astype(float)
-        if not np.all(np.isfinite(out)):
+        # a declared force's values were checked finite when it was built
+        if self.breakpoints is None and not np.all(np.isfinite(out)):
             raise Granular1dError(f"force returned non-finite values at t={t}")
         return out
 
@@ -113,26 +116,20 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable Lagrangian fields at one time, or at consecutive times
-    on one block partition (a window of steps).
-
-    A state has (n,) arrays, a float ``t`` and an int ``step_index``.  A
-    window stacks states into (rows, n) arrays, with (rows,) ``t`` and
-    ``step_index``: row j is the state after step ``step_index[j]``.  The
-    functions of this module work along the last axis, so they take
-    either.  ``blocks`` and ``u_init`` are shared by all rows, and the
-    arrays are read-only by convention.
+    """Immutable Lagrangian fields at one time: (n,) arrays, a float
+    ``t`` and an int ``step_index``; the arrays are read-only by
+    convention.
 
     ``s`` is the monotone offset x - ps.packed carrying the pooled plateaus
     exactly; ``force_sum`` is the per-particle sum of sampled force
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
     ``slack`` is the smallest gap of x minus its packed gap (inf for one
-    particle), per row, as ``check_state`` measured it.
+    particle), as ``check_state`` measured it.
     """
 
-    t: float | np.ndarray
-    step_index: int | np.ndarray
+    t: float
+    step_index: int
     u_free: np.ndarray
     x: np.ndarray
     u: np.ndarray
@@ -141,31 +138,11 @@ class SimState:
     s: np.ndarray
     force_sum: np.ndarray
     u_init: np.ndarray
-    slack: float | np.ndarray | None = None
+    slack: float | None = None
 
     @property
     def n(self) -> int:
         return self.x.shape[-1]
-
-    def __len__(self) -> int:
-        """The number of rows: 1 for a state."""
-        return np.size(self.t)
-
-    def as_window(self) -> SimState:
-        """A state as a one-row window (views of its arrays); a window as it is."""
-        return self if np.ndim(self.t) else self._per_row(lambda a: np.asarray(a)[None])
-
-    def row(self, j: int) -> SimState:
-        """Row j as a state of its own, with a float ``t`` and an int
-        ``step_index``; its arrays are copies, so that it does not keep
-        the window alive."""
-        return self.as_window()._per_row(lambda a: a[j].item() if a.ndim == 1 else a[j].copy())
-
-    _PER_ROW = ("t", "step_index", "u_free", "x", "u", "gamma", "s", "force_sum", "slack")
-
-    def _per_row(self, take: Callable[[np.ndarray], object]) -> SimState:
-        return replace(self, **{f: take(getattr(self, f)) for f in self._PER_ROW
-                                if getattr(self, f) is not None})
 
 
 def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarray) -> np.ndarray:
@@ -197,12 +174,11 @@ def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) ->
     return np.cumsum(gamma, axis=-1, out=gamma)
 
 
-def _states(ps: ParticleSystem, t: float | np.ndarray, step_index: int | np.ndarray,
-            s: np.ndarray, u_free: np.ndarray, u: np.ndarray, blocks: BlockPartition,
-            force_sum: np.ndarray, u_init: np.ndarray) -> SimState:
-    """The unchecked state, or window, with offset s and velocities
-    (u_free, u): x = ps.packed + s and gamma from ``adhesion_potential``,
-    along the last axis."""
+def _states(ps: ParticleSystem, t: float, step_index: int, s: np.ndarray, u_free: np.ndarray,
+            u: np.ndarray, blocks: BlockPartition, force_sum: np.ndarray,
+            u_init: np.ndarray) -> SimState:
+    """The unchecked state with offset s and velocities (u_free, u):
+    x = ps.packed + s and gamma from ``adhesion_potential``."""
     return SimState(t=t, step_index=step_index, u_free=u_free, x=ps.packed + s, u=u,
                     gamma=adhesion_potential(u, u_free, ps.masses), blocks=blocks, s=s,
                     force_sum=force_sum, u_init=u_init)
@@ -286,137 +262,292 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     step) unless it satisfies the structural invariants: finite fields,
     feasibility of x, exact block-constancy of u, nonpositive gamma
     vanishing at block right edges and globally, and momentum balance.
-
-    A state is checked as a one-row window, and a window row by row: the
-    error names the first failing row's first failing check, with that
-    row's time and step.
+    The error names the first failing check.
 
     This is the package's one tolerance policy: non-finite fields fail
     first; gaps are compared at ``position_tol(x)``; gamma's sign at
     1e-10, and its edge values and the momentum drift at 1e-12, times
     max(1, M * max(1, max|u_free|)).
     """
-    win = state.as_window()
-    x, u, u_free, gamma, blocks = win.x, win.u, win.u_free, win.gamma, win.blocks
+    x, u, u_free, gamma, blocks = state.x, state.u, state.u_free, state.gamma, state.blocks
 
     gaps = np.diff(x)
     gaps -= np.diff(ps.packed)
-    slack = gaps.min(axis=-1, initial=np.inf)
+    slack = float(gaps.min(initial=np.inf))
 
-    labels = blocks.labels(x.shape[-1])
-    inside = blocks.interior_cells(x.shape[-1])
+    labels = blocks.labels(x.size)
+    inside = blocks.interior_cells(x.size)
 
-    umax = np.maximum(1.0, np.maximum(u_free.max(axis=-1), -u_free.min(axis=-1)))
+    umax = np.maximum(1.0, np.maximum(u_free.max(), -u_free.min()))
     vel_scale = np.maximum(1.0, ps.total_mass * umax)
     edge_tol = 1e-12 * vel_scale
-    top = gamma.max(axis=-1)
-    total = np.abs(gamma[..., -1])
-    edges = np.abs(gamma[..., blocks.hi])
-    drift = np.abs(u @ ps.masses - u_free @ ps.masses)
+    top = gamma.max()
+    total = abs(gamma[-1])
+    edges = np.abs(gamma[blocks.hi])
+    drift = abs(u @ ps.masses - u_free @ ps.masses)
     tol = position_tol(x)
     # a NaN or an infinity in x, u_free, u or gamma reaches one of these
     # reductions; each is tested on its own, as a sum of them may overflow
-    finite = np.isfinite(np.array((tol, umax, drift, top, gamma.min(axis=-1)))).all(axis=0)
+    finite = np.isfinite((tol, umax, drift, top, gamma.min())).all()
 
-    # (name, failed per row, magnitude per row, message), in reporting order
+    # (name, failed, magnitude, message), in reporting order
     checks = [
-        ("finite", ~finite, 0.0, "non-finite x, u, u_free or gamma"),
+        ("finite", not finite, 0.0, "non-finite x, u, u_free or gamma"),
         ("feasibility", slack < -tol, -slack, ""),
-        ("block_velocity_constant", ((u[..., :-1] != u[..., 1:]) & inside).any(axis=-1),
+        ("block_velocity_constant", ((u[:-1] != u[1:]) & inside).any(),
          0.0, "u not constant on a block"),
-        ("free_velocity_off_blocks", ((u != u_free) & (labels < 0)).any(axis=-1),
+        ("free_velocity_off_blocks", ((u != u_free) & (labels < 0)).any(),
          0.0, "u != u_free off blocks"),
         ("gamma_sign", top > 1e-10 * vel_scale, top, ""),
         ("gamma_total", total > edge_tol, total, ""),
-        ("gamma_block_edge", (edges > edge_tol[..., None]).any(axis=-1), None, ""),
+        ("gamma_block_edge", (edges > edge_tol).any(), None, ""),
         ("momentum_balance", drift > edge_tol, drift, ""),
     ]
-    if any(failed.any() for _, failed, _, _ in checks):
-        row = min(int(np.argmax(f)) for _, f, _, _ in checks if f.any())
-        name, _, value, message = next(c for c in checks if c[1][row])
-        if value is None:  # the first block edge over the tolerance
-            value = edges[row][edges[row] > edge_tol[row]][0]
-        raise InvariantViolation(
-            name, float(np.broadcast_to(value, slack.shape)[row]), message,
-            t=float(win.t[row]), step=int(win.step_index[row]),
-        )
-    slack = slack if np.ndim(state.t) else float(slack[0])
-    return state if np.array_equal(state.slack, slack) else replace(state, slack=slack)
+    for name, failed, value, message in checks:
+        if failed:
+            if value is None:  # the first block edge over the tolerance
+                value = edges[edges > edge_tol][0]
+            raise InvariantViolation(name, float(value), message, t=state.t, step=state.step_index)
+    return state if state.slack == slack else replace(state, slack=slack)
 
 
-# Largest window, in cells (rows times particles).  The (rows, n) arrays
-# of a window live beside the run's own data, so this caps the memory
-# that stepping many steps at once adds.
-_WINDOW_CELLS = 1 << 14
+def first_root(a, b, c) -> np.ndarray:
+    """Per entry, the smallest t >= 0 at which a + b*t + c*t**2 <= 0: 0
+    where it does not start positive and rise, inf where it stays positive.
+
+    The roots are the numerically stable pair q/c and a/q with
+    q = -(b + sign(b) sqrt(b*b - 4*a*c))/2, which also gives the root -a/b
+    of a line (c = 0); arguments broadcast against each other.
+    """
+    a, b, c = np.broadcast_arrays(a, b, c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([q / c, a / q])
+    first = np.where(roots > 0, roots, np.inf).min(axis=0)  # NaN: no real root
+    return np.where((a < 0) | ((a == 0) & ((b < 0) | ((b == 0) & (c <= 0)))), 0.0, first)
 
 
-def _window(state: SimState, rows: int, force: ForceField, cfg: StepperConfig,
-            ps: ParticleSystem) -> SimState | None:
-    """A window of up to ``rows`` steps from ``state``, all at once on
-    its block partition with the force values sampled there held fixed.
+class _ClosedForm:
+    """The rows after ``start`` while its partition and the force values
+    ``f`` sampled there stay fixed.  Row j is the state after j more
+    steps: force_sum = fs0 + j*f and u_free = u_init + dt*force_sum, as
+    ``step`` forms them, and u is the block mean of that u_free.  A block
+    particle's offset is s_j = s0 + dt*(j*u0 + dt*j*(j+1)/2 * bf), with u0
+    the start's block velocity and bf the block mean of f.  A particle
+    off the blocks moves as ``step`` moves it, s_j = s_{j-1} + dt*u_free_j
+    (the projection keeps a one-particle group bit for bit), so that a
+    contact it makes is decided on the bits of a stepwise run."""
 
-    Row j is what ``step`` would give if the partition and the force
-    values do not change: the force sums accumulate in the same order,
-    blocks move at their mean free velocity, and the offset advances by
-    dt * u.  The window keeps its leading rows up to the first that
-    fails one of these, each decided exactly, without a tolerance:
+    def __init__(self, start: SimState, f: np.ndarray, ps: ParticleSystem, dt: float):
+        # the start's fields that rows are made of, and no more
+        self.k0, self.blocks, self.u_init = start.step_index, start.blocks, start.u_init
+        self.s0, self.u0, self.fs0 = start.s, start.u, start.force_sum
+        self.f, self.ps, self.dt = f, ps, dt
+        self.bf = block_velocity(f, start.blocks, ps.masses)
+        self.free = np.flatnonzero(start.blocks.labels(ps.n) < 0)
 
-    (a) force unchanged: the force at a kept row (which feeds the next
-        row) equals the held values, in one call over all rows;
+    def offsets(self) -> Callable[[int], np.ndarray]:
+        """A function j -> s_j that carries the free particles' running
+        sums on from the row it was last asked for (from the start again
+        for an earlier row), so ascending rows cost one pass; each caller
+        takes its own."""
+        dt, s0, free = self.dt, self.s0, self.free
+        fs0, f, u_init = self.fs0[free], self.f[free], self.u_init[free]
+        last, free_s = 0, s0[free]
+
+        def s(j: int) -> np.ndarray:
+            nonlocal last, free_s
+            out = s0 + (dt * j * self.u0 + dt * dt * (j * (j + 1) // 2) * self.bf)
+            if free.size:
+                if j < last:
+                    last, free_s = 0, s0[free]
+                for i in range(last + 1, j + 1):
+                    free_s = free_s + dt * (u_init + dt * (fs0 + i * f))
+                last = j
+                out[free] = free_s
+            return out
+
+        return s
+
+    def row(self, j: int, offsets: Callable[[int], np.ndarray]) -> SimState:
+        """Row j, unchecked, with its offsets from ``offsets``."""
+        force_sum = self.fs0 + j * self.f
+        u_free = self.u_init + self.dt * force_sum
+        u = block_velocity(u_free, self.blocks, self.ps.masses)
+        k = self.k0 + j
+        return _states(self.ps, k * self.dt, k, offsets(j), u_free, u, self.blocks, force_sum,
+                       self.u_init)
+
+
+@dataclass(frozen=True)
+class Stretch:
+    """Checked states after the consecutive steps ``steps`` of a run, all
+    on one block partition: a single state, or the rows of a closed form
+    (see ``run_windows``).  Whatever its length it holds O(n) arrays:
+    ``last``, the state after its last step, and the closed form's start
+    fields and force values.  ``gamma_max`` and ``slack_min`` are the largest
+    gamma and the smallest slack over its states."""
+
+    steps: range
+    last: SimState
+    gamma_max: float
+    slack_min: float
+    form: _ClosedForm | None = None
+
+    @classmethod
+    def of(cls, state: SimState) -> Stretch:
+        """A checked state as a stretch of its own."""
+        k = state.step_index
+        return cls(range(k, k + 1), state, float(state.gamma.max()), state.slack)
+
+    @property
+    def blocks(self) -> BlockPartition:
+        return self.last.blocks
+
+    def rows(self, steps: Iterable[int]) -> Iterator[SimState]:
+        """The checked states after ``steps`` (ascending, each in the
+        stretch): ``last``, or a row evaluated anew."""
+        offsets = None if self.form is None else self.form.offsets()
+        for k in steps:
+            if k not in self.steps:
+                raise IndexError(f"step {k} is not in {self.steps}")
+            if k == self.last.step_index:
+                yield self.last
+            else:
+                yield check_state(self.form.row(k - self.form.k0, offsets), self.form.ps)
+
+    def row(self, k: int) -> SimState:
+        """The checked state after step k."""
+        return next(self.rows([k]))
+
+
+# Rows walked past the row a root names, at the end of a stretch, where
+# evaluating that row or the next one exactly disagrees with the root.
+_WALK = 3
+
+
+def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
+             ps: ParticleSystem) -> Stretch | None:
+    """The stretch of up to ``most`` rows after ``state`` on its partition,
+    with the force values f sampled there held (see ``_ClosedForm``), or
+    None if its first row fails.
+
+    Row j is the run's state if it passes each of these, decided exactly
+    on its materialized fields, without a tolerance:
+
+    (a) force unchanged: the force at row j - 1, which feeds row j, is f;
     (b) no new contact: s strictly increases across every gap that is
         not inside one block (projection pools exact ties);
     (c) no release: every proper prefix of a block's m (u - u_free) is
-        <= 0, so the projection keeps the block pooled.  Blocks on which
-        u_init, the force sums and the held force are each constant are
-        exempt: their projected input is one exactly tied run.
+        <= 0.  Blocks on which u_init, the start's force sums and f are
+        each constant are exempt: the projection keeps a tied run whole.
 
-    Returns the checked window, or None if its first row fails.  A row
-    that fails ``check_state`` ends the window too, so that ``step``
-    recomputes it and the run stops, if it must, where a stepwise run
-    would, after yielding the rows before it.
+    In exact arithmetic (b) is a quadratic in j per gap, (a) one per
+    particle and x breakpoint plus the first step fed from the next time
+    piece, and (c) affine per prefix.  The stretch ends before the first
+    row a root names, moved by up to ``_WALK`` rows while the end row
+    fails or the row after it passes when evaluated exactly.
+
+    The gate covers every row: slack is quadratic per gap, and gamma,
+    its block-edge values, its total and the momentum drift are affine,
+    so ``check_state`` on the first and last rows and next to each gap's
+    lowest point (rows also held to (a)-(c)) bounds them all and gives
+    ``gamma_max`` and ``slack_min``.  If a covering row fails, or the end
+    row still fails after the walk, rows are evaluated in order up to the
+    first failing one, which is left to ``step``: a failing run stops
+    where a stepwise run would.
     """
-    dt = cfg.dt
-    m = ps.masses
+    dt, n, k0 = cfg.dt, ps.n, state.step_index
     blocks = state.blocks
     f = force(state.t, state.x)
-    fs = np.empty((rows, ps.n))
-    fs[0] = state.force_sum + f
-    fs[1:] = f
-    _running_sum(fs)
-    u_free = dt * fs
-    u_free += state.u_init
-    u = block_velocity(u_free, blocks, m)
-    s = dt * u
-    s[0] += state.s
-    _running_sum(s)
-    steps = state.step_index + np.arange(1, rows + 1)
-    win = _states(ps, steps * dt, steps, s, u_free, u, blocks, fs, state.u_init)
-    gamma = win.gamma
+    form = _ClosedForm(state, f, ps, dt)
+    labels, inside = blocks.labels(n), blocks.interior_cells(n)
+    p2 = 0.5 * dt * dt * form.bf  # s_j = s0 + p1*j + p2*j**2
+    p1 = dt * state.u + p2
 
-    labels = blocks.labels(ps.n)
-    inside = blocks.interior_cells(ps.n)
-    ok = ((s[:, 1:] > s[:, :-1]) | inside).all(axis=-1)  # (b)
-    if len(blocks):  # (c)
-        varies = np.zeros(len(blocks), dtype=bool)
-        changes = (np.diff(state.u_init) != 0) | (np.diff(fs[0]) != 0) | (np.diff(f) != 0)
-        varies[labels[:-1][changes & inside]] = True
-        if varies.any():
-            lo, hi = blocks.lo, blocks.hi
-            # a block's proper prefixes are gamma over [lo, hi) less gamma before lo
-            top = np.maximum.reduceat(gamma, np.stack([lo, hi], axis=1).ravel(), axis=-1)[:, ::2]
-            before = np.where(lo > 0, gamma[:, lo - 1], 0.0)
-            ok &= ((top <= before) | ~varies).all(axis=-1)
-    ok[1:] &= (force(win.t[:-1], win.x[:-1]) == f).all(axis=-1)  # (a)
-    kept = rows if ok.all() else int(np.argmin(ok))
-    if kept == 0:
+    ends = [most]  # the last row each test lets through, from its root
+    x_cuts, t_cuts = force.breakpoints
+    piece = np.searchsorted(t_cuts, state.t, side="right")
+    if piece < t_cuts.size:  # (a), the step that samples the next time piece
+        ends.append(math.ceil(t_cuts[piece] / dt) - k0)
+    if x_cuts.size:  # (a), x stays within its piece [lo, hi) up to the feeding row
+        cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
+        at = np.searchsorted(x_cuts, state.x, side="right")
+        leave = np.minimum(first_root(state.x - cuts[at], p1, p2),
+                           first_root(cuts[at + 1] - state.x, -p1, -p2))
+        ends.append(np.floor(leave.min()) + 1)
+    gap = ~inside  # (b)
+    close = first_root(np.diff(state.s)[gap], np.diff(p1)[gap], np.diff(p2)[gap])
+    ends.append(np.ceil(close.min(initial=np.inf)) - 1)
+    varies = np.zeros(len(blocks), dtype=bool)
+    changes = (np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0) | (np.diff(f) != 0)
+    varies[labels[:-1][changes & inside]] = True
+    some_vary = varies.any()
+    if some_vary:  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
+        i = np.flatnonzero(inside & varies[labels[:-1]])
+        lo = blocks.lo[labels[i]]
+        g = np.concatenate(([0.0], state.gamma))
+        slope = np.concatenate(([0.0], np.cumsum(dt * ps.masses * (form.bf - f))))
+        release = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
+        ends.append(np.floor(release.min()))
+
+    spans = np.stack([blocks.lo, blocks.hi], axis=1).ravel()  # a block's proper prefixes
+
+    offsets = form.offsets()
+
+    def admits(j: int) -> SimState | None:
+        if j > 1 and not (force((k0 + j - 1) * dt, ps.packed + offsets(j - 1)) == f).all():  # (a)
+            return None
+        row = form.row(j, offsets)
+        if not ((row.s[1:] > row.s[:-1]) | inside).all():  # (b)
+            return None
+        if some_vary:  # (c)
+            top = np.maximum.reduceat(row.gamma, spans)[::2]
+            before = np.where(blocks.lo > 0, row.gamma[blocks.lo - 1], 0.0)
+            if ((top > before) & varies).any():
+                return None
+        return row
+
+    def gate(rows, admitted: dict[int, SimState]) -> tuple[SimState | None, float, float, bool]:
+        """The last of ``rows`` (ascending) to pass before one fails, with
+        the largest gamma and the smallest slack up to it, and whether all
+        passed; ``admitted`` holds rows that already passed (a)-(c)."""
+        last, top, low = None, -np.inf, np.inf
+        for j in rows:
+            st = admitted[j] if j in admitted else admits(j)
+            try:
+                st = None if st is None else check_state(st, ps)
+            except InvariantViolation:
+                st = None
+            if st is None:
+                return last, top, low, False
+            last, top, low = st, max(top, float(st.gamma.max())), min(low, st.slack)
+        return last, top, low, True
+
+    end = rooted = int(max(1, min(ends)))
+    row = admits(end)
+    while row is None and end > max(1, rooted - _WALK):
+        end -= 1
+        row = admits(end)
+    if row is not None:
+        if end == rooted:  # the named row passes: so may the next few
+            for _ in range(min(_WALK, most - end)):
+                nxt = admits(end + 1)
+                if nxt is None:
+                    break
+                end, row = end + 1, nxt
+        bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
+        vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
+        vertex = vertex[(vertex > 1) & (vertex < end)]
+        inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
+        last, top, low, covered = gate(sorted({1, end, *inner}), {end: row})
+    if row is None or not covered:
+        # the roots were contradicted beyond the walk, or a covering row
+        # failed: the rows in order, up to the first that fails
+        last, top, low, _ = gate(range(1, end + 1), {} if row is None else {end: row})
+    if last is None:
         return None
-    try:
-        return check_state(win._per_row(lambda a: a[:kept]), ps)
-    except InvariantViolation as exc:
-        # the rows before the failing one passed; the failing row is left
-        # to ``step``, whose own state the gate then passes or rejects
-        kept = exc.step - int(steps[0])
-        return check_state(win._per_row(lambda a: a[:kept]), ps) if kept else None
+    return Stretch(range(k0 + 1, last.step_index + 1), last, top, low, form)
 
 
 def _running_sum(a: np.ndarray) -> None:
@@ -428,53 +559,45 @@ def _running_sum(a: np.ndarray) -> None:
 
 def run_windows(
     ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
-) -> Iterator[SimState]:
-    """Yield the run as consecutive checked windows: the state at t=0,
+) -> Iterator[Stretch]:
+    """Yield the run as consecutive checked stretches: the state at t=0,
     then every step up to t_end, each once.
 
-    Between topology events the run advances a window of many steps at
-    once (see ``_window``); where a window stops short, one ``step``
-    finds the new partition and is yielded as a one-row window.  A
-    window is tried only for a force that declares its breakpoints, when
-    it would hold at least two rows, and never more rows than the run has
-    gone steps without a partition change or a stopped window, nor more
-    than ``_WINDOW_CELLS`` cells.  Only a copy of the last row of a
-    yielded window is kept for the next, so a consumer that drops each
-    window before asking for the next holds one window at a time.
+    Between topology events the run jumps over a stretch of many steps
+    (see ``_stretch``); after a stretch, one ``step`` finds the new
+    partition and is yielded as a stretch of its own.  A stretch is
+    tried only for a force that declares its breakpoints, and only once
+    two steps in a row kept the partition, so a run whose partition
+    changes at almost every step goes step by step.
     """
     state = init_state(ps, u0)
-    yield state.as_window()
-    calm = 0  # steps since the partition changed or a window stopped short
-    most = _WINDOW_CELLS // ps.n if force.breakpoints is not None else 0
+    yield Stretch.of(state)
+    calm = 0  # steps since the partition changed or a stretch had no row
     left = cfg.n_steps
     while left:
-        rows = min(calm, most, left)
-        if rows >= 2:
-            win = _window(state, rows, force, cfg, ps)
-            if win is not None:
-                kept = len(win)
-                state = win.row(-1)
-                left -= kept
-                yield win
-                del win
-                if kept == rows:
-                    calm += rows
-                    continue
-            calm = 0
+        if calm >= 2 and force.breakpoints is not None:
+            stretch = _stretch(state, left, force, cfg, ps)
+            if stretch is None:
+                calm = 0
+            else:
+                state, left = stretch.last, left - len(stretch.steps)
+                yield stretch
+                del stretch  # the run goes on from its last state alone
+                if not left:
+                    return
         nxt = step(state, force, cfg, ps)
         calm = calm + 1 if nxt.blocks == state.blocks else 0
         state = nxt
         left -= 1
-        yield state.as_window()
+        yield Stretch.of(state)
 
 
 def run_simulation(
     ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: StepperConfig
 ) -> Iterator[SimState]:
     """Yield the state at t=0 and after every step up to t_end."""
-    for win in run_windows(ps, u0, force, cfg):
-        for j in range(len(win)):
-            yield win.row(j)
+    for stretch in run_windows(ps, u0, force, cfg):
+        yield from stretch.rows(stretch.steps)
 
 
 @dataclass

@@ -136,9 +136,9 @@ def error_norms(sim: SimState, exact: ExactSnapshot, masses: np.ndarray) -> dict
 class ContactTracker:
     """Records when a block spanning a given particle interface exists.
 
-    Feed the partitions of a run in time order: every state, or the first
-    row of every window of ``run_windows`` (the rows of a window share
-    one partition), which gives the same result.  Contact/separation are
+    Feed the partitions of a run in time order: every state, or every
+    stretch of ``run_windows`` at its first time (the states of a stretch
+    share one partition), which gives the same result.  Contact/separation are
     reported as the half-open step interval [first merged time, first
     time merged again absent)."""
 

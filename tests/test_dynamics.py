@@ -298,6 +298,31 @@ def test_determinism_bitwise(two_block_params):
     assert a.blocks == b.blocks
 
 
+# ---------------------------------------------------------------- first_root
+
+
+def test_first_root_is_where_the_polynomial_first_stops_being_positive():
+    # a + b t + c t^2: (a, b, c, smallest t >= 0 where it is <= 0)
+    cases = [
+        (1.0, -1.0, 0.0, 1.0),  # a line reaching zero
+        (1.0, 1.0, 0.0, np.inf),  # a rising line
+        (1.0, 0.0, 0.0, np.inf),  # a positive constant
+        (6.0, -5.0, 1.0, 2.0),  # a dip between the roots 2 and 3
+        (1.0, -1.0, 1.0, np.inf),  # a dip that stays positive
+        (1.0, -2.0, 1.0, 1.0),  # touching zero at its vertex
+        (4.0, 0.0, -1.0, 2.0),  # falling after its top
+        (1.0, 1e8, -1.0, 1e8 + 1e-8),  # a far root, no cancellation
+        (0.0, -1.0, 5.0, 0.0),  # zero and falling
+        (0.0, 1.0, -1.0, 1.0),  # zero, rising, then falling back
+        (0.0, 0.0, 1.0, np.inf),  # zero, then rising
+        (-1.0, 3.0, 0.0, 0.0),  # not positive at the start
+    ]
+    a, b, c, want = (np.array(col) for col in zip(*cases))
+    got = dynamics.first_root(a, b, c)
+    assert got == pytest.approx(want, rel=1e-15)
+    assert dynamics.first_root(1.0, -4.0, 0.0) == 0.25  # scalars broadcast
+
+
 # ---------------------------------------------------------------- picard
 
 
@@ -399,6 +424,25 @@ def test_declared_force_evaluates_rows_like_single_calls():
     assert rows.tobytes() == stacked.tobytes()
     assert list(rows[:, 3]) == [4.0, -4.0, 10.0, 10.0]
     assert f.breakpoints is not None and ForceField(lambda t, x: x).breakpoints is None
+
+
+def test_declared_force_call_returns_its_evaluation_bits():
+    # a declared force skips the finite pass (its values were checked when
+    # it was built) and keeps the broadcast: the call returns the bits of
+    # the evaluation broadcast to x, as a float array, for (n,) and (rows, n)
+    f = piecewise_constant_force([0.0], [[0.1, -0.3], [-0.1, 0.3]], [1.0])
+    flat = piecewise_constant_force([], [0.7])
+    x = np.array([[-1.0, -0.0, 0.0, 2.5], [-0.2, 0.4, 0.0, -3.0]])
+    t = np.array([0.5, 1.0])
+    for force in (f, flat):
+        for tt, xx in ((0.5, x[0]), (1.0, x[1]), (t, x)):
+            want = np.broadcast_to(np.asarray(force.eval(tt, xx), dtype=float), xx.shape)
+            got = force(tt, xx)
+            assert got.dtype == np.float64 and got.shape == xx.shape
+            assert got.tobytes() == want.tobytes()
+    # -0.0 is not below the cut 0.0; t = 1.0 takes the reversed piece
+    want = np.array([[0.1, -0.3, -0.3, -0.3], [-0.1, 0.3, 0.3, -0.1]])
+    assert f(t, x).tobytes() == want.tobytes()
 
 
 def test_piecewise_constant_force_tied_breakpoints():

@@ -1,6 +1,6 @@
-"""Windowed stepping against a stepwise reference built from ``step``.
+"""Closed-form stretches against a stepwise reference built from ``step``.
 
-Between topology events ``run_windows`` advances many steps at once on
+Between topology events ``run_windows`` jumps over many steps at once on
 a fixed block partition; every row must be the state the PAVA stepper
 reaches, up to rounding, with the same partition at every step."""
 
@@ -17,8 +17,11 @@ from granular1d import (
     PiecewiseDensity,
     Segment,
     StepperConfig,
+    Stretch,
     TwoBlockParams,
     adhesion_potential,
+    block_velocity,
+    build_particles,
     build_ratio_system,
     check_state,
     cosine_bump_rho_star,
@@ -28,6 +31,7 @@ from granular1d import (
     run_simulation,
     run_windows,
     step,
+    uniform_blocks,
     zero_force,
 )
 from granular1d import dynamics
@@ -62,8 +66,8 @@ def assert_matches_stepwise(ps, u0, force, cfg):
         trackers[0].contact_time, trackers[0].separation_time)
 
 
-def multi_row(windows):
-    return [w for w in windows if len(w) >= 2]
+def multi_row(stretches):
+    return [w for w in stretches if len(w.steps) >= 2]
 
 
 def two_block_run():
@@ -90,19 +94,29 @@ def test_heterogeneous_matches_stepwise():
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
 
 
+@pytest.mark.parametrize("fill", [0.5, 0.8])
+def test_partially_filled_two_block_matches_stepwise(fill):
+    # the two-block geometry below the maximal density: each particle that
+    # reaches the growing central zone is a contact, so events are dense
+    p = TwoBlockParams()
+    ps = build_particles(uniform_blocks([(p.a1, p.b1), (p.a2, p.b2)], fill), 200)
+    cfg = StepperConfig(dt=2e-3, t_end=2.6)
+    assert_matches_stepwise(ps, np.zeros(ps.n), p.force(), cfg)
+
+
 def test_only_declared_forces_get_windows():
     # a plain callable declares no breakpoints, so every step after t=0
-    # is a one-row window with the bits of the stepwise run; the same
-    # colliding blocks under a declared force (zero) still get windows
+    # is a one-state stretch with the bits of the stepwise run; the same
+    # colliding blocks under a declared force (zero) still get stretches
     ps, _, cfg = two_block_run()
     u0 = np.where(ps.positions < 0.0, 0.3, -0.3)
     plain = ForceField(lambda t, x: np.full_like(x, 0.5))
-    windows = list(run_windows(ps, u0, plain, cfg))
-    assert [len(w) for w in windows] == [1] * (cfg.n_steps + 1)
-    for w, ref in zip(windows, stepwise(ps, u0, plain, cfg), strict=True):
-        assert w.blocks == ref.blocks
+    stretches = list(run_windows(ps, u0, plain, cfg))
+    assert [len(w.steps) for w in stretches] == [1] * (cfg.n_steps + 1)
+    for w, ref in zip(stretches, stepwise(ps, u0, plain, cfg), strict=True):
+        assert w.blocks == ref.blocks and w.row(ref.step_index) is w.last
         for name in PER_ROW:
-            assert np.array_equal(getattr(w, name)[0], getattr(ref, name)), (name, ref.step_index)
+            assert np.array_equal(getattr(w.last, name), getattr(ref, name)), (name, ref.step_index)
     assert multi_row(run_windows(ps, u0, zero_force(), cfg))
     assert_matches_stepwise(ps, u0, zero_force(), cfg)
 
@@ -110,8 +124,10 @@ def test_only_declared_forces_get_windows():
 @pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run],
                          ids=["two-block", "heterogeneous"])
 def test_derived_fields_are_exact(setup):
-    # every state and window carries x, gamma and slack derived bit for
-    # bit from its offset, its velocities and its own x
+    # every state, stepped or a stretch's row, carries x, gamma and slack
+    # derived bit for bit from its offset, its velocities and its own x;
+    # a stretch's row j after ``start`` has force_sum = fs0 + j*f, with
+    # u_free and u from it as ``step`` forms them
     ps, force, cfg = setup()
     u0 = np.zeros(ps.n)
 
@@ -119,14 +135,24 @@ def test_derived_fields_are_exact(setup):
         assert np.array_equal(st.x, ps.packed + st.s)
         assert np.array_equal(st.gamma, adhesion_potential(st.u, st.u_free, ps.masses))
         gaps = np.diff(st.x) - np.diff(ps.packed)
-        assert np.array_equal(st.slack, gaps.min(axis=-1, initial=np.inf))
+        assert st.slack == gaps.min(initial=np.inf)
 
     for st in stepwise(ps, u0, force, cfg):  # init_state, then step
         assert_derived(st)
-    windows = list(run_windows(ps, u0, force, cfg))
-    assert multi_row(windows)
-    for w in windows:
-        assert_derived(w)
+    stretches = list(run_windows(ps, u0, force, cfg))
+    assert multi_row(stretches)
+    for w in stretches:
+        assert_derived(w.last)
+        for k in w.steps:
+            st = w.row(k)
+            assert_derived(st)
+            assert st.blocks == w.blocks and (st.t, st.step_index) == (k * cfg.dt, k)
+            if w.form is None:
+                continue
+            form, j = w.form, k - w.form.k0
+            assert np.array_equal(st.force_sum, form.fs0 + j * form.f)
+            assert np.array_equal(st.u_free, form.u_init + cfg.dt * st.force_sum)
+            assert np.array_equal(st.u, block_velocity(st.u_free, w.blocks, ps.masses))
     # the Picard reference holds up to the first release
     picard = picard_solve(ps, u0, force, replace(cfg, t_end=0.8))
     for st in picard.states:
@@ -146,7 +172,7 @@ def test_random_scenarios_match_stepwise(seed):
 
 def test_exact_tie_is_a_contact():
     # dyadic data: two particles meet with exactly tied offsets at step 3,
-    # which the projection pools, so a window must not run past it
+    # which the projection pools, so a stretch must not run past it
     ps = ParticleSystem(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
     u0 = np.array([1.0, -1.0])
     cfg = StepperConfig(dt=0.25, t_end=1.25)
@@ -155,10 +181,7 @@ def test_exact_tie_is_a_contact():
     assert [len(st.blocks) for st in states] == [0, 0, 0, 1, 1, 1]
 
 
-def test_windows_stop_at_reversal_and_release(monkeypatch):
-    p = TwoBlockParams()
-    ps = p.build(200)
-    cfg = StepperConfig(dt=2e-3, t_end=2.5)
+def count_steps(monkeypatch):
     stepped = []
 
     def spy(state, *args):
@@ -167,72 +190,124 @@ def test_windows_stop_at_reversal_and_release(monkeypatch):
         return out
 
     monkeypatch.setattr(dynamics, "step", spy)
-    windows = list(run_windows(ps, np.zeros(ps.n), p.force(), cfg))
+    return stepped
+
+
+def test_windows_stop_at_reversal_and_release(monkeypatch):
+    p = TwoBlockParams()
+    ps = p.build(200)
+    cfg = StepperConfig(dt=2e-3, t_end=2.5)
+    stepped = count_steps(monkeypatch)
+    stretches = list(run_windows(ps, np.zeros(ps.n), p.force(), cfg))
     # row k is advanced with the force sampled at step k - 1; the force
     # reverses from the sample at t_star on
     reversal = round(p.t_star / cfg.dt)
-    for w in multi_row(windows):
-        assert not w.step_index[0] - 1 < reversal <= w.step_index[-1] - 1
+    for w in multi_row(stretches):
+        assert not w.steps[0] - 1 < reversal <= w.steps[-1] - 1
     # every change of partition, contact and release included, is a step
-    changes = [b.step_index[0] for a, b in zip(windows, windows[1:]) if a.blocks != b.blocks]
+    changes = [b.steps[0] for a, b in zip(stretches, stretches[1:]) if a.blocks != b.blocks]
     interface = (ps.n // 2 - 1, ps.n // 2)
-    release = next(w.step_index[0] for w in windows
-                   if w.t[0] > p.t_star and not w.blocks.spans(*interface))
+    release = next(w.steps[0] for w in stretches
+                   if w.steps[0] * cfg.dt > p.t_star and not w.blocks.spans(*interface))
     assert release in changes
     assert set(changes) <= set(stepped)
     assert len(stepped) < cfg.n_steps // 10
 
 
-def test_corrupted_row_names_its_time_and_step():
+def test_shipped_two_block_run_is_a_few_stretches(monkeypatch):
+    # the shipped geometry and grid: free flight, the glued phase before
+    # and after the reversal, and the flight after the release are one
+    # stretch each, with single steps at contact, reversal and release
+    p = TwoBlockParams()
+    ps = p.build(2000)
+    cfg = StepperConfig(dt=1e-3, t_end=3.0)
+    stepped = count_steps(monkeypatch)
+    stretches = list(run_windows(ps, np.zeros(ps.n), p.force(), cfg))
+    assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
+    assert len(multi_row(stretches)) <= 20
+    assert len(stepped) <= 10
+
+
+def test_corrupted_row_names_its_time_and_step(monkeypatch):
     p = TwoBlockParams()
     ps = p.build(100)
     cfg = StepperConfig(dt=4e-3, t_end=0.4)
-    win = next(w for w in run_windows(ps, np.zeros(ps.n), p.force(), cfg) if len(w) >= 3)
-    gamma = win.gamma.copy()
-    gamma[1, 10] = 1.0
+    w = next(w for w in run_windows(ps, np.zeros(ps.n), p.force(), cfg) if len(w.steps) >= 3)
+    st = w.row(w.steps[1])
+    gamma = st.gamma.copy()
+    gamma[10] = 1.0
     with pytest.raises(InvariantViolation) as err:
-        check_state(replace(win, gamma=gamma), ps)
+        check_state(replace(st, gamma=gamma), ps)
     assert err.value.check == "gamma_sign"
-    assert (err.value.t, err.value.step) == (win.t[1], win.step_index[1])
-    # the first failing row wins over an earlier check on a later row
-    x = win.x.copy()
-    x[2, 1] = x[2, 0]
+    assert (err.value.t, err.value.step) == (st.t, st.step_index)
+    # a run whose rows fail gamma_sign from step 20 on and, from step 40
+    # on, also feasibility (an earlier check) stops at step 20 with
+    # gamma_sign: the first failing row wins over an earlier check on a
+    # later row, which a stretch checks before it
+    gate = dynamics.check_state
+
+    def corrupting_gate(state, ps_):
+        if state.step_index >= 20:
+            gamma = state.gamma.copy()
+            gamma[10] = 1.0
+            state = replace(state, gamma=gamma)
+        if state.step_index >= 40:
+            x = state.x.copy()
+            x[1] = x[0]
+            state = replace(state, x=x)
+        return gate(state, ps_)
+
+    monkeypatch.setattr(dynamics, "check_state", corrupting_gate)
+    seen = []
     with pytest.raises(InvariantViolation) as err:
-        check_state(replace(win, x=x, gamma=gamma), ps)
-    assert (err.value.check, err.value.step) == ("gamma_sign", win.step_index[1])
+        for w in run_windows(ps, np.zeros(ps.n), p.force(), cfg):
+            seen.extend(w.steps)
+    assert (err.value.check, err.value.step, err.value.t) == ("gamma_sign", 20, 20 * cfg.dt)
+    assert seen == list(range(20))
 
 
 @pytest.mark.parametrize("step_fails_too", [False, True])
 def test_failing_window_row_is_left_to_step(monkeypatch, step_fails_too):
-    # a row the gate rejects ends its window; the rows before it are
+    # a row the gate rejects ends its stretch; the rows before it are
     # yielded, and ``step`` recomputes the row, whose state the gate
-    # then passes or rejects as in a stepwise run
+    # then passes or rejects as in a stepwise run.  The stand-in gate
+    # rejects every closed-form row from step ``bad`` on, so the first
+    # rejected row need not be one that the stretch's gate covers
     p = TwoBlockParams()
     ps = p.build(100)
     cfg = StepperConfig(dt=4e-3, t_end=0.4)
     bad = 30
-    gate = dynamics.check_state
+    gate, stepper = dynamics.check_state, dynamics.step
+    stepping = [False]
 
-    def gate_failing_at_bad(state, ps_):
-        steps = np.atleast_1d(state.step_index)
-        if bad in steps and (step_fails_too or len(steps) > 1):
-            raise InvariantViolation("gamma_sign", 1.0, t=bad * cfg.dt, step=bad)
+    def step_spy(*args):
+        stepping[0] = True
+        try:
+            return stepper(*args)
+        finally:
+            stepping[0] = False
+
+    def gate_failing_from_bad(state, ps_):
+        k = state.step_index
+        if k >= bad and (not stepping[0] or (step_fails_too and k == bad)):
+            raise InvariantViolation("gamma_sign", 1.0, t=state.t, step=k)
         return gate(state, ps_)
 
-    monkeypatch.setattr(dynamics, "check_state", gate_failing_at_bad)
+    monkeypatch.setattr(dynamics, "step", step_spy)
+    monkeypatch.setattr(dynamics, "check_state", gate_failing_from_bad)
     seen = []
     run = run_windows(ps, np.zeros(ps.n), p.force(), cfg)
     if step_fails_too:
         with pytest.raises(InvariantViolation) as err:
             for w in run:
-                seen.extend(w.step_index.tolist())
+                seen.extend(w.steps)
         assert err.value.step == bad
         assert seen == list(range(bad))
         return
-    windows = list(run)
-    assert [k for w in windows for k in w.step_index.tolist()] == list(range(cfg.n_steps + 1))
-    assert next(len(w) for w in windows if bad in w.step_index) == 1
-    assert any(len(w) > 1 and w.step_index[-1] == bad - 1 for w in windows)
+    stretches = list(run)
+    assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
+    assert next(len(w.steps) for w in stretches if bad in w.steps) == 1
+    assert any(len(w.steps) > 1 and w.steps[-1] == bad - 1 for w in stretches)
 
 
 PER_ROW = ("u_free", "x", "u", "gamma", "s", "force_sum")
@@ -246,38 +321,51 @@ def assert_same_state(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def held_arrays(obj):
+    """The arrays a stretch holds, through its states and closed form."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (Stretch, dynamics._ClosedForm, dynamics.SimState, ParticleSystem)):
+        for value in vars(obj).values():
+            yield from held_arrays(value)
+
+
 @pytest.mark.parametrize("n", [50, 200, 3000])
-def test_window_arrays_stay_within_the_cell_cap(n, monkeypatch):
-    # also: a window's rows are its states, and the state it hands on to
-    # the next window or step is a copy of its last row
+def test_stretch_arrays_stay_within_n(n, monkeypatch):
+    # a stretch holds no array larger than one field of n particles,
+    # whatever its length; its rows are its states, and the state it
+    # hands on to the next stretch or step is a copy of its last row
     p = TwoBlockParams()
     ps = p.build(n)
     cfg = StepperConfig(dt=2e-3, t_end=1.2)
-    handed = [None]  # the last state run_windows handed to a window or step
-    for name in ("step", "_window"):
+    handed = [None]  # the last state run_windows handed to a stretch or step
+    for name in ("step", "_stretch"):
         def spy(state, *args, _f=getattr(dynamics, name)):
             handed[-1] = state
             return _f(state, *args)
         monkeypatch.setattr(dynamics, name, spy)
     prev, multi = None, 0
     for w in run_windows(ps, np.zeros(n), p.force(), cfg):
-        for a in (w.u_free, w.x, w.u, w.gamma, w.s, w.force_sum):
-            base = a if a.base is None else a.base
-            assert base.size <= max(n, dynamics._WINDOW_CELLS)
+        arrays = list(held_arrays(w))
+        assert len(arrays) >= 6
+        for a in arrays:
+            assert (a if a.base is None else a.base).size <= n
         if prev is not None:  # run_windows has handed on prev's last row
-            assert_same_state(handed[-1], prev.row(-1))
-            for name in PER_ROW if len(prev) >= 2 else ():
-                assert not np.shares_memory(getattr(handed[-1], name), getattr(prev, name))
-        if len(w) >= 2:
+            assert handed[-1] is prev.last is prev.row(prev.steps[-1])
+            if prev.form is not None:  # the closed form evaluated anew gives its bits
+                form = prev.form
+                again = check_state(form.row(len(prev.steps), form.offsets()), ps)
+                assert_same_state(handed[-1], again)
+        if len(w.steps) >= 2:
             multi += 1
-            for j in (0, len(w) // 2, len(w) - 1):
-                st = w.row(j)
-                assert st.x.shape == (n,) and len(st) == 1
-                assert (st.t, st.step_index, st.slack) == (w.t[j], w.step_index[j], w.slack[j])
-                for name in PER_ROW:
-                    assert np.array_equal(getattr(st, name), getattr(w, name)[j]), name
-                one = st.as_window()
-                assert one.x.shape == (1, n) and np.shares_memory(one.x, st.x)
-                assert_same_state(one.row(0), st)
+            for k in (w.steps[0], w.steps[len(w.steps) // 2], w.steps[-1]):
+                st = w.row(k)
+                assert st.x.shape == (n,)
+                assert (st.t, st.step_index) == (k * cfg.dt, k)
+                # the covering rows bound every row's gamma and slack, up to rounding
+                scale = max(1.0, ps.total_mass * max(1.0, np.abs(st.u_free).max()))
+                assert w.gamma_max >= st.gamma.max() - 1e-12 * scale
+                assert w.slack_min <= st.slack + dynamics.position_tol(st.x)
+                assert_same_state(w.row(k), st)
         prev = w
     assert multi
