@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .density import PiecewiseDensity, Segment
+from .density import PiecewiseDensity, Segment, uniform_blocks
 from .dynamics import (
     ForceField,
     SimState,
@@ -160,10 +160,9 @@ def _heterogeneous(cfg: dict, n: int):
     fill = _number(cfg.get("fill", 0.8), "fill")
     if not 0 < fill <= 1:
         raise ConfigError("fill must lie in (0, 1]")
-    # density = fill * rho_star on [0, 1]
-    rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
+    # density = fill * rho_star on [0, 1], so the ratio is fill there
     force = _force(cfg, {"breakpoints": [0.5], "values": [0.5, -0.5]})
-    return build_ratio_system(rho0, star, n), np.zeros(n), force, None
+    return build_ratio_system(uniform_blocks([(0.0, 1.0)], fill), star, n), np.zeros(n), force, None
 
 
 def _custom(cfg: dict, n: int):

@@ -1,51 +1,43 @@
-"""Piecewise density specifications with exact mass bookkeeping.
+"""Piecewise-constant density specifications with exact mass bookkeeping.
 
-A density here is a nonnegative, integrable function given piecewise on
-disjoint intervals.  Constant pieces are handled exactly; general pieces
-fall back to a dense trapezoidal cumulative table.  The only consumers
-are the particle builders, which need the total mass and the inverse of
-the cumulative mass function (mass quantiles).
+A density here is a nonnegative constant on each of a set of disjoint
+intervals.  The only consumers are the particle builders, which need
+the total mass and the inverse of the cumulative mass function (mass
+quantiles), both in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyMeasureError
 
-# resolution of the cumulative table for non-constant pieces
-_TABLE_POINTS = 4097
-
 
 @dataclass(frozen=True)
 class Segment:
-    """One piece of a piecewise density on [lo, hi].
-
-    ``profile`` is either a constant value or a callable x -> density.
-    """
+    """One constant piece of a density: ``height`` on [lo, hi]."""
 
     lo: float
     hi: float
-    profile: float | Callable[[np.ndarray], np.ndarray]
+    height: float
 
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
             raise ValueError(f"invalid segment bounds [{self.lo}, {self.hi}]")
-        if isinstance(self.profile, (int, float)):
-            if not np.isfinite(self.profile) or self.profile < 0:
-                raise ValueError(f"invalid constant density {self.profile}")
+        if not isinstance(self.height, (int, float)):
+            raise TypeError(f"a segment height is a number, not {type(self.height).__name__}")
+        if not np.isfinite(self.height) or self.height < 0:
+            raise ValueError(f"invalid constant density {self.height}")
 
 
 class PiecewiseDensity:
-    """Nonnegative piecewise density with mass quantile evaluation.
+    """Nonnegative piecewise-constant density with mass quantile evaluation.
 
-    Segments must be disjoint and are sorted on construction.  For a
-    constant segment the cumulative mass is inverted in closed form; for
-    a callable segment a trapezoidal cumulative table is built once and
-    inverted by monotone interpolation.
+    Segments must be disjoint and are sorted on construction; the
+    cumulative mass is inverted in closed form.
     """
 
     def __init__(self, segments: Sequence[Segment]):
@@ -55,25 +47,10 @@ class PiecewiseDensity:
         for a, b in zip(segs, segs[1:]):
             if b.lo < a.hi:
                 raise ValueError("segments overlap")
-        self.segments = tuple(segs)
-        self._tables = []  # per segment: (xs, cumulative mass from segment start)
-        masses = []
-        for seg in self.segments:
-            if isinstance(seg.profile, (int, float)):
-                self._tables.append(None)
-                masses.append(float(seg.profile) * (seg.hi - seg.lo))
-            else:
-                xs = np.linspace(seg.lo, seg.hi, _TABLE_POINTS)
-                vals = np.asarray(seg.profile(xs), dtype=float)
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError("density profile returned non-finite values")
-                if np.any(vals < 0):
-                    raise ValueError("density profile is negative")
-                cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2 * np.diff(xs))])
-                self._tables.append((xs, cum))
-                masses.append(float(cum[-1]))
-        self._seg_masses = np.asarray(masses)
-        self._cum_masses = np.concatenate([[0.0], np.cumsum(self._seg_masses)])
+        self.lo = np.array([s.lo for s in segs], dtype=float)
+        self.hi = np.array([s.hi for s in segs], dtype=float)
+        self.heights = np.array([s.height for s in segs], dtype=float)
+        self._cum_masses = np.concatenate([[0.0], np.cumsum(self.heights * (self.hi - self.lo))])
         self.total_mass = float(self._cum_masses[-1])
         if self.total_mass <= 0:
             raise EmptyMeasureError("empty measure: zero total mass")
@@ -83,20 +60,9 @@ class PiecewiseDensity:
         targets = np.asarray(targets, dtype=float)
         if np.any(targets <= 0) or np.any(targets >= self.total_mass):
             raise ValueError("quantile targets must lie strictly inside (0, total_mass)")
-        out = np.empty_like(targets)
         # segment k with cum[k] < target <= cum[k + 1]: it exists and has positive mass
-        idx = np.searchsorted(self._cum_masses, targets, side="left") - 1
-        for k, seg in enumerate(self.segments):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            local = targets[sel] - self._cum_masses[k]
-            if self._tables[k] is None:
-                out[sel] = seg.lo + local / float(seg.profile)
-            else:
-                xs, cum = self._tables[k]
-                out[sel] = np.interp(local, cum, xs)
-        return out
+        k = np.searchsorted(self._cum_masses, targets, side="left") - 1
+        return self.lo[k] + (targets - self._cum_masses[k]) / self.heights[k]
 
 
 def uniform_blocks(blocks: Sequence[tuple[float, float]], height: float = 1.0) -> PiecewiseDensity:

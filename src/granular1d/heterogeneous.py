@@ -16,40 +16,22 @@ from typing import Callable
 
 import numpy as np
 
-from .density import PiecewiseDensity, Segment
-from .dynamics import position_tol
+from .density import PiecewiseDensity
 from .transport import ParticleSystem, build_particles
 
 
 def build_ratio_system(
-    rho0: PiecewiseDensity,
+    ratio: PiecewiseDensity,
     rho_star0: Callable[[np.ndarray], np.ndarray],
     n: int,
 ) -> ParticleSystem:
-    """Discretize the ratio measure (rho0/rho_star0)(x) dx by mass
-    quantiles and carry rho_star0 sampled at the particle positions."""
-    ratio_segments = []
-    for seg in rho0.segments:
-        dens = seg.profile
-        if isinstance(dens, (int, float)):
-            dens = lambda x, h=float(dens): np.full(np.shape(x), h)
-        ratio_segments.append(
-            Segment(
-                seg.lo,
-                seg.hi,
-                lambda x, f=dens: np.asarray(f(x), float) / np.asarray(rho_star0(x), float),
-            )
-        )
-        # the bound must hold pointwise on the support
-        xs = np.linspace(seg.lo, seg.hi, 1025)
-        if np.any(np.asarray(dens(xs), float) > np.asarray(rho_star0(xs), float) * (1 + 1e-12)):
-            raise ValueError("density exceeds the maximal density rho_star0")
-    base = build_particles(PiecewiseDensity(ratio_segments), n)
-    ps = ParticleSystem(base.positions, base.masses, rho_star0(base.positions))
-    slack = np.diff(ps.positions) - np.diff(ps.packed)
-    if float(np.min(slack, initial=0.0)) < -position_tol(ps.positions):
-        raise ValueError("initial data violates the ratio bound r <= 1")
-    return ps
+    """Discretize the ratio measure r0 = rho0 / rho_star0, given as
+    constant pieces at most one, by mass quantiles and carry rho_star0
+    sampled at the particle positions."""
+    if np.any(ratio.heights > 1.0):
+        raise ValueError("the ratio rho0 / rho_star0 exceeds the bound 1")
+    base = build_particles(ratio, n)
+    return ParticleSystem(base.positions, base.masses, rho_star0(base.positions))
 
 
 def cosine_bump_rho_star(base: float = 1.0, amplitude: float = 0.2) -> Callable[[np.ndarray], np.ndarray]:

@@ -13,8 +13,6 @@ import pytest
 import yaml
 
 from granular1d import (
-    PiecewiseDensity,
-    Segment,
     StepperConfig,
     TwoBlockParams,
     build_particles,
@@ -29,6 +27,7 @@ from granular1d import (
     reconstruct,
     run_simulation,
     two_block_exact,
+    uniform_blocks,
     weighted_norm,
 )
 from granular1d.cli import EXIT_OK, main as cli_main
@@ -262,7 +261,7 @@ def test_criterion_6_picard_marching_agreement(reference_run):
 
 def test_criterion_7_heterogeneous_run():
     star = cosine_bump_rho_star()
-    rho0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 0.8 * star(x))])
+    rho0 = uniform_blocks([(0.0, 1.0)], 0.8)
     force = piecewise_constant_force([0.5], [0.5, -0.5])
     n = 1000
     rs = build_ratio_system(rho0, star, n)
@@ -286,7 +285,7 @@ def test_criterion_7_heterogeneous_run():
 
     # bit-identity against the homogeneous path when rho_star is one
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    flat0 = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 0.8 * ones(x))])
+    flat0 = uniform_blocks([(0.0, 1.0)], 0.8)
     rs1 = build_ratio_system(flat0, ones, n)
     ps1 = build_particles(flat0, n)
     cfg_short = StepperConfig(dt=1e-3, t_end=0.3)

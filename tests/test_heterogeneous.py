@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from granular1d import (
-    PiecewiseDensity,
-    Segment,
     StepperConfig,
     build_particles,
     build_ratio_system,
@@ -11,13 +9,14 @@ from granular1d import (
     piecewise_constant_force,
     reconstruct,
     run_simulation,
+    uniform_blocks,
     zero_force,
 )
 
 
-def section6_density(fill=0.8, star=None):
-    star = star or cosine_bump_rho_star()
-    return PiecewiseDensity([Segment(0.0, 1.0, lambda x: fill * star(x))])
+def section6_density(fill=0.8):
+    # the ratio of the density fill * rho_star on [0, 1] to rho_star
+    return uniform_blocks([(0.0, 1.0)], fill)
 
 
 def section6_force():
@@ -26,7 +25,7 @@ def section6_force():
 
 def test_build_ratio_system_section6():
     star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(star=star), star, 1000)
+    rs = build_ratio_system(section6_density(), star, 1000)
     # the ratio is identically 0.8 on [0, 1]: mass 0.8, particle mass 8e-4
     assert rs.total_mass == pytest.approx(0.8, rel=1e-9)
     assert rs.masses[0] == pytest.approx(8e-4, rel=1e-9)
@@ -40,24 +39,33 @@ def test_build_ratio_system_section6():
     )
 
 
+def test_ratio_positions_are_exact_quantiles():
+    # the ratio is the constant 0.8 on [0, 1], so particle i sits at (i + 1/2) / n
+    n = 4000
+    rs = build_ratio_system(section6_density(), cosine_bump_rho_star(), n)
+    assert np.max(np.abs(rs.positions - (np.arange(n) + 0.5) / n)) <= 2.3e-16
+    assert abs(rs.total_mass - 0.8) <= 1e-15
+
+
 def test_fully_congested_start():
     star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(fill=1.0, star=star), star, 64)
+    rs = build_ratio_system(section6_density(fill=1.0), star, 64)
     st = next(iter(run_simulation(rs, np.zeros(64), zero_force(), StepperConfig(dt=0.1, t_end=0.0))))
     field = reconstruct(st, rs)
     ratio = field.rho / field.rho_star
     assert ratio == pytest.approx(np.ones(field.n_samples), abs=1e-9)
 
 
-def test_bound_violation_rejected():
+@pytest.mark.parametrize("fill", [1.2, np.nextafter(1.0, 2.0)])
+def test_bound_violation_rejected(fill):
     star = cosine_bump_rho_star()
     with pytest.raises(ValueError):
-        build_ratio_system(section6_density(fill=1.2, star=star), star, 32)
+        build_ratio_system(section6_density(fill=fill), star, 32)
 
 
 def test_stationary_without_force():
     star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(star=star), star, 128)
+    rs = build_ratio_system(section6_density(), star, 128)
     states = list(run_simulation(rs, np.zeros(128), zero_force(), StepperConfig(dt=0.01, t_end=0.5)))
     assert np.array_equal(states[-1].x, states[0].x)
     f0 = reconstruct(states[0], rs)
@@ -67,7 +75,7 @@ def test_stationary_without_force():
 
 def test_section6_congestion_grows_at_center():
     star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(star=star), star, 400)
+    rs = build_ratio_system(section6_density(), star, 400)
     cfg = StepperConfig(dt=2e-3, t_end=0.8)
     hits = {}
     for st in run_simulation(rs, np.zeros(400), section6_force(), cfg):
@@ -88,7 +96,7 @@ def test_section6_congestion_grows_at_center():
 
 def test_ratio_bound_along_run():
     star = cosine_bump_rho_star()
-    rs = build_ratio_system(section6_density(star=star), star, 200)
+    rs = build_ratio_system(section6_density(), star, 200)
     cfg = StepperConfig(dt=2e-3, t_end=0.6)
     for st in run_simulation(rs, np.zeros(200), section6_force(), cfg):
         slack = np.diff(st.x) - np.diff(rs.packed)
@@ -97,7 +105,7 @@ def test_ratio_bound_along_run():
 
 def test_unit_rho_star_matches_homogeneous_bitwise():
     star = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    rho0 = section6_density(fill=0.8, star=star)
+    rho0 = section6_density(fill=0.8)
     rs = build_ratio_system(rho0, star, 150)
     ps = build_particles(rho0, 150)
     assert np.array_equal(rs.positions, ps.positions)

@@ -5,8 +5,6 @@ from granular1d import (
     BlockPartition,
     OracleLimitError,
     ParticleSystem,
-    PiecewiseDensity,
-    Segment,
     build_particles,
     oracle_qp_projection,
     project_admissible,
@@ -109,19 +107,6 @@ def test_build_particles_two_blocks_fig_geometry(two_block_params):
     # gap between blocks consistent with contact time t1 = 0.64 at alpha = 0.5
     gap = 0.1024 - (-0.1024)
     assert np.sqrt(gap / 0.5) == pytest.approx(0.64)
-
-
-def test_build_particles_smooth_density_against_quadrature():
-    profile = lambda x: 0.8 * (1 + 0.2 * (1 - np.cos(2 * np.pi * (x - 0.5))))
-    d = PiecewiseDensity([Segment(0.0, 1.0, profile)])
-    ps = build_particles(d, 200)
-    assert ps.total_mass == pytest.approx(0.96, rel=1e-9)
-    # independent check: trapezoid mass between consecutive quantiles equals m
-    xs = np.linspace(0, 1, 200001)
-    cdf = np.concatenate([[0.0], np.cumsum((profile(xs)[1:] + profile(xs)[:-1]) / 2 * np.diff(xs))])
-    mass_at = np.interp(ps.positions, xs, cdf)
-    m = ps.total_mass / 200
-    assert mass_at == pytest.approx((np.arange(200) + 0.5) * m, abs=5e-7)
 
 
 def test_build_particles_errors():

@@ -14,8 +14,6 @@ from granular1d import (
     ForceField,
     InvariantViolation,
     ParticleSystem,
-    PiecewiseDensity,
-    Segment,
     StepperConfig,
     Stretch,
     TwoBlockParams,
@@ -77,7 +75,7 @@ def two_block_run():
 
 def heterogeneous_run():
     star = cosine_bump_rho_star()
-    density = PiecewiseDensity([Segment(0.0, 1.0, lambda x: 0.8 * star(x))])
+    density = uniform_blocks([(0.0, 1.0)], 0.8)
     force = piecewise_constant_force([0.5], [0.5, -0.5])
     return build_ratio_system(density, star, 300), force, StepperConfig(dt=2e-3, t_end=0.8)
 
