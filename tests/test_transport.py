@@ -193,12 +193,22 @@ def test_project_monotone_pools_exact_ties():
 
 
 def test_project_monotone_errors():
-    with pytest.raises(ValueError):
-        project_monotone(np.array([np.nan, 0.0]), np.ones(2))
-    with pytest.raises(ValueError):
-        project_monotone(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, 1):
+            z = np.array([1.0, 0.0])
+            z[k] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                project_monotone(z, np.ones(2))
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        for k in (0, 1):
+            w = np.ones(2)
+            w[k] = bad
+            with pytest.raises(ValueError, match="weights"):
+                project_monotone(np.array([1.0, 0.0]), w)
     with pytest.raises(ValueError):
         project_monotone(np.array([1.0, 0.0]), np.ones(3))
+    with pytest.raises(ValueError):
+        project_monotone(np.zeros(0), np.ones(0))
 
 
 def test_project_monotone_matches_enumeration_oracle():
@@ -214,7 +224,8 @@ def test_project_monotone_matches_enumeration_oracle():
 
 def _stack_scan_reference(z, w):
     """The plain left-to-right pool-adjacent-violators stack scan over
-    single particles (the earlier implementation), as a reference."""
+    single particles (the earlier implementation), as a reference: the
+    fit and the pooled groups of length >= 2."""
     starts, weights, means = [], [], []
     for i, (zi, wi) in enumerate(zip(z.tolist(), w.tolist())):
         starts.append(i)
@@ -224,9 +235,12 @@ def _stack_scan_reference(z, w):
             w_top, m_top = weights.pop(), means.pop()
             starts.pop()
             w_new = weights[-1] + w_top
-            means[-1] = (weights[-1] * means[-1] + w_top * m_top) / w_new
+            if means[-1] != m_top:  # exact ties pool and keep their value
+                means[-1] = (weights[-1] * means[-1] + w_top * m_top) / w_new
             weights[-1] = w_new
-    return np.repeat(means, np.diff(np.append(starts, z.size)))
+    bounds = np.append(starts, z.size)
+    big = np.diff(bounds) >= 2
+    return np.repeat(means, np.diff(bounds)), BlockPartition(bounds[:-1][big], bounds[1:][big] - 1)
 
 
 def _tie_heavy_instance(rng, n):
@@ -260,7 +274,7 @@ def test_chain_pooling_agrees_with_stack_scan():
             rng.uniform(0.1, 2.0, n),
         )
         fit, blocks = project_monotone(z, w)
-        ref = _stack_scan_reference(z, w)
+        ref, _ = _stack_scan_reference(z, w)
         scale = max(1.0, float(np.max(np.abs(z))))
         assert np.max(np.abs(fit - ref)) <= 1e-12 * scale
         assert np.all(np.diff(fit) >= 0)
@@ -273,13 +287,13 @@ def test_chain_pooling_agrees_with_stack_scan():
 
 def test_staircase_drives_scan_fallback(monkeypatch):
     calls = []
-    scan = transport._pool_scan
+    scan = transport._pool_local
 
     def spy(*args):
         calls.append(len(args[0]))
         return scan(*args)
 
-    monkeypatch.setattr(transport, "_pool_scan", spy)
+    monkeypatch.setattr(transport, "_pool_local", spy)
     k = 10 * transport._CHAIN_ROUNDS
     z = np.append(np.arange(k, dtype=float), -float(k) ** 2)
     fit, blocks = project_monotone(z, np.ones(k + 1))
@@ -287,6 +301,57 @@ def test_staircase_drives_scan_fallback(monkeypatch):
     expected = (k * (k - 1) / 2 - k**2) / (k + 1)
     assert fit == pytest.approx(np.full(k + 1, expected), rel=1e-12)
     assert blocks == BlockPartition([0], [k])
+
+
+def _sparse_violations(rng, n, count):
+    """A long increasing input with runs of exact ties and ``count``
+    values dropped below their left neighbour (the violating pairs)."""
+    z = np.repeat(np.cumsum(rng.uniform(0.5, 1.5, n)), rng.integers(1, 4, n))[:n]
+    at = rng.choice(n - 1, count, replace=False) + 1
+    z[at] -= rng.uniform(1.0, 40.0, count)
+    return z, rng.uniform(0.5, 1.5, n)
+
+
+def _check_against_stack_scan(z, w):
+    n = z.size
+    fit, blocks = project_monotone(z, w)
+    ref, ref_blocks = _stack_scan_reference(z, w)
+    scale = max(1.0, float(np.max(np.abs(z))))
+    assert np.max(np.abs(fit - ref)) <= 1e-12 * scale
+    assert blocks == ref_blocks
+    assert np.all(np.diff(fit)[blocks.interior_cells(n)] == 0)
+    # a group no pool reached (one particle, or a run of exact ties in z)
+    # keeps its value bit for bit
+    kept = np.ones(n, dtype=bool)
+    for lo, hi in zip(blocks.lo.tolist(), blocks.hi.tolist()):
+        kept[lo : hi + 1] = np.all(z[lo : hi + 1] == z[lo])
+    assert np.array_equal(fit[kept], z[kept])
+    return blocks
+
+
+def test_local_pooling_agrees_with_stack_scan_on_sparse_violations():
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        n = int(rng.integers(40, 600))
+        _check_against_stack_scan(*_sparse_violations(rng, n, int(rng.integers(1, 31))))
+    # more violations than the local finish takes: chain rounds run first
+    z, w = _sparse_violations(rng, 4000, 2 * transport._LOCAL_POOLS)
+    assert np.count_nonzero(np.diff(z) < 0) > transport._LOCAL_POOLS
+    _check_against_stack_scan(z, w)
+    # violations at index 0 and at n - 2
+    z = np.arange(50.0)
+    z[0], z[-1] = 3.5, 47.0
+    blocks = _check_against_stack_scan(z, np.ones(50))
+    assert blocks == BlockPartition([0, 48], [2, 49])
+    # the pool at 6 reaches left into the pool that ended at 3: one block
+    z = np.array([0.0, 1.0, 5.0, 2.0, 3.0, 4.0, 9.0, -30.0, 10.0, 11.0])
+    blocks = _check_against_stack_scan(z, np.ones(10))
+    assert blocks == BlockPartition([0], [7])
+    # the pool at 1 takes in 2, 3 and 4 on its right, so the violation at
+    # (3, 4) is swallowed before the scan reaches it
+    z = np.array([0.0, 10.0, 1.0, 2.0, 1.5, 20.0, 21.0])
+    blocks = _check_against_stack_scan(z, np.ones(7))
+    assert blocks == BlockPartition([1], [4])
 
 
 def _random_partition(rng, n):
@@ -317,6 +382,16 @@ def test_partition_arrays_match_naive_definitions():
         naive_sums = [a[lo : hi + 1].sum() for lo, hi in pairs]
         assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)
         assert BlockPartition(bp.lo, bp.hi) == bp
+    # edges: no block, one block over every particle, blocks touching 0 and n - 1
+    for bp, n, labels in [
+        (BlockPartition(), 4, [-1, -1, -1, -1]),
+        (BlockPartition([0], [4]), 5, [0, 0, 0, 0, 0]),
+        (BlockPartition([0, 3], [1, 5]), 6, [0, 0, -1, 1, 1, 1]),
+        (BlockPartition([0, 2], [1, 3]), 4, [0, 0, 1, 1]),
+    ]:
+        assert bp.labels(n).tolist() == labels
+        lab = np.array(labels)
+        assert bp.interior_cells(n).tolist() == ((lab[:-1] == lab[1:]) & (lab[1:] >= 0)).tolist()
 
 
 # ---------------------------------------------------------------- project_admissible
