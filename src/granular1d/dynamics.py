@@ -43,9 +43,9 @@ class ForceField:
     rely on the jump locations staying away from the particles.
 
     ``breakpoints`` is (x cuts, t cuts) when ``piecewise_constant_force``
-    built the force, which then evaluates along the last axis; None for a
-    plain callable, which ``run_windows`` advances one step at a time and
-    whose values are checked finite on every call.
+    built the force; None for a plain callable, which ``run_windows``
+    advances one step at a time and whose values are checked finite on
+    every call.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
@@ -65,7 +65,7 @@ class ForceField:
 def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence,
                              t_breakpoints: Sequence[float] = ()) -> ForceField:
     """Force constant between nondecreasing finite x ``breakpoints`` and
-    ``t_breakpoints``, evaluated along the last axis, one t per row.
+    ``t_breakpoints``.
 
     ``values`` (finite) has len(breakpoints) + 1 entries, value[k] on
     [breakpoints[k-1], breakpoints[k]), or one such row per time piece.
@@ -84,8 +84,9 @@ def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence,
         raise ValueError("breakpoints must be finite and nondecreasing, values finite")
 
     def f(t, x):
-        # the piece searchsorted(bp, x, side="right") picks, NaN the last: one where per cut
-        at_t = cols[:, np.searchsorted(tbp, t, side="right")][..., None]
+        # the piece searchsorted(bp, x, side="right") picks, NaN the last: one where per
+        # cut, on the values at t as Python floats, which np.where takes fastest
+        at_t = cols[:, np.searchsorted(tbp, t, side="right")].tolist()
         out = at_t[-1]
         for b, v in zip(bp.tolist()[::-1], at_t[-2::-1]):
             out = np.where(x < b, v, out)
@@ -142,7 +143,7 @@ class SimState:
 
     @property
     def n(self) -> int:
-        return self.x.shape[-1]
+        return self.x.size
 
 
 def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarray) -> np.ndarray:
@@ -250,10 +251,10 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     return check_state(_states(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init), ps)
 
 
-def position_tol(x: np.ndarray) -> float | np.ndarray:
-    """Absolute rounding tolerance for the gaps of the configuration x,
-    one per configuration along the last axis."""
-    return 1e-12 * np.maximum(1.0, np.maximum(x.max(axis=-1), -x.min(axis=-1)))
+def position_tol(x: np.ndarray) -> float:
+    """Absolute rounding tolerance for the gaps of the configuration x
+    (NaN if x holds one)."""
+    return 1e-12 * np.maximum(1.0, np.maximum(x.max(), -x.min()))
 
 
 def check_state(state: SimState, ps: ParticleSystem) -> SimState:
@@ -421,8 +422,8 @@ class Stretch:
         return next(self.rows([k]))
 
 
-# Rows walked past the row a root names, at the end of a stretch, where
-# evaluating that row or the next one exactly disagrees with the root.
+# Rows the end of a stretch moves past the row its roots name while the
+# next row, evaluated exactly, passes.
 _WALK = 3
 
 
@@ -444,18 +445,17 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
 
     In exact arithmetic (b) is a quadratic in j per gap, (a) one per
     particle and x breakpoint plus the first step fed from the next time
-    piece, and (c) affine per prefix.  The stretch ends before the first
-    row a root names, moved by up to ``_WALK`` rows while the end row
-    fails or the row after it passes when evaluated exactly.
+    piece, and (c) affine per prefix.  The stretch ends at the last row
+    the roots let through, moved later by up to ``_WALK`` rows while the
+    row after it passes when evaluated exactly.
 
     The gate covers every row: slack is quadratic per gap, and gamma,
     its block-edge values, its total and the momentum drift are affine,
     so ``check_state`` on the first and last rows and next to each gap's
     lowest point (rows also held to (a)-(c)) bounds them all and gives
-    ``gamma_max`` and ``slack_min``.  If a covering row fails, or the end
-    row still fails after the walk, rows are evaluated in order up to the
-    first failing one, which is left to ``step``: a failing run stops
-    where a stepwise run would.
+    ``gamma_max`` and ``slack_min``.  If the end row or a covering row
+    fails, rows are evaluated in order up to the first failing one, which
+    is left to ``step``: a failing run stops where a stepwise run would.
     """
     dt, n, k0 = cfg.dt, ps.n, state.step_index
     blocks = state.blocks
@@ -524,37 +524,26 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
             last, top, low = st, max(top, float(st.gamma.max())), min(low, st.slack)
         return last, top, low, True
 
-    end = rooted = int(max(1, min(ends)))
+    end = int(max(1, min(ends)))
     row = admits(end)
-    while row is None and end > max(1, rooted - _WALK):
-        end -= 1
-        row = admits(end)
     if row is not None:
-        if end == rooted:  # the named row passes: so may the next few
-            for _ in range(min(_WALK, most - end)):
-                nxt = admits(end + 1)
-                if nxt is None:
-                    break
-                end, row = end + 1, nxt
+        for _ in range(min(_WALK, most - end)):  # the named row passes: so may the next few
+            nxt = admits(end + 1)
+            if nxt is None:
+                break
+            end, row = end + 1, nxt
         bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
         vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
         vertex = vertex[(vertex > 1) & (vertex < end)]
         inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
         last, top, low, covered = gate(sorted({1, end, *inner}), {end: row})
     if row is None or not covered:
-        # the roots were contradicted beyond the walk, or a covering row
-        # failed: the rows in order, up to the first that fails
-        last, top, low, _ = gate(range(1, end + 1), {} if row is None else {end: row})
+        # the end row or a covering row failed: the rows in order, up to
+        # the first that fails (the end row's result is known)
+        last, top, low, _ = gate(range(1, end + 1), {end: row})
     if last is None:
         return None
     return Stretch(range(k0 + 1, last.step_index + 1), last, top, low, form)
-
-
-def _running_sum(a: np.ndarray) -> None:
-    """Replace each row of a by the sum of the rows up to it, added in
-    row order (as a stepwise running sum does), in place."""
-    for j in range(1, len(a)):
-        np.add(a[j - 1], a[j], out=a[j])
 
 
 def run_windows(
@@ -646,8 +635,7 @@ def picard_solve(ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: Ste
         fs = np.empty((n_steps, ps.n))
         for j in range(n_steps):
             fs[j] = force(times[j], ps.packed + s[j])
-        _running_sum(fs)
-        return fs
+        return np.cumsum(fs, axis=0, out=fs)  # added in row order, as step adds
 
     prev = np.tile(state0.s, (n_steps + 1, 1))
     residuals: list[float] = []
@@ -657,7 +645,7 @@ def picard_solve(ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: Ste
         u_free += state0.u_init
         path = dt * u_free
         path[:1] += ps.positions - ps.packed
-        _running_sum(path)
+        np.cumsum(path, axis=0, out=path)
         fits = [project_monotone(z, m) for z in path]
         cur = np.array([state0.s] + [fit for fit, _ in fits])
         residuals.append(max(d * weighted_norm(c - p, m) for d, c, p in zip(decay, cur, prev)))

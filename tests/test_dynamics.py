@@ -373,6 +373,12 @@ def test_picard_contraction_factor_smooth_force():
     ]
     assert meaningful, "iteration converged too fast to measure"
     assert max(meaningful) <= 0.25 + 0.1
+    # each state's force sum is the running sum, added in step order, of
+    # the force sampled at the states before it
+    total = np.zeros(24)
+    for prev, st in zip(res.states, res.states[1:]):
+        total = total + force(prev.t, prev.x)
+        assert st.force_sum.tobytes() == total.tobytes(), st.step_index
 
 
 def test_picard_nonconvergence_carries_residual():
@@ -410,39 +416,44 @@ def test_two_block_force_branches():
     assert [list(row) for row in f.breakpoints] == [[0.0], [1.0]]
 
 
-def test_declared_force_evaluates_rows_like_single_calls():
-    # one call on (rows, n) positions with (rows,) times is the stack of
-    # the per-row calls, across tied x cuts and a time cut
-    f = piecewise_constant_force([-0.5, 0.5, 0.5], [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0],
-                                                   [7.0, 8.0, 9.0, 10.0]], [1.0, 1.0 + 2**-20])
+def test_declared_force_takes_the_piece_at_tied_cuts():
+    # each call takes, per particle, the value of the time piece that
+    # searchsorted(t_cuts, t, side="right") picks and of the x piece that
+    # counts the x cuts <= x, across tied x cuts and times at, just below
+    # and just above a time cut
+    bp, tbp = [-0.5, 0.5, 0.5], [1.0, 1.0 + 2**-20]
+    values = [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0], [7.0, 8.0, 9.0, 10.0]]
+    f = piecewise_constant_force(bp, values, tbp)
     x = np.array([[-1.0, -0.5, 0.0, 0.5, 0.7], [-0.6, -0.5, 0.49, 0.5, 1.0],
                   [-0.0, 0.0, 0.5, 0.5, 2.0], [-2.0, -0.5, 0.5, 0.5, 0.6]])
-    t = np.array([np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-20, 5.0])
-    rows = f(t, x)
-    assert rows.shape == x.shape
-    stacked = np.stack([f(float(tj), xj) for tj, xj in zip(t, x)])
-    assert rows.tobytes() == stacked.tobytes()
-    assert list(rows[:, 3]) == [4.0, -4.0, 10.0, 10.0]
+    t = [np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-20, 5.0]
+    for tj, xj in zip(t, x):
+        got = f(tj, xj)
+        row = values[sum(c <= tj for c in tbp)]
+        want = np.array([row[sum(c <= xi for c in bp)] for xi in xj])
+        assert got.shape == xj.shape and got.tobytes() == want.tobytes(), tj
+    assert [f(tj, xj)[3] for tj, xj in zip(t, x)] == [4.0, -4.0, 10.0, 10.0]
     assert f.breakpoints is not None and ForceField(lambda t, x: x).breakpoints is None
 
 
 def test_declared_force_call_returns_its_evaluation_bits():
     # a declared force skips the finite pass (its values were checked when
     # it was built) and keeps the broadcast: the call returns the bits of
-    # the evaluation broadcast to x, as a float array, for (n,) and (rows, n)
+    # the evaluation broadcast to x, as a float array, also for a force
+    # with no cut, whose evaluation is one number
     f = piecewise_constant_force([0.0], [[0.1, -0.3], [-0.1, 0.3]], [1.0])
     flat = piecewise_constant_force([], [0.7])
     x = np.array([[-1.0, -0.0, 0.0, 2.5], [-0.2, 0.4, 0.0, -3.0]])
-    t = np.array([0.5, 1.0])
     for force in (f, flat):
-        for tt, xx in ((0.5, x[0]), (1.0, x[1]), (t, x)):
+        for tt, xx in ((0.5, x[0]), (1.0, x[1])):
             want = np.broadcast_to(np.asarray(force.eval(tt, xx), dtype=float), xx.shape)
             got = force(tt, xx)
             assert got.dtype == np.float64 and got.shape == xx.shape
             assert got.tobytes() == want.tobytes()
+    assert flat(0.5, x[0]).tobytes() == np.full(4, 0.7).tobytes()
     # -0.0 is not below the cut 0.0; t = 1.0 takes the reversed piece
-    want = np.array([[0.1, -0.3, -0.3, -0.3], [-0.1, 0.3, 0.3, -0.1]])
-    assert f(t, x).tobytes() == want.tobytes()
+    assert f(0.5, x[0]).tobytes() == np.array([0.1, -0.3, -0.3, -0.3]).tobytes()
+    assert f(1.0, x[1]).tobytes() == np.array([-0.1, 0.3, 0.3, -0.1]).tobytes()
 
 
 def test_piecewise_constant_force_tied_breakpoints():

@@ -80,6 +80,12 @@ def heterogeneous_run():
     return build_ratio_system(density, star, 300), force, StepperConfig(dt=2e-3, t_end=0.8)
 
 
+def partially_filled_run(fill=0.5):
+    p = TwoBlockParams()
+    ps = build_particles(uniform_blocks([(p.a1, p.b1), (p.a2, p.b2)], fill), 200)
+    return ps, p.force(), StepperConfig(dt=2e-3, t_end=2.6)
+
+
 def test_two_block_matches_stepwise():
     ps, force, cfg = two_block_run()
     assert multi_row(run_windows(ps, np.zeros(ps.n), force, cfg))
@@ -96,10 +102,8 @@ def test_heterogeneous_matches_stepwise():
 def test_partially_filled_two_block_matches_stepwise(fill):
     # the two-block geometry below the maximal density: each particle that
     # reaches the growing central zone is a contact, so events are dense
-    p = TwoBlockParams()
-    ps = build_particles(uniform_blocks([(p.a1, p.b1), (p.a2, p.b2)], fill), 200)
-    cfg = StepperConfig(dt=2e-3, t_end=2.6)
-    assert_matches_stepwise(ps, np.zeros(ps.n), p.force(), cfg)
+    ps, force, cfg = partially_filled_run(fill)
+    assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
 
 
 def test_only_declared_forces_get_windows():
@@ -166,6 +170,36 @@ def test_random_scenarios_match_stepwise(seed):
     u0 = rng.normal(0, 1.0, n)
     cfg = StepperConfig(dt=float(rng.uniform(0.005, 0.02)), t_end=2.0)
     assert_matches_stepwise(ps, u0, random_force(rng), cfg)
+
+
+@pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run, partially_filled_run],
+                         ids=["two-block", "heterogeneous", "fill-0.5"])
+def test_late_roots_fall_back_to_the_in_order_scan(setup, monkeypatch):
+    # every root five rows late names an end row that fails, so each
+    # stretch is found by evaluating its rows in order up to the first
+    # that fails: the run keeps every state's bits and partition
+    ps, force, cfg = setup()
+    u0 = np.zeros(ps.n)
+    gate, calls = dynamics.check_state, [0]
+
+    def counting_gate(state, ps_):
+        calls[0] += 1
+        return gate(state, ps_)
+
+    monkeypatch.setattr(dynamics, "check_state", counting_gate)
+    assert multi_row(run_windows(ps, u0, force, cfg))
+    checked = calls[0]
+    ref = list(run_simulation(ps, u0, force, cfg))
+    root = dynamics.first_root
+    monkeypatch.setattr(dynamics, "first_root", lambda a, b, c: root(a, b, c) + 5)
+    calls[0] = 0
+    assert multi_row(run_windows(ps, u0, force, cfg))
+    assert calls[0] > checked  # the rows before each late end are checked in order
+    got = list(run_simulation(ps, u0, force, cfg))
+    assert len(got) == len(ref)
+    for a, b in zip(ref, got):
+        assert np.array_equal(a.u_init, b.u_init)
+        assert_same_state(a, replace(b, u_init=a.u_init))
 
 
 def test_exact_tie_is_a_contact():
