@@ -87,7 +87,8 @@ def _section(cfg: dict, key: str, allowed, default=None, required=False) -> dict
 
 def _number(val, key: str, positive: bool = False) -> float:
     """The one reader of numeric config values: a finite YAML number (> 0 if ``positive``)."""
-    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and np.isfinite(val)
+    ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+          and abs(val) <= sys.float_info.max)
     if not ok or (positive and val <= 0):
         raise ConfigError(f"config key '{key}' must be a finite number{' > 0' if positive else ''}")
     return float(val)
@@ -205,7 +206,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     if unknown:
         raise ConfigError(f"unknown keys for '{scenario}': {', '.join(sorted(map(str, unknown)))}")
     n = _require(cfg, "n", int)
-    if n < 1:
+    if _number(n, "n") < 1:
         raise ConfigError("n must be >= 1")
     dt = _number(_require(cfg, "dt"), "dt", positive=True)
     t_end = _number(_require(cfg, "t_end"), "t_end")

@@ -422,16 +422,11 @@ class Stretch:
         return next(self.rows([k]))
 
 
-# Rows the end of a stretch moves past the row its roots name while the
-# next row, evaluated exactly, passes.
-_WALK = 3
-
-
 def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
              ps: ParticleSystem) -> Stretch | None:
     """The stretch of up to ``most`` rows after ``state`` on its partition,
     with the force values f sampled there held (see ``_ClosedForm``), or
-    None if its first row fails.
+    None if a row that covers it fails.
 
     Row j is the run's state if it passes each of these, decided exactly
     on its materialized fields, without a tolerance:
@@ -446,16 +441,16 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     In exact arithmetic (b) is a quadratic in j per gap, (a) one per
     particle and x breakpoint plus the first step fed from the next time
     piece, and (c) affine per prefix.  The stretch ends at the last row
-    the roots let through, moved later by up to ``_WALK`` rows while the
-    row after it passes when evaluated exactly.
+    the roots let through.
 
     The gate covers every row: slack is quadratic per gap, and gamma,
     its block-edge values, its total and the momentum drift are affine,
     so ``check_state`` on the first and last rows and next to each gap's
-    lowest point (rows also held to (a)-(c)) bounds them all and gives
-    ``gamma_max`` and ``slack_min``.  If the end row or a covering row
-    fails, rows are evaluated in order up to the first failing one, which
-    is left to ``step``: a failing run stops where a stepwise run would.
+    lowest point (rows also held to (a)-(c), in ascending order) bounds
+    them all and gives ``gamma_max`` and ``slack_min``.  The stretch is
+    taken whole or not at all: if a covering row fails, None leaves
+    every row to ``step``, so a failing run stops where a stepwise run
+    would.
     """
     dt, n, k0 = cfg.dt, ps.n, state.step_index
     blocks = state.blocks
@@ -508,42 +503,22 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
                 return None
         return row
 
-    def gate(rows, admitted: dict[int, SimState]) -> tuple[SimState | None, float, float, bool]:
-        """The last of ``rows`` (ascending) to pass before one fails, with
-        the largest gamma and the smallest slack up to it, and whether all
-        passed; ``admitted`` holds rows that already passed (a)-(c)."""
-        last, top, low = None, -np.inf, np.inf
-        for j in rows:
-            st = admitted[j] if j in admitted else admits(j)
-            try:
-                st = None if st is None else check_state(st, ps)
-            except InvariantViolation:
-                st = None
-            if st is None:
-                return last, top, low, False
-            last, top, low = st, max(top, float(st.gamma.max())), min(low, st.slack)
-        return last, top, low, True
-
     end = int(max(1, min(ends)))
-    row = admits(end)
-    if row is not None:
-        for _ in range(min(_WALK, most - end)):  # the named row passes: so may the next few
-            nxt = admits(end + 1)
-            if nxt is None:
-                break
-            end, row = end + 1, nxt
-        bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
-        vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
-        vertex = vertex[(vertex > 1) & (vertex < end)]
-        inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
-        last, top, low, covered = gate(sorted({1, end, *inner}), {end: row})
-    if row is None or not covered:
-        # the end row or a covering row failed: the rows in order, up to
-        # the first that fails (the end row's result is known)
-        last, top, low, _ = gate(range(1, end + 1), {end: row})
-    if last is None:
-        return None
-    return Stretch(range(k0 + 1, last.step_index + 1), last, top, low, form)
+    bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
+    vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
+    vertex = vertex[(vertex > 1) & (vertex < end)]
+    inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
+    top, low = -np.inf, np.inf
+    for j in sorted({1, end, *inner}):
+        row = admits(j)
+        if row is None:
+            return None
+        try:
+            row = check_state(row, ps)
+        except InvariantViolation:
+            return None
+        top, low = max(top, float(row.gamma.max())), min(low, row.slack)
+    return Stretch(range(k0 + 1, k0 + end + 1), row, top, low, form)
 
 
 def run_windows(
@@ -553,11 +528,12 @@ def run_windows(
     then every step up to t_end, each once.
 
     Between topology events the run jumps over a stretch of many steps
-    (see ``_stretch``); after a stretch, one ``step`` finds the new
-    partition and is yielded as a stretch of its own.  A stretch is
-    tried only for a force that declares its breakpoints, and only once
-    two steps in a row kept the partition, so a run whose partition
-    changes at almost every step goes step by step.
+    (see ``_stretch``); after a stretch, or in place of one that is
+    refused, one ``step`` finds the next partition and is yielded as a
+    stretch of its own.  A stretch is tried only for a force that
+    declares its breakpoints, and only once two steps in a row kept the
+    partition, so a run whose partition changes at almost every step
+    goes step by step.
     """
     state = init_state(ps, u0)
     yield Stretch.of(state)

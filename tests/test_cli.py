@@ -538,11 +538,12 @@ _LEAVES = [(name, cfg, path) for name, cfg in _leaf_configs() for path in _numer
 )
 def test_every_numeric_config_value_is_checked(tmp_path, capsys, cfg, path):
     # each number, in turn, replaced by a value that is not a finite
-    # number, or by a list where a number belongs, is a config error
+    # number (an integer too large for a float among them), or by a list
+    # where a number belongs, is a config error
     config = tmp_path / "leaf.yaml"
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["validate", str(config)]) == EXIT_OK
-    for bad in (True, "1", float("nan"), float("inf"), [1.0]):
+    for bad in (True, "1", float("nan"), float("inf"), 10**400, [1.0]):
         config.write_text(yaml.safe_dump(_replace_leaf(cfg, path, bad)), encoding="utf-8")
         assert main(["validate", str(config)]) == EXIT_CONFIG, bad
         assert json.loads(capsys.readouterr().err)["error"] == "config"

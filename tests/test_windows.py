@@ -174,32 +174,21 @@ def test_random_scenarios_match_stepwise(seed):
 
 @pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run, partially_filled_run],
                          ids=["two-block", "heterogeneous", "fill-0.5"])
-def test_late_roots_fall_back_to_the_in_order_scan(setup, monkeypatch):
-    # every root five rows late names an end row that fails, so each
-    # stretch is found by evaluating its rows in order up to the first
-    # that fails: the run keeps every state's bits and partition
+def test_late_roots_leave_rows_to_step(setup, monkeypatch):
+    # every root five rows late names an end row past an event, which the
+    # stretch's gate refuses: the refused stretch's rows are left to
+    # ``step``, so the run still matches the stepwise one
     ps, force, cfg = setup()
     u0 = np.zeros(ps.n)
-    gate, calls = dynamics.check_state, [0]
-
-    def counting_gate(state, ps_):
-        calls[0] += 1
-        return gate(state, ps_)
-
-    monkeypatch.setattr(dynamics, "check_state", counting_gate)
-    assert multi_row(run_windows(ps, u0, force, cfg))
-    checked = calls[0]
-    ref = list(run_simulation(ps, u0, force, cfg))
+    stepped = count_steps(monkeypatch)
+    list(run_windows(ps, u0, force, cfg))
+    on_time = len(stepped)
     root = dynamics.first_root
     monkeypatch.setattr(dynamics, "first_root", lambda a, b, c: root(a, b, c) + 5)
-    calls[0] = 0
-    assert multi_row(run_windows(ps, u0, force, cfg))
-    assert calls[0] > checked  # the rows before each late end are checked in order
-    got = list(run_simulation(ps, u0, force, cfg))
-    assert len(got) == len(ref)
-    for a, b in zip(ref, got):
-        assert np.array_equal(a.u_init, b.u_init)
-        assert_same_state(a, replace(b, u_init=a.u_init))
+    stepped.clear()
+    list(run_windows(ps, u0, force, cfg))
+    assert len(stepped) > on_time
+    assert_matches_stepwise(ps, u0, force, cfg)
 
 
 def test_exact_tie_is_a_contact():
@@ -256,8 +245,9 @@ def test_shipped_two_block_run_is_a_few_stretches(monkeypatch):
     stepped = count_steps(monkeypatch)
     stretches = list(run_windows(ps, np.zeros(ps.n), p.force(), cfg))
     assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
-    assert len(multi_row(stretches)) <= 20
-    assert len(stepped) <= 10
+    assert [w.steps for w in multi_row(stretches)] == [
+        range(3, 640), range(643, 1001), range(1002, 2000), range(2004, 3001)]
+    assert stepped == [1, 2, 640, 641, 642, 1001, 2000, 2001, 2002, 2003]
 
 
 def test_corrupted_row_names_its_time_and_step(monkeypatch):
@@ -300,22 +290,25 @@ def test_corrupted_row_names_its_time_and_step(monkeypatch):
 
 @pytest.mark.parametrize("step_fails_too", [False, True])
 def test_failing_window_row_is_left_to_step(monkeypatch, step_fails_too):
-    # a row the gate rejects ends its stretch; the rows before it are
-    # yielded, and ``step`` recomputes the row, whose state the gate
-    # then passes or rejects as in a stepwise run.  The stand-in gate
-    # rejects every closed-form row from step ``bad`` on, so the first
-    # rejected row need not be one that the stretch's gate covers
+    # a stretch with a row the gate rejects is refused whole, and
+    # ``step`` recomputes its rows, whose states the gate then passes or
+    # rejects as in a stepwise run.  The stand-in gate rejects every
+    # closed-form row from step ``bad`` on.  When ``step`` passes, the run
+    # goes on past the contact at step 160, so the free flight before it
+    # is a stretch that ends before ``bad`` and the glued phase after it
+    # is left to ``step``
     p = TwoBlockParams()
     ps = p.build(100)
-    cfg = StepperConfig(dt=4e-3, t_end=0.4)
-    bad = 30
+    cfg = StepperConfig(dt=4e-3, t_end=0.4 if step_fails_too else 0.8)
+    bad = 30 if step_fails_too else 170
     gate, stepper = dynamics.check_state, dynamics.step
-    stepping = [False]
+    stepping, made = [False], []
 
     def step_spy(*args):
         stepping[0] = True
         try:
-            return stepper(*args)
+            made.append(stepper(*args))
+            return made[-1]
         finally:
             stepping[0] = False
 
@@ -338,8 +331,10 @@ def test_failing_window_row_is_left_to_step(monkeypatch, step_fails_too):
         return
     stretches = list(run)
     assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
-    assert next(len(w.steps) for w in stretches if bad in w.steps) == 1
-    assert any(len(w.steps) > 1 and w.steps[-1] == bad - 1 for w in stretches)
+    late = [w for w in stretches if w.steps[-1] >= bad]
+    assert [w.steps for w in late] == [range(k, k + 1) for k in range(bad, cfg.n_steps + 1)]
+    assert all(any(w.last is st for st in made) for w in late)
+    assert any(len(w.steps) > 1 and w.steps[-1] < bad for w in stretches)
 
 
 PER_ROW = ("u_free", "x", "u", "gamma", "s", "force_sum")
