@@ -361,7 +361,7 @@ def _writer(setup: RunSetup, kind: str, columns: list[str]) -> _RecordWriter:
 def run_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     n = setup.ps.n
-    tracker = ContactTracker((n // 2 - 1, n // 2)) if n >= 2 else None
+    tracker = ContactTracker((n // 2 - 1, n // 2))  # n = 1: no block, no contact
     max_gamma = -np.inf
     min_slack = np.inf
     max_exclusion = 0.0
@@ -375,8 +375,7 @@ def run_command(config_path: str) -> int:
         # states are evaluated
         for stretch in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
             t0 = stretch.steps[0] * setup.stepper.dt  # the time ``step`` gives that step
-            if tracker is not None:
-                tracker.observe(t0, stretch.blocks)
+            tracker.observe(t0, stretch.blocks)
             if first_congested is None and len(stretch.blocks):
                 first_congested = t0
             max_gamma = max(max_gamma, stretch.gamma_max)
@@ -394,7 +393,7 @@ def run_command(config_path: str) -> int:
         "integrator": "marching",
         "first_congested_time": first_congested,
         "contact_interval": None
-        if tracker is None or tracker.contact_time is None
+        if tracker.contact_time is None
         else [tracker.contact_time, tracker.separation_time],
         "invariant_maxima": {
             "gamma_max": max_gamma,

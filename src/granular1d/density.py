@@ -8,6 +8,7 @@ quantiles), both in closed form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,7 @@ class Segment:
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
             raise ValueError(f"invalid segment bounds [{self.lo}, {self.hi}]")
-        if not isinstance(self.height, (int, float)):
+        if not isinstance(self.height, numbers.Real):
             raise TypeError(f"a segment height is a number, not {type(self.height).__name__}")
         if not np.isfinite(self.height) or self.height < 0:
             raise ValueError(f"invalid constant density {self.height}")

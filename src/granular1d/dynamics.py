@@ -445,12 +445,12 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
 
     The gate covers every row: slack is quadratic per gap, and gamma,
     its block-edge values, its total and the momentum drift are affine,
-    so ``check_state`` on the first and last rows and next to each gap's
-    lowest point (rows also held to (a)-(c), in ascending order) bounds
-    them all and gives ``gamma_max`` and ``slack_min``.  The stretch is
-    taken whole or not at all: if a covering row fails, None leaves
-    every row to ``step``, so a failing run stops where a stepwise run
-    would.
+    so the covering rows, the first and last and those next to each
+    gap's lowest point, bound them all.  One ascending loop decides each
+    covering row by (a), (b), (c) and then ``check_state``, and gives
+    ``gamma_max`` and ``slack_min``.  The stretch is taken whole or not
+    at all: if a covering row fails, None leaves every row to ``step``,
+    so a failing run stops where a stepwise run would.
     """
     dt, n, k0 = cfg.dt, ps.n, state.step_index
     blocks = state.blocks
@@ -465,12 +465,12 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     piece = np.searchsorted(t_cuts, state.t, side="right")
     if piece < t_cuts.size:  # (a), the step that samples the next time piece
         ends.append(math.ceil(t_cuts[piece] / dt) - k0)
-    if x_cuts.size:  # (a), x stays within its piece [lo, hi) up to the feeding row
-        cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
-        at = np.searchsorted(x_cuts, state.x, side="right")
-        leave = np.minimum(first_root(state.x - cuts[at], p1, p2),
-                           first_root(cuts[at + 1] - state.x, -p1, -p2))
-        ends.append(np.floor(leave.min()) + 1)
+    # (a), x stays within its piece [lo, hi) up to the feeding row
+    cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
+    at = np.searchsorted(x_cuts, state.x, side="right")
+    leave = np.minimum(first_root(state.x - cuts[at], p1, p2),
+                       first_root(cuts[at + 1] - state.x, -p1, -p2))
+    ends.append(np.floor(leave.min()) + 1)
     gap = ~inside  # (b)
     close = first_root(np.diff(state.s)[gap], np.diff(p1)[gap], np.diff(p2)[gap])
     ends.append(np.ceil(close.min(initial=np.inf)) - 1)
@@ -487,32 +487,24 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
         ends.append(np.floor(release.min()))
 
     spans = np.stack([blocks.lo, blocks.hi], axis=1).ravel()  # a block's proper prefixes
-
+    end = int(max(1, min(ends)))
+    bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
+    vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
+    vertex = vertex[(vertex > 1) & (vertex < end)]
+    inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
     offsets = form.offsets()
-
-    def admits(j: int) -> SimState | None:
+    top, low = -np.inf, np.inf
+    for j in sorted({1, end, *inner}):
         if j > 1 and not (force((k0 + j - 1) * dt, ps.packed + offsets(j - 1)) == f).all():  # (a)
             return None
         row = form.row(j, offsets)
         if not ((row.s[1:] > row.s[:-1]) | inside).all():  # (b)
             return None
         if some_vary:  # (c)
-            top = np.maximum.reduceat(row.gamma, spans)[::2]
+            peak = np.maximum.reduceat(row.gamma, spans)[::2]
             before = np.where(blocks.lo > 0, row.gamma[blocks.lo - 1], 0.0)
-            if ((top > before) & varies).any():
+            if ((peak > before) & varies).any():
                 return None
-        return row
-
-    end = int(max(1, min(ends)))
-    bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
-    vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
-    vertex = vertex[(vertex > 1) & (vertex < end)]
-    inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
-    top, low = -np.inf, np.inf
-    for j in sorted({1, end, *inner}):
-        row = admits(j)
-        if row is None:
-            return None
         try:
             row = check_state(row, ps)
         except InvariantViolation:

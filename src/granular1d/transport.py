@@ -178,9 +178,12 @@ def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:
     if n < 1:
         raise ValueError("need at least one particle")
     m = density.total_mass / n
-    targets = (np.arange(n) + 0.5) * m
-    positions = density.mass_quantiles(targets)
-    return ParticleSystem(positions, np.full(n, m))
+    try:
+        masses = np.full(n, m)
+        targets = (np.arange(n) + 0.5) * m
+    except (MemoryError, ValueError) as exc:  # too large to allocate, or past numpy's maximum size
+        raise ValueError(f"n = {n:.3g} particles do not fit in memory") from exc
+    return ParticleSystem(density.mass_quantiles(targets), masses)
 
 
 def _validate_projection_args(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +247,7 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
         means[merged] = sums[merged] / weights[merged]
     else:
         joins = means[1:] <= means[:-1]
-    violations = np.flatnonzero(joins)
-    if violations.size:
-        starts, means = _pool_local(starts, weights, sums, means, violations)
+    starts, means = _pool_local(starts, weights, sums, means, np.flatnonzero(joins))
 
     bounds = np.append(starts, n)
     lengths = np.diff(bounds)

@@ -284,6 +284,31 @@ def test_single_particle_run(tmp_path):
     assert [c[0] for c in cells] == [0.0, 0.0, 0.2, 0.2]
     assert [c[2] for c in cells] == [1.0] * 4
     assert [c[1] for c in cells[:2]] == [0.25, 0.75]  # x of the particle at 0.5, m = 1
+    # one particle forms no block: no contact and no congestion
+    summary = json.loads((tmp_path / "out" / "run.summary.json").read_text())
+    assert summary["contact_interval"] is None
+    assert summary["first_congested_time"] is None
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("scenario", [
+    {"scenario": "two-block"},
+    {"scenario": "heterogeneous"},
+    {"scenario": "custom", "density": {"blocks": [[0, 1]]},
+     "force": {"breakpoints": [0.5], "values": [0.3, -0.3]}},
+], ids=["two-block", "heterogeneous", "custom"])
+@pytest.mark.parametrize("n", [10**18, 10**300], ids=["1e18", "1e300"])
+def test_particle_count_beyond_memory_exits_2(tmp_path, capsys, command, scenario, n):
+    # counts that fit a float but fail before anything is allocated
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(yaml.safe_dump(dict(
+        scenario, n=n, dt=0.01, t_end=0.1, output={"path": str(tmp_path / "out" / "run")})))
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "n = " in err["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -41,6 +41,13 @@ def test_invalid_inputs():
         Segment(0.0, 1.0, lambda x: x)
 
 
+def test_numpy_scalar_heights():
+    # numpy scalars are real numbers too
+    assert Segment(0.0, 1.0, np.float32(0.5)).height == 0.5
+    assert uniform_blocks([(0.0, 1.0)], np.int64(1)).total_mass == 1.0
+    assert uniform_blocks([(0.0, 1.0)], np.float32(0.9)).total_mass == float(np.float32(0.9))
+
+
 def test_quantile_targets_must_be_interior():
     d = uniform_blocks([(0.0, 1.0)])
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from granular1d import (
     InvariantViolation,
     ParticleSystem,
     StepperConfig,
+    Stretch,
     TwoBlockParams,
     adhesion_potential,
     block_velocity,
@@ -20,6 +21,7 @@ from granular1d import (
     init_state,
     picard_solve,
     piecewise_constant_force,
+    project_admissible,
     project_monotone,
     run_simulation,
     step,
@@ -207,6 +209,23 @@ def test_init_length_mismatch():
     ps = packed_three()
     with pytest.raises(ValueError):
         init_state(ps, np.zeros(2))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: StepperConfig(dt=0.0, t_end=1.0), ValueError, "dt"),
+    (lambda: StepperConfig(dt=0.1, t_end=-1.0), ValueError, "t_end"),
+    (lambda: init_state(packed_three(), np.array([0.0, np.inf, 0.0])), ValueError, "non-finite"),
+    (lambda: ParticleSystem(np.array([0.0, np.nan]), np.ones(2)), ValueError, "non-finite"),
+    (lambda: project_admissible(np.zeros(3), np.zeros(2), np.ones(3)), ValueError, "equal length"),
+    (lambda: TwoBlockParams(alpha=0.0), ValueError, "positive"),
+    (lambda: TwoBlockParams(t_star=-1.0), ValueError, "positive"),
+    (lambda: adhesion_potential(np.zeros(3), np.zeros(2), np.ones(3)), ValueError, "equal length"),
+    (lambda: Stretch.of(init_state(packed_three(), np.zeros(3))).row(1), IndexError, "not in"),
+], ids=["dt", "t_end", "u0", "position", "projection-lengths", "alpha", "t_star",
+        "adhesion-shapes", "stretch-step"])
+def test_library_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------- step

@@ -112,6 +112,11 @@ def test_build_particles_two_blocks_fig_geometry(two_block_params):
 def test_build_particles_errors():
     with pytest.raises(ValueError):
         build_particles(uniform_blocks([(0.0, 1.0)]), 0)
+    # counts that fail before anything is allocated: past the memory
+    # there is, and past numpy's maximum array size
+    for n in (10**18, 10**300):
+        with pytest.raises(ValueError, match="n = 1e"):
+            build_particles(uniform_blocks([(0.0, 1.0)]), n)
 
 
 # ---------------------------------------------------------------- packed map
@@ -285,19 +290,25 @@ def test_chain_pooling_agrees_with_stack_scan():
         assert np.all(np.diff(fit)[~inside] > 0)
 
 
-def test_staircase_drives_scan_fallback(monkeypatch):
+def spy_local_pools(monkeypatch):
+    """The number of violations each ``_pool_local`` call receives."""
     calls = []
     scan = transport._pool_local
 
     def spy(*args):
-        calls.append(len(args[0]))
+        calls.append(len(args[4]))
         return scan(*args)
 
     monkeypatch.setattr(transport, "_pool_local", spy)
+    return calls
+
+
+def test_staircase_drives_scan_fallback(monkeypatch):
+    calls = spy_local_pools(monkeypatch)
     k = 10 * transport._CHAIN_ROUNDS
     z = np.append(np.arange(k, dtype=float), -float(k) ** 2)
     fit, blocks = project_monotone(z, np.ones(k + 1))
-    assert calls, "chain pooling finished a staircase without the scan"
+    assert calls == [1], "the staircase reaches the scan as its one violation"
     expected = (k * (k - 1) / 2 - k**2) / (k + 1)
     assert fit == pytest.approx(np.full(k + 1, expected), rel=1e-12)
     assert blocks == BlockPartition([0], [k])
@@ -352,6 +363,17 @@ def test_local_pooling_agrees_with_stack_scan_on_sparse_violations():
     z = np.array([0.0, 10.0, 1.0, 2.0, 1.5, 20.0, 21.0])
     blocks = _check_against_stack_scan(z, np.ones(7))
     assert blocks == BlockPartition([1], [4])
+
+
+def test_violations_past_the_chain_round_cap_go_to_the_local_scan(monkeypatch):
+    # 100 staircases, each a ramp of 40 then a drop below it: a chain
+    # round pools each drop with one more ramp value, so all 100
+    # violations, more than the local finish takes, outlast the rounds
+    calls = spy_local_pools(monkeypatch)
+    z = np.concatenate([np.append(1000.0 * k + np.arange(40), 1000.0 * k - 500)
+                        for k in range(100)])
+    _check_against_stack_scan(z, np.ones(z.size))
+    assert calls == [100] and calls[0] > transport._LOCAL_POOLS
 
 
 def _random_partition(rng, n):

@@ -235,6 +235,36 @@ def test_windows_stop_at_reversal_and_release(monkeypatch):
     assert len(stepped) < cfg.n_steps // 10
 
 
+def test_covering_rows_catch_a_force_change_no_root_predicts(monkeypatch):
+    # the two-block force with its reversal time hidden: no root ends a
+    # stretch at the reversal, so (a) finds it on a covering row, whose
+    # force sample is reversed, and refuses the stretch
+    ps, f, cfg = two_block_run()
+    t_star = TwoBlockParams().t_star
+    sampled, tries, stretch = [], [], dynamics._stretch
+
+    def hidden_eval(t, x):
+        sampled.append(t)
+        return f.eval(t, x)
+
+    hidden = ForceField(hidden_eval, breakpoints=(f.breakpoints[0], np.array([])))
+
+    def spy(state, *args):
+        sampled.clear()
+        out = stretch(state, *args)
+        tries.append((state.t, max(sampled), out))
+        return out
+
+    monkeypatch.setattr(dynamics, "_stretch", spy)
+    stretches = list(run_windows(ps, np.zeros(ps.n), hidden, cfg))
+    across = [out for t, last, out in tries if t < t_star <= last]
+    assert across and all(out is None for out in across)
+    reversal = round(t_star / cfg.dt)
+    for w in multi_row(stretches):
+        assert not w.steps[0] - 1 < reversal <= w.steps[-1] - 1
+    assert_matches_stepwise(ps, np.zeros(ps.n), hidden, cfg)
+
+
 def test_shipped_two_block_run_is_a_few_stretches(monkeypatch):
     # the shipped geometry and grid: free flight, the glued phase before
     # and after the reversal, and the flight after the release are one
