@@ -34,7 +34,7 @@ from .errors import EmptyMeasureError, Granular1dError, InvariantViolation
 from .eulerian import EulerianField, check_exclusion, reconstruct
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import ParticleSystem, build_particles
-from .twoblock import ContactTracker, TwoBlockParams, error_norms, two_block_exact
+from .twoblock import ContactTracker, TwoBlockParams, error_norms, two_block_exact, two_block_force
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,12 +85,12 @@ def _section(cfg: dict, key: str, allowed, default=None, required=False) -> dict
     return val
 
 
-def _number(val, key: str, positive: bool = False) -> float:
-    """The one reader of numeric config values: a finite YAML number (> 0 if ``positive``)."""
+def _number(val, key: str) -> float:
+    """The one reader of numeric config values: a finite YAML number."""
     ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
           and abs(val) <= sys.float_info.max)
-    if not ok or (positive and val <= 0):
-        raise ConfigError(f"config key '{key}' must be a finite number{' > 0' if positive else ''}")
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be a finite number")
     return float(val)
 
 
@@ -124,6 +124,8 @@ def _output_steps(cfg: dict, dt: float, t_end: float, last: int) -> set[int]:
 
 def _grid_step(t: float, dt: float, what: str) -> int:
     """Index of the step that lands on time t; t must lie on the grid."""
+    if not abs(t / dt) <= sys.float_info.max:
+        raise ConfigError(f"{what} {t} is too many steps of dt={dt} to count")
     idx = int(round(t / dt))
     if abs(idx * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError(f"{what} {t} is not on the step grid (dt={dt})")
@@ -138,8 +140,7 @@ def _force(cfg: dict, default: dict | None) -> ForceField:
     if bool(two_block) == bool({"breakpoints", "values"} & spec.keys()):
         raise ConfigError("force takes one form: alpha/t_star or breakpoints/values")
     if two_block:
-        a, t_star = (_number(_require(spec, k), k, positive=True) for k in ("alpha", "t_star"))
-        return piecewise_constant_force([0.0], [[a, -a], [-a, a]], [t_star])
+        return two_block_force(*(_number(_require(spec, k), k) for k in ("alpha", "t_star")))
     values = _numbers(_require(spec, "values"), "values")
     return piecewise_constant_force(_numbers(_require(spec, "breakpoints"), "breakpoints"), values)
 
@@ -148,10 +149,7 @@ def _force(cfg: dict, default: dict | None) -> ForceField:
 def _two_block(cfg: dict, n: int):
     geom = _section(cfg, "blocks", ("a1", "b1", "a2", "b2"))
     fspec = _section(cfg, "force", ("alpha", "t_star"))
-    params = TwoBlockParams(
-        **{k: _number(v, k) for k, v in geom.items()},
-        **{k: _number(v, k, positive=True) for k, v in fspec.items()},
-    )
+    params = TwoBlockParams(**{k: _number(v, k) for k, v in {**geom, **fspec}.items()})
     return params.build(n), np.zeros(n), params.force(), params
 
 
@@ -159,8 +157,6 @@ def _heterogeneous(cfg: dict, n: int):
     cspec = _section(cfg, "constraint", ("base", "amplitude"))
     star = cosine_bump_rho_star(**{k: _number(v, k) for k, v in cspec.items()})
     fill = _number(cfg.get("fill", 0.8), "fill")
-    if not 0 < fill <= 1:
-        raise ConfigError("fill must lie in (0, 1]")
     # density = fill * rho_star on [0, 1], so the ratio is fill there
     force = _force(cfg, {"breakpoints": [0.5], "values": [0.5, -0.5]})
     return build_ratio_system(uniform_blocks([(0.0, 1.0)], fill), star, n), np.zeros(n), force, None
@@ -169,8 +165,6 @@ def _heterogeneous(cfg: dict, n: int):
 def _custom(cfg: dict, n: int):
     dspec = _section(cfg, "density", ("blocks",), required=True)
     blocks = [_numbers(b, "density.blocks") for b in _require(dspec, "blocks", list)]
-    if any(len(b) == 3 and b[2] > 1 for b in blocks):
-        raise ConfigError("a density block height must be at most 1, the maximal density")
     # [lo, hi, height] or [lo, hi] at height 1; any other length is a TypeError
     segs = [Segment(*(b if len(b) == 3 else b + [1.0])) for b in blocks]
     ps = build_particles(PiecewiseDensity(segs), n)
@@ -206,13 +200,9 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     if unknown:
         raise ConfigError(f"unknown keys for '{scenario}': {', '.join(sorted(map(str, unknown)))}")
     n = _require(cfg, "n", int)
-    if _number(n, "n") < 1:
-        raise ConfigError("n must be >= 1")
-    dt = _number(_require(cfg, "dt"), "dt", positive=True)
-    t_end = _number(_require(cfg, "t_end"), "t_end")
-    if t_end < 0:
-        raise ConfigError("t_end must be a nonnegative finite number")
-    last = _grid_step(t_end, dt, "t_end")
+    _number(n, "n")  # finite: the library divides by n as a float
+    stepper = StepperConfig(*(_number(_require(cfg, k), k) for k in ("dt", "t_end")))
+    last = _grid_step(stepper.t_end, stepper.dt, "t_end")
     if cfg.get("integrator", "marching") != "marching":
         raise ConfigError(
             "integrator must be 'marching'; the Picard fixed point is library-only "
@@ -236,8 +226,8 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         ps=ps,
         u0=u0,
         force=force,
-        stepper=StepperConfig(dt=dt, t_end=t_end),
-        output_steps=_output_steps(cfg, dt, t_end, last),
+        stepper=stepper,
+        output_steps=_output_steps(cfg, stepper.dt, stepper.t_end, last),
         out_prefix=prefix,
         out_format=out_format,
         two_block=two_block,

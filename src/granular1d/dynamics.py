@@ -13,7 +13,7 @@ release events are decided by the dynamics and not by rounding noise.
 ``picard_solve`` implements the global fixed-point characterization of
 the same trajectory (projection of the accumulated free path with the
 force integrated along the previous iterate) and serves as an
-independent integrator for cross-checks before any contact occurs.
+independent integrator for cross-checks up to the first release.
 """
 
 from __future__ import annotations
@@ -107,8 +107,10 @@ class StepperConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
+        if self.t_end / self.dt == math.inf:
+            raise ValueError("t_end / dt overflows: too many steps")
 
     @property
     def n_steps(self) -> int:
@@ -147,20 +149,18 @@ class SimState:
 
 
 def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarray) -> np.ndarray:
-    """Replace the free velocity by its mass average on each block, along
-    the last axis (one state per row)."""
+    """Replace the free velocity by its mass average on each block."""
     u = np.array(u_free, dtype=float)
     if not len(blocks):
         return u
     mean = blocks.sums(masses * u) / blocks.sums(masses)
-    labels = blocks.labels(u.shape[-1])
-    np.copyto(u, mean[..., labels], where=labels >= 0)
+    labels = blocks.labels(u.size)
+    np.copyto(u, mean[labels], where=labels >= 0)
     return u
 
 
 def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Cumulative mass-weighted velocity deficit, gamma_i = sum_{j<=i} m_j (u_j - uf_j),
-    along the last axis (one state per row).
+    """Cumulative mass-weighted velocity deficit, gamma_i = sum_{j<=i} m_j (u_j - uf_j).
 
     Nonpositive, and zero at block right edges and in total, whenever u
     is a blockwise mean or monotone fit of u_free; ``check_state``
@@ -168,11 +168,11 @@ def adhesion_potential(u: np.ndarray, u_free: np.ndarray, masses: np.ndarray) ->
     """
     u = np.asarray(u, dtype=float)
     u_free = np.asarray(u_free, dtype=float)
-    if u.shape != u_free.shape or u.shape[-1:] != masses.shape:
+    if u.shape != u_free.shape or u.shape != masses.shape:
         raise ValueError("u, u_free, masses must have equal length")
     gamma = u - u_free
     gamma *= masses
-    return np.cumsum(gamma, axis=-1, out=gamma)
+    return np.cumsum(gamma, out=gamma)
 
 
 def _states(ps: ParticleSystem, t: float, step_index: int, s: np.ndarray, u_free: np.ndarray,

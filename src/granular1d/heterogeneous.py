@@ -28,8 +28,6 @@ def build_ratio_system(
     """Discretize the ratio measure r0 = rho0 / rho_star0, given as
     constant pieces at most one, by mass quantiles and carry rho_star0
     sampled at the particle positions."""
-    if np.any(ratio.heights > 1.0):
-        raise ValueError("the ratio rho0 / rho_star0 exceeds the bound 1")
     base = build_particles(ratio, n)
     return ParticleSystem(base.positions, base.masses, rho_star0(base.positions))
 

@@ -72,8 +72,8 @@ class ParticleSystem:
         total = float(np.sum(m))
         center = float(np.dot(m, pos)) / total
         packed = _readonly((center - total / 2) + (np.cumsum(m) - m) + m / 2)
-        if np.any(np.diff(packed) <= 0):
-            raise ValueError("packed map does not increase after rounding; masses too disparate")
+        if not np.all(np.isfinite(packed)) or np.any(np.diff(packed) <= 0):
+            raise ValueError("packed map is not finite or does not increase after rounding")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "total_mass", total)
@@ -159,24 +159,26 @@ class BlockPartition:
         return k < self.hi.size and bool(self.lo[k] <= i)
 
     def sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum of the per-particle values a over each block, along the
-        last axis."""
+        """Sum of the per-particle values a over each block."""
         if not len(self):
-            return np.zeros(a.shape[:-1] + (0,))
+            return np.zeros(0)
         # block starts interleaved with the ends of all but the last block;
         # cutting a after the last block ends that block's segment
         edges = np.empty(2 * self.lo.size - 1, dtype=np.intp)
         edges[0::2] = self.lo
         edges[1::2] = self.hi[:-1] + 1
-        return np.add.reduceat(a[..., : self.hi[-1] + 1], edges, axis=-1)[..., ::2]
+        return np.add.reduceat(a[: self.hi[-1] + 1], edges)[::2]
 
 
 def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:
-    """Discretize a density into n equal-mass particles at the mass
-    quantile midpoints: position[i] = F^{-1}((i + 1/2) m) with m = M/n.
+    """Discretize a density of heights at most 1, the maximal density,
+    into n equal-mass particles at the mass quantile midpoints:
+    position[i] = F^{-1}((i + 1/2) m) with m = M/n.
     """
     if n < 1:
         raise ValueError("need at least one particle")
+    if np.any(density.heights > 1.0):
+        raise ValueError("a density height exceeds the maximal density 1")
     m = density.total_mass / n
     try:
         masses = np.full(n, m)

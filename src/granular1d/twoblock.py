@@ -29,6 +29,14 @@ from .dynamics import ForceField, SimState, piecewise_constant_force
 from .transport import BlockPartition, ParticleSystem, build_particles, weighted_norm
 
 
+def two_block_force(alpha: float, t_star: float) -> ForceField:
+    """Force of magnitude alpha toward the origin before t_star and away
+    from it from t_star on; alpha and t_star must be positive."""
+    if not (alpha > 0 and t_star > 0):
+        raise ValueError("alpha and t_star must be positive")
+    return piecewise_constant_force([0.0], [[alpha, -alpha], [-alpha, alpha]], [t_star])
+
+
 @dataclass(frozen=True)
 class TwoBlockParams:
     """Geometry and forcing of the two-block scenario.
@@ -51,8 +59,7 @@ class TwoBlockParams:
             raise ValueError("blocks must be exact mirror images about 0 (a1 == -b2, b1 == -a2)")
         if not self.a1 < self.b1 < self.a2:
             raise ValueError("blocks must be nonempty and separated (a1 < b1 < a2)")
-        if self.alpha <= 0 or self.t_star <= 0:
-            raise ValueError("alpha and t_star must be positive")
+        self.force()  # raises unless alpha and t_star are positive
         if not self.t1 < self.t_star:
             raise ValueError("contact must happen before the force reversal (t1 < t_star)")
 
@@ -72,8 +79,7 @@ class TwoBlockParams:
         return uniform_blocks([(self.a1, self.b1), (self.a2, self.b2)])
 
     def force(self) -> ForceField:
-        a = self.alpha
-        return piecewise_constant_force([0.0], [[a, -a], [-a, a]], [self.t_star])
+        return two_block_force(self.alpha, self.t_star)
 
     def build(self, n: int) -> ParticleSystem:
         return build_particles(self.density(), n)

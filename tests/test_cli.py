@@ -407,6 +407,15 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
                                   "values": [1.0, 2.0]}),
         dict(_CUSTOM, n=10, density={"blocks": [[0, 1, 2.0]]}),
         dict(blocks={"a1": -1.1024, "b1": -0.1024, "a2": 0.1024, "b2": 1.1024 + 5e-13}),
+        dict(dt=0.0),
+        dict(dt=1.0e-3, t_end=1.0e308, output_times=[0.0]),
+        dict(output_times=[0.0, 1.0e308]),
+        dict(_CUSTOM, density={"blocks": [[0.0, 1.0e308]]}),
+        dict(force={"alpha": 0.0, "t_star": 1.0}),
+        dict(_CUSTOM_UNIT, force={"alpha": -0.5, "t_star": 1.0}),
+        dict(_CUSTOM_UNIT, force={"alpha": 0.5, "t_star": 0.0}),
+        dict(scenario="heterogeneous", force={"alpha": 0.0, "t_star": 1.0}),
+        dict(scenario="heterogeneous", force={"alpha": 0.5, "t_star": -1.0}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -424,13 +433,17 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",
          "fill-above-one", "short-u0-list", "force-neither-form", "mixed-force-forms",
          "height-above-bound",
-         "near-mirror-blocks"],
+         "near-mirror-blocks", "zero-dt", "t-end-steps-overflow", "output-time-steps-overflow",
+         "non-finite-packed-map", "two-block-zero-alpha", "custom-negative-alpha",
+         "custom-zero-t-star", "heterogeneous-zero-alpha", "heterogeneous-negative-t-star"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
-    assert main(["validate", str(cfg)]) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_root_list_exits_2(tmp_path, capsys):

@@ -29,6 +29,7 @@ from granular1d import (
     weighted_norm,
     zero_force,
 )
+from granular1d.twoblock import two_block_force
 
 
 def packed_three() -> ParticleSystem:
@@ -214,15 +215,18 @@ def test_init_length_mismatch():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: StepperConfig(dt=0.0, t_end=1.0), ValueError, "dt"),
     (lambda: StepperConfig(dt=0.1, t_end=-1.0), ValueError, "t_end"),
+    (lambda: StepperConfig(dt=0.1, t_end=np.nan), ValueError, "t_end"),
+    (lambda: StepperConfig(dt=1e-3, t_end=1e308), ValueError, "overflows"),
     (lambda: init_state(packed_three(), np.array([0.0, np.inf, 0.0])), ValueError, "non-finite"),
     (lambda: ParticleSystem(np.array([0.0, np.nan]), np.ones(2)), ValueError, "non-finite"),
     (lambda: project_admissible(np.zeros(3), np.zeros(2), np.ones(3)), ValueError, "equal length"),
     (lambda: TwoBlockParams(alpha=0.0), ValueError, "positive"),
     (lambda: TwoBlockParams(t_star=-1.0), ValueError, "positive"),
+    (lambda: two_block_force(0.5, 0.0), ValueError, "positive"),
     (lambda: adhesion_potential(np.zeros(3), np.zeros(2), np.ones(3)), ValueError, "equal length"),
     (lambda: Stretch.of(init_state(packed_three(), np.zeros(3))).row(1), IndexError, "not in"),
-], ids=["dt", "t_end", "u0", "position", "projection-lengths", "alpha", "t_star",
-        "adhesion-shapes", "stretch-step"])
+], ids=["dt", "t_end", "nan-t_end", "step-count", "u0", "position", "projection-lengths", "alpha",
+        "t_star", "force-t_star", "adhesion-shapes", "stretch-step"])
 def test_library_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -117,9 +117,21 @@ def test_build_particles_errors():
     for n in (10**18, 10**300):
         with pytest.raises(ValueError, match="n = 1e"):
             build_particles(uniform_blocks([(0.0, 1.0)]), n)
+    # a height above the maximal density 1, however slightly
+    with pytest.raises(ValueError, match="maximal density 1"):
+        build_particles(uniform_blocks([(0.0, 1.0)], np.nextafter(1.0, 2.0)), 4)
 
 
 # ---------------------------------------------------------------- packed map
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_non_finite_packed_map_rejected(n):
+    # the center of mass overflows, so the packed map is inf, or NaN
+    # where its gaps are taken; one particle has no gap at all
+    pos = np.linspace(0.0, 1e308, n + 2)[1:-1]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        ParticleSystem(pos, np.full(n, 1e308 / n))
 
 
 def test_congested_transport_unit_block_is_fixed_point():
