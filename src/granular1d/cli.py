@@ -450,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             json.dumps(
                 {"error": "invariant", "check": exc.check, "value": exc.value,
-                 "t": exc.t, "step": exc.step}
+                 "t": exc.t, "step": exc.step, "i": exc.index}
             ),
             file=sys.stderr,
         )

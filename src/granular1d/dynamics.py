@@ -245,7 +245,8 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     u_free = state.u_init + dt * force_sum
     z = state.s + dt * u_free
     # a free path that overflowed is left unprojected for the gate to name
-    s, blocks = project_monotone(z, masses) if np.isfinite(z).all() else (z, BlockPartition())
+    s, blocks = (project_monotone(z, masses, cum_w=ps.cum_masses) if np.isfinite(z).all()
+                 else (z, BlockPartition()))
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
     return check_state(_states(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init), ps)
@@ -254,7 +255,7 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
 def position_tol(x: np.ndarray) -> float:
     """Absolute rounding tolerance for the gaps of the configuration x
     (NaN if x holds one)."""
-    return 1e-12 * np.maximum(1.0, np.maximum(x.max(), -x.min()))
+    return 1e-12 * np.maximum(1.0, np.maximum(np.maximum.reduce(x), -np.minimum.reduce(x)))
 
 
 def check_state(state: SimState, ps: ParticleSystem) -> SimState:
@@ -263,7 +264,10 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     step) unless it satisfies the structural invariants: finite fields,
     feasibility of x, exact block-constancy of u, nonpositive gamma
     vanishing at block right edges and globally, and momentum balance.
-    The error names the first failing check.
+    The error names the first failing check and, where one gap or
+    particle fails it, the first such ``index``: the gap for
+    feasibility, the particle for the others (for block constancy the
+    first whose u differs from its block neighbour on the left).
 
     This is the package's one tolerance policy: non-finite fields fail
     first; gaps are compared at ``position_tol(x)``; gamma's sign at
@@ -271,44 +275,52 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     max(1, M * max(1, max|u_free|)).
     """
     x, u, u_free, gamma, blocks = state.x, state.u, state.u_free, state.gamma, state.blocks
+    n = x.size
 
-    gaps = np.diff(x)
-    gaps -= np.diff(ps.packed)
-    slack = float(gaps.min(initial=np.inf))
+    gaps = x[1:] - x[:-1]
+    gaps -= ps.packed_gaps
+    slack = float(np.minimum.reduce(gaps, initial=np.inf))
 
-    labels = blocks.labels(x.size)
-    inside = blocks.interior_cells(x.size)
+    labels = blocks.labels(n)
+    inside = blocks.interior_cells(n)
 
-    umax = np.maximum(1.0, np.maximum(u_free.max(), -u_free.min()))
+    umax = np.maximum(1.0, np.maximum(np.maximum.reduce(u_free), -np.minimum.reduce(u_free)))
     vel_scale = np.maximum(1.0, ps.total_mass * umax)
     edge_tol = 1e-12 * vel_scale
-    top = gamma.max()
+    sign_tol = 1e-10 * vel_scale
+    top = np.maximum.reduce(gamma)
     total = abs(gamma[-1])
     edges = np.abs(gamma[blocks.hi])
     drift = abs(u @ ps.masses - u_free @ ps.masses)
     tol = position_tol(x)
     # a NaN or an infinity in x, u_free, u or gamma reaches one of these
     # reductions; each is tested on its own, as a sum of them may overflow
-    finite = np.isfinite((tol, umax, drift, top, gamma.min())).all()
+    finite = np.isfinite((tol, umax, drift, top, np.minimum.reduce(gamma))).all()
+    jumps = (u[:-1] != u[1:]) & inside
+    loose = (u != u_free) & (labels < 0)
+    high_edges = edges > edge_tol
 
-    # (name, failed, magnitude, message), in reporting order
+    # (name, failed, magnitude, message, offenders), in reporting order;
+    # offenders gives a mask whose first True is the index to report
     checks = [
-        ("finite", not finite, 0.0, "non-finite x, u, u_free or gamma"),
-        ("feasibility", slack < -tol, -slack, ""),
-        ("block_velocity_constant", ((u[:-1] != u[1:]) & inside).any(),
-         0.0, "u not constant on a block"),
-        ("free_velocity_off_blocks", ((u != u_free) & (labels < 0)).any(),
-         0.0, "u != u_free off blocks"),
-        ("gamma_sign", top > 1e-10 * vel_scale, top, ""),
-        ("gamma_total", total > edge_tol, total, ""),
-        ("gamma_block_edge", (edges > edge_tol).any(), None, ""),
-        ("momentum_balance", drift > edge_tol, drift, ""),
+        ("finite", not finite, 0.0, "non-finite x, u, u_free or gamma", None),
+        ("feasibility", slack < -tol, -slack, "", lambda: gaps < -tol),
+        ("block_velocity_constant", jumps.any(), 0.0, "u not constant on a block",
+         lambda: np.concatenate(([False], jumps))),
+        ("free_velocity_off_blocks", loose.any(), 0.0, "u != u_free off blocks", lambda: loose),
+        ("gamma_sign", top > sign_tol, top, "", lambda: gamma > sign_tol),
+        ("gamma_total", total > edge_tol, total, "", None),
+        ("gamma_block_edge", high_edges.any(), None, "", None),
+        ("momentum_balance", drift > edge_tol, drift, "", None),
     ]
-    for name, failed, value, message in checks:
+    for name, failed, value, message, offenders in checks:
         if failed:
+            index = None if offenders is None else int(offenders().argmax())
             if value is None:  # the first block edge over the tolerance
-                value = edges[edges > edge_tol][0]
-            raise InvariantViolation(name, float(value), message, t=state.t, step=state.step_index)
+                k = int(high_edges.argmax())
+                value, index = edges[k], int(blocks.hi[k])
+            raise InvariantViolation(name, float(value), message, t=state.t,
+                                     step=state.step_index, index=index)
     return state if state.slack == slack else replace(state, slack=slack)
 
 

@@ -18,14 +18,17 @@ class InvariantViolation(Granular1dError):
         value: measured magnitude of the violation.
         t, step: simulated time and step index of the failing state,
             when known.
+        index: the first particle or gap that fails the check, or None
+            when no single one does.
     """
 
     def __init__(self, check: str, value: float, message: str = "",
-                 t: float | None = None, step: int | None = None):
+                 t: float | None = None, step: int | None = None, index: int | None = None):
         self.check = check
         self.value = value
         self.t = t
         self.step = step
+        self.index = index
         super().__init__(message or f"invariant '{check}' violated (magnitude {value:.3e})")
 
 

@@ -53,19 +53,23 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     carried maximal density, and rho_star is emitted per sample.  A gap
     below its packed value by more than ``position_tol`` raises
     ``density_bound``; smaller rounding excesses are clipped to the bound.
+    Either error's ``index`` is the first failing gap.
     """
     x = state.x
     m = ps.masses
     n = ps.n
     gaps = np.diff(x)
-    packed = np.diff(ps.packed)
+    packed = ps.packed_gaps
     if np.any(gaps <= 0):
         raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
                                  "invalid transport: coincident particle positions",
-                                 t=state.t, step=state.step_index)
-    deficit = float(np.max(packed - gaps, initial=-np.inf))
-    if deficit > position_tol(x):
-        raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index)
+                                 t=state.t, step=state.step_index, index=int(np.argmax(gaps <= 0)))
+    over = packed - gaps
+    deficit = float(np.max(over, initial=-np.inf))
+    tol = position_tol(x)
+    if deficit > tol:
+        raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index,
+                                 index=int(np.argmax(over > tol)))
     ratio = np.minimum(packed / gaps, 1.0)
 
     xm = (x[:-1] + x[1:]) / 2

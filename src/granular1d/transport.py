@@ -43,6 +43,8 @@ class ParticleSystem:
     lower bounds of the admissible cone.
     ``rho_star`` is the maximal density each particle carries along its
     trajectory, or None for the homogeneous bound rho <= 1.
+    ``packed_gaps`` (the gaps of ``packed``) and ``cum_masses``
+    (cumsum(masses)) are run constants, read-only like ``packed``.
     """
 
     positions: np.ndarray
@@ -50,6 +52,8 @@ class ParticleSystem:
     rho_star: np.ndarray | None = None
     total_mass: float = field(init=False)
     packed: np.ndarray = field(init=False)
+    packed_gaps: np.ndarray = field(init=False)
+    cum_masses: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pos = _readonly(self.positions)
@@ -69,15 +73,21 @@ class ParticleSystem:
             if np.any(star <= 0) or not np.all(np.isfinite(star)):
                 raise ValueError("rho_star must be positive and finite")
             object.__setattr__(self, "rho_star", star)
-        total = float(np.sum(m))
-        center = float(np.dot(m, pos)) / total
-        packed = _readonly((center - total / 2) + (np.cumsum(m) - m) + m / 2)
-        if not np.all(np.isfinite(packed)) or np.any(np.diff(packed) <= 0):
+        # masses or a center of mass that overflow leave packed non-finite, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(m))
+            cum = _readonly(np.cumsum(m))
+            center = float(np.dot(m, pos)) / total
+            packed = _readonly((center - total / 2) + (cum - m) + m / 2)
+            gaps = _readonly(np.diff(packed))
+        if not np.all(np.isfinite(packed)) or np.any(gaps <= 0):
             raise ValueError("packed map is not finite or does not increase after rounding")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "packed_gaps", gaps)
+        object.__setattr__(self, "cum_masses", cum)
 
     @property
     def n(self) -> int:
@@ -91,7 +101,9 @@ class BlockPartition:
     by the cone projection.  A partition is built as
     ``BlockPartition(lo, hi)`` from the first and last particle index of
     each block, kept as two read-only int arrays, so that per-block work
-    is a numpy operation rather than a Python loop.
+    is a numpy operation rather than a Python loop.  The partition that
+    ``project_monotone`` returns comes with its labels and interior
+    cells, which the fit already knows.
     """
 
     __slots__ = ("lo", "hi", "_per_particle")
@@ -112,6 +124,20 @@ class BlockPartition:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_per_particle", None)
+
+    @classmethod
+    def _of_groups(cls, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray,
+                   lengths: np.ndarray) -> BlockPartition:
+        """The partition with bounds lo, hi of a fit's groups, which are
+        ordered and disjoint, so unchecked; ``ids`` holds each group's
+        block id (-1 for a single particle) and ``lengths`` its length."""
+        self = object.__new__(cls)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_per_particle", _label_masks(ids, lengths))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockPartition is immutable")
@@ -146,12 +172,9 @@ class BlockPartition:
         cuts = np.stack([self.lo, self.hi + 1], axis=-1).ravel()
         ids = np.full(2 * len(self) + 1, -1, dtype=np.intp)
         ids[1::2] = np.arange(len(self))
-        lab = np.repeat(ids, np.diff(cuts, prepend=0, append=n))
-        inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
-        lab.setflags(write=False)
-        inside.setflags(write=False)
-        object.__setattr__(self, "_per_particle", (lab, inside))
-        return lab, inside
+        masks = _label_masks(ids, np.diff(cuts, prepend=0, append=n))
+        object.__setattr__(self, "_per_particle", masks)
+        return masks
 
     def spans(self, i: int, j: int) -> bool:
         """Whether some block contains both particle i and particle j."""
@@ -168,6 +191,16 @@ class BlockPartition:
         edges[0::2] = self.lo
         edges[1::2] = self.hi[:-1] + 1
         return np.add.reduceat(a[: self.hi[-1] + 1], edges)[::2]
+
+
+def _label_masks(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only labels (ids[k] repeated lengths[k] times, -1 off the
+    blocks) and the interior cells of those labels."""
+    lab = ids.repeat(lengths)
+    inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
+    lab.setflags(write=False)
+    inside.setflags(write=False)
+    return lab, inside
 
 
 def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:
@@ -209,7 +242,8 @@ _CHAIN_ROUNDS = 16
 _LOCAL_POOLS = 64
 
 
-def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPartition]:
+def project_monotone(z: np.ndarray, w: np.ndarray, *,
+                     cum_w: np.ndarray | None = None) -> tuple[np.ndarray, BlockPartition]:
     """Weighted L2 projection onto the cone of nondecreasing vectors.
 
     Pool-adjacent-violators on groups of particles: runs of exactly equal
@@ -225,14 +259,21 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
     tied.
 
     Returns the fitted map and the pooled groups of length >= 2.
+
+    A run passes its masses' ``cum_w`` = cumsum(w)
+    (``ParticleSystem.cum_masses``) and vouches for its arguments: z
+    finite and of w's length, w checked when the run was built; then
+    neither is checked again.
     """
-    z, w = _validate_projection_args(z, w)
+    if cum_w is None:
+        z, w = _validate_projection_args(z, w)
+        cum_w = np.cumsum(w)
     n = z.size
 
     # run-length compression of exact ties
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(z) != 0) + 1])
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    weights = cw[np.append(starts[1:], n)] - cw[starts]
+    starts = np.concatenate(([0], (z[1:] != z[:-1]).nonzero()[0] + 1))
+    tops = cum_w[np.concatenate((starts[1:], [n])) - 1]  # the weight up to each run's end
+    weights = tops - np.concatenate(([0.0], tops[:-1]))
     means = z[starts]
     sums = weights * means
 
@@ -240,8 +281,8 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
         joins = means[1:] <= means[:-1]  # group k+1 pools into group k
         if np.count_nonzero(joins) <= _LOCAL_POOLS:
             break
-        heads = np.flatnonzero(np.concatenate([[True], ~joins]))
-        merged = np.diff(np.append(heads, means.size)) > 1
+        heads = np.concatenate(([True], ~joins)).nonzero()[0]
+        merged = np.concatenate((heads[1:], [means.size])) - heads > 1
         starts = starts[heads]
         weights = np.add.reduceat(weights, heads)
         sums = np.add.reduceat(sums, heads)
@@ -249,13 +290,15 @@ def project_monotone(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, BlockPar
         means[merged] = sums[merged] / weights[merged]
     else:
         joins = means[1:] <= means[:-1]
-    starts, means = _pool_local(starts, weights, sums, means, np.flatnonzero(joins))
+    starts, means = _pool_local(starts, weights, sums, means, joins.nonzero()[0])
 
-    bounds = np.append(starts, n)
-    lengths = np.diff(bounds)
+    lengths = np.concatenate((starts[1:], [n])) - starts
     big = lengths >= 2
-    blocks = BlockPartition(bounds[:-1][big], bounds[1:][big] - 1)
-    return np.repeat(means, lengths), blocks
+    lo = starts[big]
+    ids = np.full(lengths.size, -1, dtype=np.intp)
+    ids[big] = np.arange(lo.size)
+    blocks = BlockPartition._of_groups(lo, lo + lengths[big] - 1, ids, lengths)
+    return means.repeat(lengths), blocks
 
 
 def _pool_local(

@@ -641,7 +641,7 @@ def test_overflowing_run_exits_3(tmp_path, capsys, recwarn):
     assert main(["run", str(cfg)]) == EXIT_INVARIANT
     err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
     assert (err["error"], err["check"]) == ("invariant", "finite")
-    assert (err["t"], err["step"]) == (1.0, 2)
+    assert (err["t"], err["step"], err["i"]) == (1.0, 2, None)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -127,6 +127,35 @@ def test_check_state_names_each_violation(check):
     assert np.isfinite(err.value.value)  # the exit-3 JSON stays strict
 
 
+# Each case corrupts a valid packed eight-particle state at rest (one
+# block over all, u = u_free = gamma = 0) at a known gap or particle,
+# which the named check reports as its index; None where no single
+# index fails the check.
+_BAD_AT = {
+    "finite": (dict(u=np.array([0.0] * 6 + [np.nan, 0.0])), None),
+    "feasibility": (dict(x=0.5 * np.array([0.0, 1, 2, 3, 4, 4.5, 6, 7])), 4),
+    "block_velocity_constant": (dict(u=np.array([0.0] * 5 + [1.0, 0.0, 0.0])), 5),
+    "free_velocity_off_blocks": (
+        dict(blocks=BlockPartition([0], [3]), u=np.array([0.0] * 6 + [1.0, 0.0])), 6),
+    "gamma_sign": (dict(gamma=np.array([0.0] * 3 + [0.5] + [0.0] * 4)), 3),
+    "gamma_total": (dict(gamma=np.array([0.0] * 7 + [-0.5])), None),
+    "gamma_block_edge": (
+        dict(blocks=BlockPartition([0, 4], [2, 6]), gamma=np.array([0.0] * 6 + [-0.5, 0.0])), 6),
+    "momentum_balance": (dict(u=np.ones(8)), None),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BAD_AT))
+def test_check_state_names_the_failing_index(check):
+    ps = ParticleSystem(0.5 * np.arange(8.0), np.full(8, 0.5))
+    good = init_state(ps, np.zeros(8))
+    assert good.blocks == BlockPartition([0], [7]) and check_state(good, ps) is good
+    fields, index = _BAD_AT[check]
+    with pytest.raises(InvariantViolation) as err:
+        check_state(replace(good, **fields), ps)
+    assert (err.value.check, err.value.index) == (check, index)
+
+
 # ---------------------------------------------------------------- init_state
 
 

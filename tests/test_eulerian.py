@@ -160,3 +160,14 @@ def test_wasserstein_initial_attainment(two_block_params, small_two_block):
             continue
         dist = wasserstein2(st.x, x0, ps.masses)
         assert dist <= st.t * (0.0 + 0.5 * st.t * root_mass) + 1e-9
+
+
+@pytest.mark.parametrize("check, x, index", [
+    ("invalid_transport", [0.0, 0.5, 1.0, 1.5, 1.5, 2.0], 3),
+    ("density_bound", [0.0, 0.5, 1.0, 1.25, 2.0, 2.5], 2),
+])
+def test_reconstruct_names_the_failing_gap(check, x, index):
+    ps, st = state_for(0.5 * np.arange(6.0), np.full(6, 0.5))
+    with pytest.raises(InvariantViolation) as err:
+        reconstruct(replace(st, x=np.array(x)), ps)
+    assert (err.value.check, err.value.index) == (check, index)

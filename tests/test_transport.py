@@ -130,8 +130,15 @@ def test_non_finite_packed_map_rejected(n):
     # the center of mass overflows, so the packed map is inf, or NaN
     # where its gaps are taken; one particle has no gap at all
     pos = np.linspace(0.0, 1e308, n + 2)[1:-1]
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite"):
         ParticleSystem(pos, np.full(n, 1e308 / n))
+
+
+def test_overflowing_total_mass_rejected():
+    # the total mass and the cumulative masses overflow; the suite's
+    # warning filter shows that only the ValueError escapes
+    with pytest.raises(ValueError, match="not finite"):
+        ParticleSystem(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
 
 
 def test_congested_transport_unit_block_is_fixed_point():
@@ -280,6 +287,41 @@ def test_chain_pooling_agrees_with_oracle_on_ties():
         assert x == pytest.approx(ref, abs=1e-10)
         scale = max(1.0, float(np.max(np.abs(x))))
         assert np.min(np.diff(x) - np.diff(xtil)) >= -1e-12 * scale
+
+
+def assert_masks_of_bounds(blocks, n):
+    """The labels and interior cells a partition holds are those that
+    ``_masks`` derives from its bounds, with their dtype, read-only."""
+    for got, want in zip(blocks._masks(n), BlockPartition(blocks.lo, blocks.hi)._masks(n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_projection_partition_carries_the_masks_of_its_bounds():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        z, w = _tie_heavy_instance(rng, n) if rng.random() < 0.5 else (
+            rng.normal(0.0, 1.0, n), rng.uniform(0.1, 2.0, n))
+        fit, blocks = project_monotone(z, w)
+        assert_masks_of_bounds(blocks, n)
+        # a run's call, which hands over the cumulative weights, gives the same bits
+        fit_run, blocks_run = project_monotone(z, w, cum_w=np.cumsum(w))
+        assert fit_run.tobytes() == fit.tobytes() and blocks_run == blocks
+        assert_masks_of_bounds(blocks_run, n)
+
+
+@pytest.mark.parametrize("z, lo, hi", [
+    ([1.0, 2.0, 3.0, 4.0], [], []),
+    ([4.0, 3.0, 2.0, 1.0], [0], [3]),
+    ([2.0, 1.0, 5.0, 6.0, 4.0], [0, 2], [1, 4]),
+    ([3.0], [], []),
+], ids=["empty", "one-block-over-all", "blocks-at-both-ends", "one-particle"])
+def test_projection_partition_masks_at_the_edges(z, lo, hi):
+    z = np.array(z)
+    _, blocks = project_monotone(z, np.ones(z.size))
+    assert blocks == BlockPartition(lo, hi)
+    assert_masks_of_bounds(blocks, z.size)
 
 
 def test_chain_pooling_agrees_with_stack_scan():

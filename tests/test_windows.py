@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from granular1d import (
+    BlockPartition,
     ContactTracker,
     ForceField,
     InvariantViolation,
@@ -26,6 +27,7 @@ from granular1d import (
     init_state,
     picard_solve,
     piecewise_constant_force,
+    project_monotone,
     run_simulation,
     run_windows,
     step,
@@ -104,6 +106,33 @@ def test_partially_filled_two_block_matches_stepwise(fill):
     # reaches the growing central zone is a contact, so events are dense
     ps, force, cfg = partially_filled_run(fill)
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
+
+
+@pytest.mark.parametrize("setup", [heterogeneous_run, two_block_run, partially_filled_run],
+                         ids=["heterogeneous", "two-block", "partial-fill"])
+def test_step_is_its_public_layers_bit_for_bit(setup):
+    # ``step`` reads the run constants and the labels its projection
+    # hands over; every state of a stepwise run has the bits of the state
+    # rebuilt from the public layers, the projection checking its
+    # arguments and the partition deriving its masks from its bounds
+    ps, force, cfg = setup()
+    m = ps.masses
+    run = stepwise(ps, np.zeros(ps.n), force, cfg)
+    prev = next(run)
+    for got in run:
+        force_sum = prev.force_sum + force(prev.t, prev.x)
+        u_free = prev.u_init + cfg.dt * force_sum
+        s, fit_blocks = project_monotone(prev.s + cfg.dt * u_free, m)
+        blocks = BlockPartition(fit_blocks.lo, fit_blocks.hi)
+        k = prev.step_index + 1
+        want = check_state(dynamics._states(ps, k * cfg.dt, k, s, u_free,
+                                            block_velocity(u_free, blocks, m), blocks,
+                                            force_sum, prev.u_init), ps)
+        assert (got.t, got.step_index, got.blocks) == (want.t, want.step_index, want.blocks)
+        assert got.slack.hex() == want.slack.hex(), k
+        for name in PER_ROW:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k)
+        prev = got
 
 
 def test_only_declared_forces_get_windows():
@@ -316,6 +345,29 @@ def test_corrupted_row_names_its_time_and_step(monkeypatch):
             seen.extend(w.steps)
     assert (err.value.check, err.value.step, err.value.t) == ("gamma_sign", 20, 20 * cfg.dt)
     assert seen == list(range(20))
+
+
+def test_failing_run_names_its_particle(monkeypatch):
+    # rows that fail gamma_sign at particle 10 from step 20 on: the
+    # stretch is refused, ``step`` stops the run at step 20, and the
+    # error names the particle
+    p = TwoBlockParams()
+    ps = p.build(100)
+    cfg = StepperConfig(dt=4e-3, t_end=0.4)
+    gate = dynamics.check_state
+
+    def corrupting_gate(state, ps_):
+        if state.step_index >= 20:
+            gamma = state.gamma.copy()
+            gamma[10] = 1.0
+            state = replace(state, gamma=gamma)
+        return gate(state, ps_)
+
+    monkeypatch.setattr(dynamics, "check_state", corrupting_gate)
+    with pytest.raises(InvariantViolation) as err:
+        for _ in run_windows(ps, np.zeros(ps.n), p.force(), cfg):
+            pass
+    assert (err.value.check, err.value.step, err.value.index) == ("gamma_sign", 20, 10)
 
 
 @pytest.mark.parametrize("step_fails_too", [False, True])
