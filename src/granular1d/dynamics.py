@@ -128,7 +128,8 @@ class SimState:
     values, so that u_free = u_init + dt * force_sum reproduces the
     left-rectangle quadrature without drift across force reversals.
     ``slack`` is the smallest gap of x minus its packed gap (inf for one
-    particle), as ``check_state`` measured it.
+    particle) and ``gamma_max`` the largest gamma, as ``check_state``
+    measured them.
     """
 
     t: float
@@ -142,6 +143,7 @@ class SimState:
     force_sum: np.ndarray
     u_init: np.ndarray
     slack: float | None = None
+    gamma_max: float | None = None
 
     @property
     def n(self) -> int:
@@ -259,15 +261,16 @@ def position_tol(x: np.ndarray) -> float:
 
 
 def check_state(state: SimState, ps: ParticleSystem) -> SimState:
-    """Return the state carrying its measured ``slack`` (the same object
-    if it already does), or raise InvariantViolation (with its time and
-    step) unless it satisfies the structural invariants: finite fields,
-    feasibility of x, exact block-constancy of u, nonpositive gamma
-    vanishing at block right edges and globally, and momentum balance.
-    The error names the first failing check and, where one gap or
-    particle fails it, the first such ``index``: the gap for
-    feasibility, the particle for the others (for block constancy the
-    first whose u differs from its block neighbour on the left).
+    """Return the state carrying its measured ``slack`` and ``gamma_max``
+    (the same object if it already does), or raise InvariantViolation
+    (with its time and step) unless it satisfies the structural
+    invariants: finite fields, feasibility of x, u constant on each block
+    and u_free off them, nonpositive gamma vanishing globally and at
+    block right edges, and momentum balance.  The error names the first
+    failing check in that order and, where one gap or particle fails it,
+    the first such ``index``: the gap for feasibility, the particle for
+    the others (for block constancy the first whose u differs from its
+    block neighbour on the left).
 
     This is the package's one tolerance policy: non-finite fields fail
     first; gaps are compared at ``position_tol(x)``; gamma's sign at
@@ -277,51 +280,48 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     x, u, u_free, gamma, blocks = state.x, state.u, state.u_free, state.gamma, state.blocks
     n = x.size
 
+    def failed(name, value=0.0, message="", index=None):
+        return InvariantViolation(name, float(value), message, t=state.t, step=state.step_index,
+                                  index=index)
+
     gaps = x[1:] - x[:-1]
     gaps -= ps.packed_gaps
     slack = float(np.minimum.reduce(gaps, initial=np.inf))
-
-    labels = blocks.labels(n)
-    inside = blocks.interior_cells(n)
-
     umax = np.maximum(1.0, np.maximum(np.maximum.reduce(u_free), -np.minimum.reduce(u_free)))
     vel_scale = np.maximum(1.0, ps.total_mass * umax)
     edge_tol = 1e-12 * vel_scale
     sign_tol = 1e-10 * vel_scale
     top = np.maximum.reduce(gamma)
-    total = abs(gamma[-1])
-    edges = np.abs(gamma[blocks.hi])
     drift = abs(u @ ps.masses - u_free @ ps.masses)
     tol = position_tol(x)
     # a NaN or an infinity in x, u_free, u or gamma reaches one of these
     # reductions; each is tested on its own, as a sum of them may overflow
-    finite = np.isfinite((tol, umax, drift, top, np.minimum.reduce(gamma))).all()
-    jumps = (u[:-1] != u[1:]) & inside
-    loose = (u != u_free) & (labels < 0)
-    high_edges = edges > edge_tol
-
-    # (name, failed, magnitude, message, offenders), in reporting order;
-    # offenders gives a mask whose first True is the index to report
-    checks = [
-        ("finite", not finite, 0.0, "non-finite x, u, u_free or gamma", None),
-        ("feasibility", slack < -tol, -slack, "", lambda: gaps < -tol),
-        ("block_velocity_constant", jumps.any(), 0.0, "u not constant on a block",
-         lambda: np.concatenate(([False], jumps))),
-        ("free_velocity_off_blocks", loose.any(), 0.0, "u != u_free off blocks", lambda: loose),
-        ("gamma_sign", top > sign_tol, top, "", lambda: gamma > sign_tol),
-        ("gamma_total", total > edge_tol, total, "", None),
-        ("gamma_block_edge", high_edges.any(), None, "", None),
-        ("momentum_balance", drift > edge_tol, drift, "", None),
-    ]
-    for name, failed, value, message, offenders in checks:
-        if failed:
-            index = None if offenders is None else int(offenders().argmax())
-            if value is None:  # the first block edge over the tolerance
-                k = int(high_edges.argmax())
-                value, index = edges[k], int(blocks.hi[k])
-            raise InvariantViolation(name, float(value), message, t=state.t,
-                                     step=state.step_index, index=index)
-    return state if state.slack == slack else replace(state, slack=slack)
+    if not np.isfinite((tol, umax, drift, top, np.minimum.reduce(gamma))).all():
+        raise failed("finite", message="non-finite x, u, u_free or gamma")
+    if slack < -tol:
+        raise failed("feasibility", -slack, index=int((gaps < -tol).argmax()))
+    jumps = (u[:-1] != u[1:]) & blocks.interior_cells(n)
+    if jumps.any():  # the particle whose u differs from its left neighbour's
+        raise failed("block_velocity_constant", message="u not constant on a block",
+                     index=int(jumps.argmax()) + 1)
+    loose = (u != u_free) & (blocks.labels(n) < 0)
+    if loose.any():
+        raise failed("free_velocity_off_blocks", message="u != u_free off blocks",
+                     index=int(loose.argmax()))
+    if top > sign_tol:
+        raise failed("gamma_sign", top, index=int((gamma > sign_tol).argmax()))
+    if abs(gamma[-1]) > edge_tol:
+        raise failed("gamma_total", abs(gamma[-1]))
+    edges = np.abs(gamma[blocks.hi])
+    if (edges > edge_tol).any():  # the first block edge over the tolerance
+        k = int((edges > edge_tol).argmax())
+        raise failed("gamma_block_edge", edges[k], index=int(blocks.hi[k]))
+    if drift > edge_tol:
+        raise failed("momentum_balance", drift)
+    gamma_max = float(top)
+    if state.slack == slack and state.gamma_max == gamma_max:
+        return state
+    return replace(state, slack=slack, gamma_max=gamma_max)
 
 
 def first_root(a, b, c) -> np.ndarray:
@@ -360,10 +360,9 @@ class _ClosedForm:
         self.free = np.flatnonzero(start.blocks.labels(ps.n) < 0)
 
     def offsets(self) -> Callable[[int], np.ndarray]:
-        """A function j -> s_j that carries the free particles' running
-        sums on from the row it was last asked for (from the start again
-        for an earlier row), so ascending rows cost one pass; each caller
-        takes its own."""
+        """A function j -> s_j for ascending j that carries the free
+        particles' running sums on from the row it was last asked for, so
+        the rows cost one pass; each caller takes its own."""
         dt, s0, free = self.dt, self.s0, self.free
         fs0, f, u_init = self.fs0[free], self.f[free], self.u_init[free]
         last, free_s = 0, s0[free]
@@ -372,8 +371,6 @@ class _ClosedForm:
             nonlocal last, free_s
             out = s0 + (dt * j * self.u0 + dt * dt * (j * (j + 1) // 2) * self.bf)
             if free.size:
-                if j < last:
-                    last, free_s = 0, s0[free]
                 for i in range(last + 1, j + 1):
                     free_s = free_s + dt * (u_init + dt * (fs0 + i * f))
                 last = j
@@ -399,7 +396,8 @@ class Stretch:
     (see ``run_windows``).  Whatever its length it holds O(n) arrays:
     ``last``, the state after its last step, and the closed form's start
     fields and force values.  ``gamma_max`` and ``slack_min`` are the largest
-    gamma and the smallest slack over its states."""
+    gamma and the smallest slack of its covering rows (see ``_stretch``),
+    which bound those of every row up to rounding."""
 
     steps: range
     last: SimState
@@ -411,7 +409,7 @@ class Stretch:
     def of(cls, state: SimState) -> Stretch:
         """A checked state as a stretch of its own."""
         k = state.step_index
-        return cls(range(k, k + 1), state, float(state.gamma.max()), state.slack)
+        return cls(range(k, k + 1), state, state.gamma_max, state.slack)
 
     @property
     def blocks(self) -> BlockPartition:
@@ -421,9 +419,11 @@ class Stretch:
         """The checked states after ``steps`` (ascending, each in the
         stretch): ``last``, or a row evaluated anew."""
         offsets = None if self.form is None else self.form.offsets()
+        left = self.steps  # the steps still ahead
         for k in steps:
-            if k not in self.steps:
-                raise IndexError(f"step {k} is not in {self.steps}")
+            if k not in left:
+                raise IndexError(f"step {k} is not in {left} (ascending steps of {self.steps})")
+            left = range(k, left.stop)
             if k == self.last.step_index:
                 yield self.last
             else:
@@ -486,17 +486,16 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     gap = ~inside  # (b)
     close = first_root(np.diff(state.s)[gap], np.diff(p1)[gap], np.diff(p2)[gap])
     ends.append(np.ceil(close.min(initial=np.inf)) - 1)
-    varies = np.zeros(len(blocks), dtype=bool)
     changes = (np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0) | (np.diff(f) != 0)
-    varies[labels[:-1][changes & inside]] = True
-    some_vary = varies.any()
-    if some_vary:  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
-        i = np.flatnonzero(inside & varies[labels[:-1]])
-        lo = blocks.lo[labels[i]]
-        g = np.concatenate(([0.0], state.gamma))
-        slope = np.concatenate(([0.0], np.cumsum(dt * ps.masses * (form.bf - f))))
-        release = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
-        ends.append(np.floor(release.min()))
+    i = np.flatnonzero(inside)  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
+    varies = np.zeros(len(blocks), dtype=bool)
+    varies[labels[i[changes[i]]]] = True
+    i = i[varies[labels[i]]]
+    lo = blocks.lo[labels[i]]
+    g = np.concatenate(([0.0], state.gamma))
+    slope = np.concatenate(([0.0], np.cumsum(dt * ps.masses * (form.bf - f))))
+    release = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
+    ends.append(np.floor(release.min(initial=np.inf)))
 
     spans = np.stack([blocks.lo, blocks.hi], axis=1).ravel()  # a block's proper prefixes
     end = int(max(1, min(ends)))
@@ -512,16 +511,15 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
         row = form.row(j, offsets)
         if not ((row.s[1:] > row.s[:-1]) | inside).all():  # (b)
             return None
-        if some_vary:  # (c)
-            peak = np.maximum.reduceat(row.gamma, spans)[::2]
-            before = np.where(blocks.lo > 0, row.gamma[blocks.lo - 1], 0.0)
-            if ((peak > before) & varies).any():
-                return None
+        peak = np.maximum.reduceat(row.gamma, spans)[::2]  # (c)
+        before = np.where(blocks.lo > 0, row.gamma[blocks.lo - 1], 0.0)
+        if ((peak > before) & varies).any():
+            return None
         try:
             row = check_state(row, ps)
         except InvariantViolation:
             return None
-        top, low = max(top, float(row.gamma.max())), min(low, row.slack)
+        top, low = max(top, row.gamma_max), min(low, row.slack)
     return Stretch(range(k0 + 1, k0 + end + 1), row, top, low, form)
 
 

@@ -156,6 +156,49 @@ def test_check_state_names_the_failing_index(check):
     assert (err.value.check, err.value.index) == (check, index)
 
 
+# Each case corrupts two fields of the packed three-particle state at rest
+# so that two checks fail: the first in the documented order is reported,
+# with its own magnitude and index.
+_TWO_FAILURES = {
+    "finite": (dict(x=np.array([0.0, 0.25, 0.5]), u=np.array([0.0, np.nan, 0.0])), 0.0, None),
+    "feasibility": (dict(x=np.array([0.0, 0.25, 0.5]), gamma=np.array([0.5, 0.0, 0.0])),
+                    0.25, 0),
+    "block_velocity_constant": (
+        dict(u=np.array([1.0, 0.0, 0.0]), gamma=np.array([0.0, 0.0, -0.5])), 0.0, 1),
+    "gamma_sign": (dict(gamma=np.array([0.5, 0.0, 0.0]), u=np.ones(3)), 0.5, 0),
+    "gamma_total": (dict(gamma=np.array([0.0, 0.0, -0.5]), u=np.ones(3)), 0.5, None),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_TWO_FAILURES))
+def test_check_state_reports_the_first_failing_check(check):
+    ps = packed_three()
+    fields, value, index = _TWO_FAILURES[check]
+    with pytest.raises(InvariantViolation) as err:
+        check_state(replace(init_state(ps, np.zeros(3)), **fields), ps)
+    assert (err.value.check, err.value.value, err.value.index) == (check, value, index)
+
+
+def test_checked_state_carries_what_the_gate_measured(two_block_params):
+    # every state a run returns carries gamma's maximum as a float with
+    # the bits of gamma.max(), passes the gate again as the same object,
+    # and a one-state stretch reads its maximum from it
+    ps = two_block_params.build(100)
+    cfg = StepperConfig(dt=4e-3, t_end=0.8)
+    states = list(run_simulation(ps, np.zeros(ps.n), two_block_params.force(), cfg))
+    assert any(st.gamma.max() < 0 for st in states)
+    for st in states:
+        assert type(st.gamma_max) is float
+        assert st.gamma_max.hex() == float(st.gamma.max()).hex()
+        assert check_state(st, ps) is st
+        assert Stretch.of(st).gamma_max.hex() == float(st.gamma.max()).hex()
+    fresh = dynamics._states(ps, 0.0, 0, states[0].s, states[0].u_free, states[0].u,
+                             states[0].blocks, states[0].force_sum, states[0].u_init)
+    assert (fresh.slack, fresh.gamma_max) == (None, None)
+    checked = check_state(fresh, ps)
+    assert (checked.slack, checked.gamma_max) == (states[0].slack, states[0].gamma_max)
+
+
 # ---------------------------------------------------------------- init_state
 
 

@@ -423,8 +423,10 @@ PER_ROW = ("u_free", "x", "u", "gamma", "s", "force_sum")
 
 
 def assert_same_state(a, b):
-    assert (type(a.t), type(a.step_index), type(a.slack)) == (float, int, float)
-    assert (a.t, a.step_index, a.slack) == (b.t, b.step_index, b.slack)
+    assert (type(a.t), type(a.step_index), type(a.slack), type(a.gamma_max)) == (
+        float, int, float, float)
+    assert (a.t, a.step_index, a.slack, a.gamma_max) == (
+        b.t, b.step_index, b.slack, b.gamma_max)
     assert a.blocks == b.blocks and a.u_init is b.u_init
     for name in PER_ROW:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -478,3 +480,40 @@ def test_stretch_arrays_stay_within_n(n, monkeypatch):
                 assert_same_state(w.row(k), st)
         prev = w
     assert multi
+
+
+@pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run],
+                         ids=["two-block", "heterogeneous"])
+def test_rows_take_ascending_steps(setup):
+    # rows evaluates ascending steps in one pass with the bits of row(k)
+    # each; a step below the one before it is refused, not evaluated
+    ps, force, cfg = setup()
+    w = max(run_windows(ps, np.zeros(ps.n), force, cfg), key=lambda w: len(w.steps))
+    assert len(w.steps) >= 10 and w.form is not None
+    ks = [w.steps[0], w.steps[1], w.steps[1], w.steps[4], w.steps[-2], w.steps[-1]]
+    for k, st in zip(ks, w.rows(ks), strict=True):
+        assert_same_state(st, w.row(k))
+    rows = w.rows([w.steps[4], w.steps[3]])
+    assert next(rows).step_index == w.steps[4]
+    with pytest.raises(IndexError, match="not in"):
+        next(rows)
+
+
+def test_free_flight_is_a_stretch_on_the_empty_partition():
+    # particles that spread apart never touch: after two steps the rest
+    # of the run is one stretch on the empty partition, whose release
+    # test (c) has no block prefix to look at, with the stepwise bits of
+    # the free particles
+    ps = ParticleSystem(np.array([0.0, 5.0, 10.0]), np.ones(3))
+    u0 = np.array([-1.0, 0.5, 2.0])
+    force, cfg = piecewise_constant_force([], [0.25]), StepperConfig(dt=0.25, t_end=5.0)
+    stretches = list(run_windows(ps, u0, force, cfg))
+    assert [w.steps for w in stretches] == [range(0, 1), range(1, 2), range(2, 3),
+                                            range(3, 21)]
+    assert all(len(w.blocks) == 0 for w in stretches)
+    for a, b in zip(stepwise(ps, u0, force, cfg), run_simulation(ps, u0, force, cfg),
+                    strict=True):
+        assert (a.t, a.step_index, a.slack, a.gamma_max) == (
+            b.t, b.step_index, b.slack, b.gamma_max)
+        for name in PER_ROW:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (name, a.step_index)
