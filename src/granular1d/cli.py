@@ -111,13 +111,13 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _output_steps(cfg: dict, dt: float, t_end: float, last: int) -> set[int]:
-    times = _numbers(cfg.get("output_times", [0.0, t_end]), "output_times")
+def _output_steps(cfg: dict, stepper: StepperConfig) -> set[int]:
+    times = _numbers(cfg.get("output_times", [0.0, stepper.t_end]), "output_times")
     if not times:
         raise ConfigError("output_times must be a nonempty list")
-    steps = {t: _grid_step(t, dt, "output time") for t in times}
+    steps = {t: _grid_step(t, stepper.dt, "output time") for t in times}
     for t, k in steps.items():
-        if not 0 <= k <= last:
+        if not 0 <= k <= stepper.n_steps:
             raise ConfigError(f"output time {t} outside [0, t_end]")
     return set(steps.values())
 
@@ -202,7 +202,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
     n = _require(cfg, "n", int)
     _number(n, "n")  # finite: the library divides by n as a float
     stepper = StepperConfig(*(_number(_require(cfg, k), k) for k in ("dt", "t_end")))
-    last = _grid_step(stepper.t_end, stepper.dt, "t_end")
+    _grid_step(stepper.t_end, stepper.dt, "t_end")  # t_end lies on the grid
     if cfg.get("integrator", "marching") != "marching":
         raise ConfigError(
             "integrator must be 'marching'; the Picard fixed point is library-only "
@@ -227,7 +227,7 @@ def _build_setup(cfg: dict, config_path: str | Path) -> RunSetup:
         u0=u0,
         force=force,
         stepper=stepper,
-        output_steps=_output_steps(cfg, stepper.dt, stepper.t_end, last),
+        output_steps=_output_steps(cfg, stepper),
         out_prefix=prefix,
         out_format=out_format,
         two_block=two_block,
@@ -340,7 +340,8 @@ def _emit_state(setup: RunSetup, state: SimState, lag: _RecordWriter, eul: _Reco
 
 
 def _record_path(setup: RunSetup, kind: str) -> Path:
-    ext = "csv" if setup.out_format == "csv" else "jsonl"
+    """The file of one kind of output: records in the run's format, the summary in JSON."""
+    ext = "json" if kind == "summary" else "csv" if setup.out_format == "csv" else "jsonl"
     return setup.out_prefix.with_suffix(f".{kind}.{ext}")
 
 
@@ -392,7 +393,7 @@ def run_command(config_path: str) -> int:
         },
         "error_norms": errors or None,
     }
-    with _open_output(setup.out_prefix.with_suffix(".summary.json")) as fh:
+    with _open_output(_record_path(setup, "summary")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
@@ -401,9 +402,8 @@ def run_command(config_path: str) -> int:
 def validate_command(config_path: str) -> int:
     setup = build_setup(load_config(config_path), config_path)
     # the files ``run`` writes, in the order it opens them, before its first state
-    for kind in ("lagrangian", "eulerian"):
+    for kind in ("lagrangian", "eulerian", "summary"):
         _check_output(_record_path(setup, kind))
-    _check_output(setup.out_prefix.with_suffix(".summary.json"))
     state = init_state(setup.ps, setup.u0)
     _check_exclusion(state, reconstruct(state, setup.ps))
     print(

@@ -28,6 +28,7 @@ from .errors import ConvergenceError, Granular1dError, InvariantViolation
 from .transport import (
     BlockPartition,
     ParticleSystem,
+    position_tol,
     project_monotone,
     weighted_norm,
 )
@@ -192,25 +193,21 @@ def _tangent_velocity(
 ) -> tuple[np.ndarray, BlockPartition]:
     """Project an initial velocity onto the cone tangent to the
     configuration: monotone fit within each congested zone, identity
-    elsewhere.  Returns the projected velocity and the zones where it
-    came out constant (the surviving congested blocks).
+    elsewhere.  Returns the projected velocity and the pieces of the zones
+    where it came out constant (the surviving congested blocks): a fit's
+    pooled groups are its runs of equal values.
 
     A zone on which u0 is exactly constant is its own fit and survives
-    whole, which is what the projection returns for a single tied run,
-    so only the other zones are projected."""
+    whole, so only the other zones are projected."""
     u = np.array(u0, dtype=float)
-    labels = pos_blocks.labels(u.size)
+    labels, inside = pos_blocks.labels(u.size), pos_blocks.interior_cells(u.size)
     varies = np.zeros(len(pos_blocks), dtype=bool)
-    varies[labels[:-1][(np.diff(u0) != 0) & pos_blocks.interior_cells(u.size)]] = True
-    lo, hi = [pos_blocks.lo[~varies]], [pos_blocks.hi[~varies]]
+    varies[labels[:-1][(np.diff(u0) != 0) & inside]] = True
     for a, b in zip(pos_blocks.lo[varies].tolist(), pos_blocks.hi[varies].tolist()):
-        fit, sub = project_monotone(u0[a:b + 1], masses[a:b + 1])
-        u[a:b + 1] = fit
-        lo.append(a + sub.lo)
-        hi.append(a + sub.hi)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    order = np.argsort(lo)
-    return u, BlockPartition(lo[order], hi[order])
+        u[a:b + 1] = project_monotone(u0[a:b + 1], masses[a:b + 1])[0]
+    # the runs of tied gaps inside zones: a run over gaps lo..hi-1 is the block [lo, hi]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside & (u[1:] == u[:-1]), [0]))))
+    return u, BlockPartition(edges[0::2], edges[1::2])
 
 
 def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
@@ -252,12 +249,6 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
     return check_state(_states(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init), ps)
-
-
-def position_tol(x: np.ndarray) -> float:
-    """Absolute rounding tolerance for the gaps of the configuration x
-    (NaN if x holds one)."""
-    return 1e-12 * np.maximum(1.0, np.maximum(np.maximum.reduce(x), -np.minimum.reduce(x)))
 
 
 def check_state(state: SimState, ps: ParticleSystem) -> SimState:
@@ -471,6 +462,7 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     labels, inside = blocks.labels(n), blocks.interior_cells(n)
     p2 = 0.5 * dt * dt * form.bf  # s_j = s0 + p1*j + p2*j**2
     p1 = dt * state.u + p2
+    d1, d2 = np.diff(p1), np.diff(p2)  # per gap
 
     ends = [most]  # the last row each test lets through, from its root
     x_cuts, t_cuts = force.breakpoints
@@ -484,7 +476,7 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
                        first_root(cuts[at + 1] - state.x, -p1, -p2))
     ends.append(np.floor(leave.min()) + 1)
     gap = ~inside  # (b)
-    close = first_root(np.diff(state.s)[gap], np.diff(p1)[gap], np.diff(p2)[gap])
+    close = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
     ends.append(np.ceil(close.min(initial=np.inf)) - 1)
     changes = (np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0) | (np.diff(f) != 0)
     i = np.flatnonzero(inside)  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
@@ -499,8 +491,8 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
 
     spans = np.stack([blocks.lo, blocks.hi], axis=1).ravel()  # a block's proper prefixes
     end = int(max(1, min(ends)))
-    bottom = np.diff(p2) > 0  # a gap's slack is lowest near its vertex
-    vertex = -np.diff(p1)[bottom] / (2 * np.diff(p2)[bottom])
+    bottom = d2 > 0  # a gap's slack is lowest near its vertex
+    vertex = -d1[bottom] / (2 * d2[bottom])
     vertex = vertex[(vertex > 1) & (vertex < end)]
     inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
     offsets = form.offsets()
@@ -634,6 +626,7 @@ def picard_solve(ps: ParticleSystem, u0: np.ndarray, force: ForceField, cfg: Ste
         raise ConvergenceError(residuals[-1], len(residuals))
 
     fs = force_sums(cur)
+    u_free = state0.u_init + dt * fs  # the states' own force sums, as ``step`` forms u_free
     states = [state0] + [
         check_state(_states(ps, float(times[j + 1]), j + 1, cur[j + 1], u_free[j],
                             block_velocity(u_free[j], blocks, m), blocks, fs[j], state0.u_init), ps)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimState, position_tol
+from .dynamics import SimState
 from .errors import InvariantViolation
-from .transport import ParticleSystem, weighted_norm
+from .transport import ParticleSystem, position_tol, weighted_norm
 
 
 @dataclass(frozen=True)

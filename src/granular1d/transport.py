@@ -30,6 +30,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def position_tol(x: np.ndarray) -> float:
+    """Absolute rounding tolerance for the gaps of the configuration x
+    (NaN if x holds one)."""
+    return 1e-12 * np.maximum(1.0, np.maximum(np.maximum.reduce(x), -np.minimum.reduce(x)))
+
+
 @dataclass(frozen=True)
 class ParticleSystem:
     """Sorted particle positions with positive masses: the fixed frame
@@ -40,7 +46,8 @@ class ParticleSystem:
     increasing array: the unit-density interval of length
     ``total_mass`` centered at the center of mass, with particle i at the
     midpoint of its own mass cell; its gaps (m_i + m_{i+1})/2 are the
-    lower bounds of the admissible cone.
+    lower bounds of the admissible cone, and each must exceed
+    ``position_tol(packed)``, or a gap could close unseen within it.
     ``rho_star`` is the maximal density each particle carries along its
     trajectory, or None for the homogeneous bound rho <= 1.
     ``packed_gaps`` (the gaps of ``packed``) and ``cum_masses``
@@ -80,8 +87,8 @@ class ParticleSystem:
             center = float(np.dot(m, pos)) / total
             packed = _readonly((center - total / 2) + (cum - m) + m / 2)
             gaps = _readonly(np.diff(packed))
-        if not np.all(np.isfinite(packed)) or np.any(gaps <= 0):
-            raise ValueError("packed map is not finite or does not increase after rounding")
+        if not np.all(np.isfinite(packed)) or np.any(gaps <= position_tol(packed)):
+            raise ValueError("packed map is not finite or does not increase past position_tol")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "total_mass", total)
@@ -277,8 +284,8 @@ def project_monotone(z: np.ndarray, w: np.ndarray, *,
     means = z[starts]
     sums = weights * means
 
+    joins = means[1:] <= means[:-1]  # group k+1 pools into group k
     for _ in range(_CHAIN_ROUNDS):
-        joins = means[1:] <= means[:-1]  # group k+1 pools into group k
         if np.count_nonzero(joins) <= _LOCAL_POOLS:
             break
         heads = np.concatenate(([True], ~joins)).nonzero()[0]
@@ -288,7 +295,6 @@ def project_monotone(z: np.ndarray, w: np.ndarray, *,
         sums = np.add.reduceat(sums, heads)
         means = means[heads]
         means[merged] = sums[merged] / weights[merged]
-    else:
         joins = means[1:] <= means[:-1]
     starts, means = _pool_local(starts, weights, sums, means, joins.nonzero()[0])
 

@@ -388,6 +388,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(_CUSTOM, density={"blocks": []}),
         dict(_CUSTOM, density={"blocks": [[0, 1, 0.0]]}),
         dict(_CUSTOM, n=3, density={"blocks": [[0, 1, 1.0e-300]]}),
+        dict(_CUSTOM, n=100, density={"blocks": [[0, 1, 1.0e-11]]}),
         dict(_CUSTOM_UNIT, force={"breakpoints": 0.5, "values": [0.5, -0.5]}),
         dict(output={"path": ""}),
         dict(output={"path": "."}),
@@ -427,7 +428,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "bool-fill", "string-fill", "bool-amplitude", "bool-u0", "bool-height",
          "string-block-edge", "string-force-value", "bool-output-time",
          "unsorted-breakpoints", "nan-u0", "empty-density", "zero-mass-density",
-         "vanishing-packed-gaps",
+         "vanishing-packed-gaps", "packed-gaps-within-tolerance",
          "scalar-breakpoints", "empty-output-path", "dot-output-path", "root-output-path",
          "unknown-scenario", "zero-n", "negative-t-end", "empty-output-times",
          "output-time-past-end", "negative-output-time", "unknown-format", "zero-fill",

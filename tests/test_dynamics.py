@@ -278,6 +278,28 @@ def test_init_tangent_velocity_matches_per_zone_projection():
     assert st.blocks == BlockPartition([0, 3], [2, 5])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_init_blocks_are_the_groups_of_each_zone_fit(seed):
+    # forty packed zones of 1-5 particles, half of them touching their
+    # neighbour (a gap just over the packed one), and u0 of three values,
+    # so ties fall inside zones, across their ends and on single particles
+    rng = np.random.default_rng(seed)
+    gaps = np.concatenate([[0.5] * (k - 1) + [0.5 + rng.choice([1e-3, 1.0])]
+                           for k in rng.integers(1, 6, 40)])[:-1]
+    ps = ParticleSystem(np.concatenate(([0.0], np.cumsum(gaps))), np.full(gaps.size + 1, 0.5))
+    u0 = rng.integers(0, 3, ps.n).astype(float)
+    _, zones = project_monotone(ps.positions - ps.packed, ps.masses)
+    assert len(zones) >= 20
+    u, lo, hi = u0.copy(), [], []
+    for a, b in zip(zones.lo.tolist(), zones.hi.tolist()):
+        u[a:b + 1], sub = project_monotone(u0[a:b + 1], ps.masses[a:b + 1])
+        lo += (a + sub.lo).tolist()
+        hi += (a + sub.hi).tolist()
+    st = init_state(ps, u0)
+    assert st.u.tobytes() == u.tobytes()
+    assert st.blocks == BlockPartition(lo, hi)
+
+
 def test_init_length_mismatch():
     ps = packed_three()
     with pytest.raises(ValueError):
@@ -474,6 +496,9 @@ def test_picard_contraction_factor_smooth_force():
     for prev, st in zip(res.states, res.states[1:]):
         total = total + force(prev.t, prev.x)
         assert st.force_sum.tobytes() == total.tobytes(), st.step_index
+        # and its free velocity is made of that force sum, as ``step`` makes it
+        u_free = st.u_init + cfg.dt * st.force_sum
+        assert st.u_free.tobytes() == u_free.tobytes(), st.step_index
 
 
 def test_picard_nonconvergence_carries_residual():

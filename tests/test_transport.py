@@ -62,6 +62,16 @@ def test_particle_system_rejects_packed_gaps_that_round_to_zero():
         ParticleSystem(np.array([1 / 6, 0.5, 5 / 6]), np.full(3, 1.0e-300 / 3))
 
 
+def test_particle_system_rejects_packed_gaps_within_the_gap_tolerance():
+    # packed gaps of 1e-13 under a gap tolerance of 1e-12: the invariant
+    # gate could not see one of them close, so the system is refused
+    with pytest.raises(ValueError, match="does not increase"):
+        build_particles(uniform_blocks([(0.0, 1.0)], 1.0e-11), 100)
+    # packed gaps of 2e-12 clear it
+    ps = build_particles(uniform_blocks([(0.0, 1.0)], 2.0e-10), 100)
+    assert ps.packed_gaps.min() > transport.position_tol(ps.packed)
+
+
 def test_block_partition_validation():
     bp = BlockPartition([0, 3], [1, 5])
     assert bp.spans(3, 4) and not bp.spans(2, 3)
