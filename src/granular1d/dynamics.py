@@ -264,9 +264,9 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     block neighbour on the left).
 
     This is the package's one tolerance policy: non-finite fields fail
-    first; gaps are compared at ``position_tol(x)``; gamma's sign at
-    1e-10, and its edge values and the momentum drift at 1e-12, times
-    max(1, M * max(1, max|u_free|)).
+    first; gaps are compared at ``position_tol(x)`` capped at
+    ``ps.gap_tol_cap``; gamma's sign at 1e-10, and its edge values and
+    the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
     """
     x, u, u_free, gamma, blocks = state.x, state.u, state.u_free, state.gamma, state.blocks
     n = x.size
@@ -289,6 +289,7 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     # reductions; each is tested on its own, as a sum of them may overflow
     if not np.isfinite((tol, umax, drift, top, np.minimum.reduce(gamma))).all():
         raise failed("finite", message="non-finite x, u, u_free or gamma")
+    tol = min(tol, ps.gap_tol_cap)
     if slack < -tol:
         raise failed("feasibility", -slack, index=int((gaps < -tol).argmax()))
     jumps = (u[:-1] != u[1:]) & blocks.interior_cells(n)
@@ -450,10 +451,10 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     its block-edge values, its total and the momentum drift are affine,
     so the covering rows, the first and last and those next to each
     gap's lowest point, bound them all.  One ascending loop decides each
-    covering row by (a), (b), (c) and then ``check_state``, and gives
-    ``gamma_max`` and ``slack_min``.  The stretch is taken whole or not
-    at all: if a covering row fails, None leaves every row to ``step``,
-    so a failing run stops where a stepwise run would.
+    covering row by (a), (b), (c), on the gaps and prefixes their roots
+    read, and ``check_state``, giving ``gamma_max`` and ``slack_min``.  A
+    stretch is whole or None: a failing covering row leaves every row to
+    ``step``, so a failing run stops where a stepwise run would.
     """
     dt, n, k0 = cfg.dt, ps.n, state.step_index
     blocks = state.blocks
@@ -480,8 +481,7 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     ends.append(np.ceil(close.min(initial=np.inf)) - 1)
     changes = (np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0) | (np.diff(f) != 0)
     i = np.flatnonzero(inside)  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
-    varies = np.zeros(len(blocks), dtype=bool)
-    varies[labels[i[changes[i]]]] = True
+    varies = np.bincount(labels[i[changes[i]]], minlength=len(blocks)) > 0
     i = i[varies[labels[i]]]
     lo = blocks.lo[labels[i]]
     g = np.concatenate(([0.0], state.gamma))
@@ -489,7 +489,6 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     release = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
     ends.append(np.floor(release.min(initial=np.inf)))
 
-    spans = np.stack([blocks.lo, blocks.hi], axis=1).ravel()  # a block's proper prefixes
     end = int(max(1, min(ends)))
     bottom = d2 > 0  # a gap's slack is lowest near its vertex
     vertex = -d1[bottom] / (2 * d2[bottom])
@@ -501,11 +500,9 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
         if j > 1 and not (force((k0 + j - 1) * dt, ps.packed + offsets(j - 1)) == f).all():  # (a)
             return None
         row = form.row(j, offsets)
-        if not ((row.s[1:] > row.s[:-1]) | inside).all():  # (b)
+        if not (row.s[1:] > row.s[:-1])[gap].all():  # (b)
             return None
-        peak = np.maximum.reduceat(row.gamma, spans)[::2]  # (c)
-        before = np.where(blocks.lo > 0, row.gamma[blocks.lo - 1], 0.0)
-        if ((peak > before) & varies).any():
+        if (row.gamma[i] > np.where(lo > 0, row.gamma[lo - 1], 0.0)).any():  # (c)
             return None
         try:
             row = check_state(row, ps)

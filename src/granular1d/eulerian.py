@@ -51,9 +51,9 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     to the packed-over-actual gap ratio.  With a heterogeneous maximal
     density ``ps.rho_star``, the transported ratio is multiplied by the
     carried maximal density, and rho_star is emitted per sample.  A gap
-    below its packed value by more than ``position_tol`` raises
-    ``density_bound``; smaller rounding excesses are clipped to the bound.
-    Either error's ``index`` is the first failing gap.
+    below its packed value by more than ``check_state``'s gap tolerance
+    raises ``density_bound``; smaller rounding excesses are clipped to the
+    bound.  Either error's ``index`` is the first failing gap.
     """
     x = state.x
     m = ps.masses
@@ -66,7 +66,7 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
                                  t=state.t, step=state.step_index, index=int(np.argmax(gaps <= 0)))
     over = packed - gaps
     deficit = float(np.max(over, initial=-np.inf))
-    tol = position_tol(x)
+    tol = min(position_tol(x), ps.gap_tol_cap)
     if deficit > tol:
         raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index,
                                  index=int(np.argmax(over > tol)))

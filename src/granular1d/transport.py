@@ -50,8 +50,9 @@ class ParticleSystem:
     ``position_tol(packed)``, or a gap could close unseen within it.
     ``rho_star`` is the maximal density each particle carries along its
     trajectory, or None for the homogeneous bound rho <= 1.
-    ``packed_gaps`` (the gaps of ``packed``) and ``cum_masses``
-    (cumsum(masses)) are run constants, read-only like ``packed``.
+    ``packed_gaps`` (the gaps of ``packed``), ``cum_masses``
+    (cumsum(masses)) and ``gap_tol_cap`` (half the least packed gap, inf
+    for one particle: the gap tolerance's cap) are read-only run constants.
     """
 
     positions: np.ndarray
@@ -61,6 +62,7 @@ class ParticleSystem:
     packed: np.ndarray = field(init=False)
     packed_gaps: np.ndarray = field(init=False)
     cum_masses: np.ndarray = field(init=False)
+    gap_tol_cap: float = field(init=False)
 
     def __post_init__(self):
         pos = _readonly(self.positions)
@@ -95,6 +97,7 @@ class ParticleSystem:
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "packed_gaps", gaps)
         object.__setattr__(self, "cum_masses", cum)
+        object.__setattr__(self, "gap_tol_cap", 0.5 * float(gaps.min(initial=np.inf)))
 
     @property
     def n(self) -> int:
@@ -126,11 +129,7 @@ class BlockPartition:
             raise ValueError(f"block [{lo[k]}, {hi[k]}] shorter than 2 particles")
         if np.any(lo[1:] <= hi[:-1]):
             raise ValueError("blocks overlap or are out of order")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_per_particle", None)
+        self._set(lo, hi, None)
 
     @classmethod
     def _of_groups(cls, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray,
@@ -138,12 +137,15 @@ class BlockPartition:
         """The partition with bounds lo, hi of a fit's groups, which are
         ordered and disjoint, so unchecked; ``ids`` holds each group's
         block id (-1 for a single particle) and ``lengths`` its length."""
-        self = object.__new__(cls)
+        return object.__new__(cls)._set(lo, hi, _label_masks(ids, lengths))
+
+    def _set(self, lo: np.ndarray, hi: np.ndarray, masks) -> BlockPartition:
+        """Freeze the bounds and keep them with the masks (None: derived when asked for)."""
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_per_particle", _label_masks(ids, lengths))
+        object.__setattr__(self, "_per_particle", masks)
         return self
 
     def __setattr__(self, name, value):

@@ -631,19 +631,34 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_overflowing_run_exits_3(tmp_path, capsys, recwarn):
-    # the force sums overflow at step 2; the free path is then infinite,
-    # and the gate names it with the failing time and step; numpy's
-    # overflow warnings stay off stderr, which holds the one JSON line
+def _overflowing_run(tmp_path, capsys, recwarn, n, dt, t_end):
+    # forces of +-1e308 on either side of 0.5: the line names the failing
+    # check, time, step and index; numpy's overflow warnings stay off
+    # stderr, which holds the one JSON line
     cfg = write_config(
-        tmp_path / "big.yaml", scenario="custom", n=20, dt=0.5, t_end=5.0, output_times=[0.0],
+        tmp_path / "big.yaml", scenario="custom", n=n, dt=dt, t_end=t_end, output_times=[0.0],
         density={"blocks": [[0, 1]]}, force={"breakpoints": [0.5], "values": [1.0e308, -1.0e308]},
     )
     assert main(["run", str(cfg)]) == EXIT_INVARIANT
     err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
-    assert (err["error"], err["check"]) == ("invariant", "finite")
-    assert (err["t"], err["step"], err["i"]) == (1.0, 2, None)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert err["error"] == "invariant"
+    return err["check"], err["t"], err["step"], err["i"]
+
+
+def test_overflowing_run_exits_3(tmp_path, capsys, recwarn):
+    # with twenty particles the first step pools the block, whose mean
+    # velocity is a rounding residue of the +-1e308 sums: it lands at
+    # x = -7.5e291, where every gap rounds to 0.0 and 1e-12 * max|x| dwarfs
+    # the packed gap 0.05; the tolerance, capped at half of it, sees gap 0
+    assert _overflowing_run(tmp_path, capsys, recwarn, 20, 0.5, 5.0) == (
+        "feasibility", 0.5, 1, 0)
+
+
+def test_overflowing_force_sums_fail_finite(tmp_path, capsys, recwarn):
+    # with four particles and dt = 1 the force sums overflow at step 2,
+    # and the free path is then infinite: no one particle fails "finite"
+    assert _overflowing_run(tmp_path, capsys, recwarn, 4, 1.0, 3.0) == ("finite", 2.0, 2, None)
 
 
 def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):

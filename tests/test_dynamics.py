@@ -156,6 +156,34 @@ def test_check_state_names_the_failing_index(check):
     assert (err.value.check, err.value.index) == (check, index)
 
 
+def light_packed_state(shift: float, shrink: float):
+    # a system of particles with packed gaps of 2e-12, just past the fence
+    # at position_tol(packed) = 1e-12, at rest in its packed configuration
+    # moved right by ``shift``, with gap 10 shrunk by ``shrink`` packed gaps
+    ps = build_particles(uniform_blocks([(0.0, 1.0)], 2.0e-10), 100)
+    x = ps.packed + shift
+    x[11:] -= shrink * ps.packed_gaps[10]
+    return ps, replace(init_state(ps, np.zeros(ps.n)), x=x)
+
+
+@pytest.mark.parametrize("shift, shrink", [(1.0, 0.7), (1.6, 1.0)], ids=["0.3x", "closed"])
+def test_gap_tolerance_stays_below_the_packed_gaps(shift, shrink):
+    # 1e-12 * max|x| (1.5e-12 and 2.1e-12 here) exceeds the packed gap 2e-12
+    # at 0.3x, and the whole of it; capped at half the smallest packed gap,
+    # the tolerance sees gap 10 shrink or close wherever the run has moved
+    ps, bad = light_packed_state(shift, shrink)
+    assert ps.gap_tol_cap == 0.5 * ps.packed_gaps.min() < dynamics.position_tol(bad.x)
+    with pytest.raises(InvariantViolation) as err:
+        check_state(bad, ps)
+    assert (err.value.check, err.value.index) == ("feasibility", 10)
+
+
+def test_gap_tolerance_cap_is_infinite_for_one_particle():
+    ps = ParticleSystem(np.array([0.25]), np.array([0.5]))
+    assert ps.gap_tol_cap == np.inf
+    assert check_state(init_state(ps, np.array([1.0])), ps).slack == np.inf
+
+
 # Each case corrupts two fields of the packed three-particle state at rest
 # so that two checks fail: the first in the documented order is reported,
 # with its own magnitude and index.

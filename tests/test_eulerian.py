@@ -14,6 +14,7 @@ from granular1d import (
     run_simulation,
     wasserstein2,
 )
+from test_dynamics import light_packed_state
 
 
 def state_for(positions, masses, u0=None):
@@ -171,3 +172,16 @@ def test_reconstruct_names_the_failing_gap(check, x, index):
     with pytest.raises(InvariantViolation) as err:
         reconstruct(replace(st, x=np.array(x)), ps)
     assert (err.value.check, err.value.index) == (check, index)
+
+
+@pytest.mark.parametrize("shift, shrink, check", [
+    (1.0, 0.7, "density_bound"),
+    (1.6, 1.0, "invalid_transport"),
+], ids=["0.3x", "closed"])
+def test_reconstruct_shares_the_capped_gap_tolerance(shift, shrink, check):
+    # the states that ``check_state`` refuses at gap 10 (test_dynamics):
+    # at 0.3x the density is 3.3 times the bound, not clipped to it
+    ps, bad = light_packed_state(shift, shrink)
+    with pytest.raises(InvariantViolation) as err:
+        reconstruct(bad, ps)
+    assert (err.value.check, err.value.index) == (check, 10)

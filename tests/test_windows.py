@@ -88,6 +88,14 @@ def partially_filled_run(fill=0.5):
     return ps, p.force(), StepperConfig(dt=2e-3, t_end=2.6)
 
 
+def slow_release_run():
+    # one saturated block pulled apart by forces far below the gate's gamma
+    # sign tolerance 1e-10 * M: only the release test (c) sees it come apart
+    ps = build_particles(uniform_blocks([(0.0, 1.0)]), 200)
+    force = piecewise_constant_force([0.5], [[1e-9, -1.3e-9], [-1e-9, 1.3e-9]], [0.5])
+    return ps, force, StepperConfig(dt=2e-3, t_end=1.5)
+
+
 def test_two_block_matches_stepwise():
     ps, force, cfg = two_block_run()
     assert multi_row(run_windows(ps, np.zeros(ps.n), force, cfg))
@@ -201,8 +209,9 @@ def test_random_scenarios_match_stepwise(seed):
     assert_matches_stepwise(ps, u0, random_force(rng), cfg)
 
 
-@pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run, partially_filled_run],
-                         ids=["two-block", "heterogeneous", "fill-0.5"])
+@pytest.mark.parametrize("setup", [two_block_run, heterogeneous_run, partially_filled_run,
+                                   slow_release_run],
+                         ids=["two-block", "heterogeneous", "fill-0.5", "slow-release"])
 def test_late_roots_leave_rows_to_step(setup, monkeypatch):
     # every root five rows late names an end row past an event, which the
     # stretch's gate refuses: the refused stretch's rows are left to
