@@ -3,10 +3,10 @@
 The density on the cell between consecutive particles is the ratio of
 the packed gap to the actual gap, which keeps the constraint exact on
 congested cells.  Two half-cells are appended at the ends so that the
-cell quadrature carries the full mass.  The adhesion samples live only
-on cells interior to a congested block; elsewhere the continuum value
-is identically zero and is emitted as such, which makes the exclusion
-relation hold by construction.
+cell quadrature carries the full mass.  Cells interior to a congested
+block carry the solver's adhesion at their mass edge; elsewhere, the
+half-cells included, the continuum value is identically zero and is
+emitted as such, which makes the exclusion relation hold by construction.
 """
 
 from __future__ import annotations
@@ -48,22 +48,19 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     """Midpoint-sampled density, velocity and adhesion fields.
 
     Cell (i, i+1) is sampled at the particle midpoint with density equal
-    to the packed-over-actual gap ratio.  With a heterogeneous maximal
-    density ``ps.rho_star``, the transported ratio is multiplied by the
-    carried maximal density, and rho_star is emitted per sample.  A gap
-    below its packed value by more than ``check_state``'s gap tolerance
-    raises ``density_bound``; smaller rounding excesses are clipped to the
-    bound.  Either error's ``index`` is the first failing gap.
+    to the packed-over-actual gap ratio and, inside a block, adhesion
+    ``state.gamma[i]``, the potential at the mass edge between the two
+    particles; the half-cells, at the ends of the mass interval, carry 0.
+    With a heterogeneous maximal density ``ps.rho_star``, the ratio is
+    multiplied by the carried maximal density, emitted per sample.  A gap
+    below its packed value by more than ``check_state``'s gap tolerance,
+    so every closed or crossed gap, raises ``density_bound`` with the
+    first failing gap as ``index``; smaller excesses are clipped.
     """
     x = state.x
     m = ps.masses
-    n = ps.n
     gaps = np.diff(x)
     packed = ps.packed_gaps
-    if np.any(gaps <= 0):
-        raise InvariantViolation("invalid_transport", float(-np.min(gaps)),
-                                 "invalid transport: coincident particle positions",
-                                 t=state.t, step=state.step_index, index=int(np.argmax(gaps <= 0)))
     over = packed - gaps
     deficit = float(np.max(over, initial=-np.inf))
     tol = min(position_tol(x), ps.gap_tol_cap)
@@ -75,22 +72,18 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     xm = (x[:-1] + x[1:]) / 2
     wsum = m[:-1] + m[1:]
     um = (m[:-1] * state.u[:-1] + m[1:] * state.u[1:]) / wsum
-    inside = state.blocks.interior_cells(n)
-    gm = np.where(inside, (state.gamma[:-1] + state.gamma[1:]) / 2, 0.0)
+    gm = np.where(state.blocks.interior_cells(ps.n), state.gamma[:-1], 0.0)
 
     # boundary half-cells so the quadrature carries the full mass
-    labels = state.blocks.labels(n)
-    r_left, r_right = (ratio[0], ratio[-1]) if n > 1 else (1.0, 1.0)
+    r_left, r_right = (ratio[0], ratio[-1]) if ps.n > 1 else (1.0, 1.0)
     w_left = (m[0] / 2) / r_left
     w_right = (m[-1] / 2) / r_right
-    g_left = state.gamma[0] / 2 if labels[0] >= 0 else 0.0
-    g_right = state.gamma[-1] / 2 if labels[-1] >= 0 else 0.0
 
     xs = np.concatenate([[x[0] - w_left / 2], xm, [x[-1] + w_right / 2]])
     rat = np.concatenate([[r_left], ratio, [r_right]])
     widths = np.concatenate([[w_left], gaps, [w_right]])
     us = np.concatenate([[state.u[0]], um, [state.u[-1]]])
-    gs = np.concatenate([[g_left], gm, [g_right]])
+    gs = np.concatenate([[0.0], gm, [0.0]])
 
     if ps.rho_star is None:
         return EulerianField(xs, rat, us, gs, widths, None)

@@ -229,6 +229,27 @@ def test_late_roots_leave_rows_to_step(setup, monkeypatch):
     assert_matches_stepwise(ps, u0, force, cfg)
 
 
+@pytest.mark.parametrize("a, t_star", [
+    pytest.param(1e-9, 0.5003, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 12: at step 502 the force sums' rounding residues have "
+               "opposite signs; run_simulation splits the block, step keeps it whole")),
+    pytest.param(1e-3, 0.5, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 12: at step 500 the force sums' rounding residues have "
+               "opposite signs; step splits the block, run_simulation keeps it whole")),
+    (0.5, 0.5),
+])
+def test_cancelled_force_sums_decide_no_tie(a, t_star):
+    # one saturated block pulled apart by forces that reverse at t_star:
+    # where the force sums cancel, only their rounding is left to decide
+    # whether the block splits, and each engine rounds them its own way
+    ps = build_particles(uniform_blocks([(0.0, 1.0)]), 200)
+    force = piecewise_constant_force([0.5], [[a, -a], [-a, a]], [t_star])
+    cfg = StepperConfig(dt=2e-3, t_end=1.5)
+    assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
+
+
 def test_exact_tie_is_a_contact():
     # dyadic data: two particles meet with exactly tied offsets at step 3,
     # which the projection pools, so a stretch must not run past it
