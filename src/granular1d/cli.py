@@ -123,11 +123,12 @@ def _output_steps(cfg: dict, stepper: StepperConfig) -> set[int]:
 
 
 def _grid_step(t: float, dt: float, what: str) -> int:
-    """Index of the step that lands on time t; t must lie on the grid."""
+    """Index of the step that lands on time t; t must lie on the grid,
+    within 1e-9 * max(1, t) and a quarter step."""
     if not abs(t / dt) <= sys.float_info.max:
         raise ConfigError(f"{what} {t} is too many steps of dt={dt} to count")
     idx = int(round(t / dt))
-    if abs(idx * dt - t) > 1e-9 * max(1.0, t):
+    if abs(idx * dt - t) > min(1e-9 * max(1.0, t), dt / 4):
         raise ConfigError(f"{what} {t} is not on the step grid (dt={dt})")
     return idx
 

@@ -157,8 +157,7 @@ def block_velocity(u_free: np.ndarray, blocks: BlockPartition, masses: np.ndarra
     if not len(blocks):
         return u
     mean = blocks.sums(masses * u) / blocks.sums(masses)
-    labels = blocks.labels(u.size)
-    np.copyto(u, mean[labels], where=labels >= 0)
+    np.copyto(u, mean[blocks.labels], where=blocks.labels >= 0)
     return u
 
 
@@ -200,14 +199,14 @@ def _tangent_velocity(
     A zone on which u0 is exactly constant is its own fit and survives
     whole, so only the other zones are projected."""
     u = np.array(u0, dtype=float)
-    labels, inside = pos_blocks.labels(u.size), pos_blocks.interior_cells(u.size)
+    labels, inside = pos_blocks.labels, pos_blocks.interior_cells
     varies = np.zeros(len(pos_blocks), dtype=bool)
     varies[labels[:-1][(np.diff(u0) != 0) & inside]] = True
     for a, b in zip(pos_blocks.lo[varies].tolist(), pos_blocks.hi[varies].tolist()):
         u[a:b + 1] = project_monotone(u0[a:b + 1], masses[a:b + 1])[0]
     # the runs of tied gaps inside zones: a run over gaps lo..hi-1 is the block [lo, hi]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], inside & (u[1:] == u[:-1]), [0]))))
-    return u, BlockPartition(edges[0::2], edges[1::2])
+    return u, BlockPartition(edges[0::2], edges[1::2], u.size)
 
 
 def init_state(ps: ParticleSystem, u0: np.ndarray) -> SimState:
@@ -245,7 +244,7 @@ def step(state: SimState, force: ForceField, cfg: StepperConfig, ps: ParticleSys
     z = state.s + dt * u_free
     # a free path that overflowed is left unprojected for the gate to name
     s, blocks = (project_monotone(z, masses, cum_w=ps.cum_masses) if np.isfinite(z).all()
-                 else (z, BlockPartition()))
+                 else (z, BlockPartition([], [], ps.n)))
     u = block_velocity(u_free, blocks, masses)
     k = state.step_index + 1
     return check_state(_states(ps, k * dt, k, s, u_free, u, blocks, force_sum, state.u_init), ps)
@@ -269,7 +268,6 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     the momentum drift at 1e-12, times max(1, M * max(1, max|u_free|)).
     """
     x, u, u_free, gamma, blocks = state.x, state.u, state.u_free, state.gamma, state.blocks
-    n = x.size
 
     def failed(name, value=0.0, message="", index=None):
         return InvariantViolation(name, float(value), message, t=state.t, step=state.step_index,
@@ -292,11 +290,11 @@ def check_state(state: SimState, ps: ParticleSystem) -> SimState:
     tol = min(tol, ps.gap_tol_cap)
     if slack < -tol:
         raise failed("feasibility", -slack, index=int((gaps < -tol).argmax()))
-    jumps = (u[:-1] != u[1:]) & blocks.interior_cells(n)
+    jumps = (u[:-1] != u[1:]) & blocks.interior_cells
     if jumps.any():  # the particle whose u differs from its left neighbour's
         raise failed("block_velocity_constant", message="u not constant on a block",
                      index=int(jumps.argmax()) + 1)
-    loose = (u != u_free) & (blocks.labels(n) < 0)
+    loose = (u != u_free) & (blocks.labels < 0)
     if loose.any():
         raise failed("free_velocity_off_blocks", message="u != u_free off blocks",
                      index=int(loose.argmax()))
@@ -349,7 +347,7 @@ class _ClosedForm:
         self.s0, self.u0, self.fs0 = start.s, start.u, start.force_sum
         self.f, self.ps, self.dt = f, ps, dt
         self.bf = block_velocity(f, start.blocks, ps.masses)
-        self.free = np.flatnonzero(start.blocks.labels(ps.n) < 0)
+        self.free = np.flatnonzero(start.blocks.labels < 0)
 
     def offsets(self) -> Callable[[int], np.ndarray]:
         """A function j -> s_j for ascending j that carries the free
@@ -456,11 +454,11 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     stretch is whole or None: a failing covering row leaves every row to
     ``step``, so a failing run stops where a stepwise run would.
     """
-    dt, n, k0 = cfg.dt, ps.n, state.step_index
+    dt, k0 = cfg.dt, state.step_index
     blocks = state.blocks
     f = force(state.t, state.x)
     form = _ClosedForm(state, f, ps, dt)
-    labels, inside = blocks.labels(n), blocks.interior_cells(n)
+    labels, inside = blocks.labels, blocks.interior_cells
     p2 = 0.5 * dt * dt * form.bf  # s_j = s0 + p1*j + p2*j**2
     p1 = dt * state.u + p2
     d1, d2 = np.diff(p1), np.diff(p2)  # per gap

@@ -53,9 +53,9 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     particles; the half-cells, at the ends of the mass interval, carry 0.
     With a heterogeneous maximal density ``ps.rho_star``, the ratio is
     multiplied by the carried maximal density, emitted per sample.  A gap
-    below its packed value by more than ``check_state``'s gap tolerance,
-    so every closed or crossed gap, raises ``density_bound`` with the
-    first failing gap as ``index``; smaller excesses are clipped.
+    below its packed value by more than ``check_state``'s gap tolerance
+    (so every closed or crossed gap) or NaN raises ``density_bound`` with
+    the first failing gap as ``index``; smaller excesses are clipped.
     """
     x = state.x
     m = ps.masses
@@ -63,16 +63,16 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     packed = ps.packed_gaps
     over = packed - gaps
     deficit = float(np.max(over, initial=-np.inf))
-    tol = min(position_tol(x), ps.gap_tol_cap)
-    if deficit > tol:
+    tol = np.fmin(position_tol(x), ps.gap_tol_cap)  # the cap where x holds a NaN
+    if not deficit <= tol:  # a NaN gap fails too
         raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index,
-                                 index=int(np.argmax(over > tol)))
+                                 index=int(np.argmax(~(over <= tol))))
     ratio = np.minimum(packed / gaps, 1.0)
 
     xm = (x[:-1] + x[1:]) / 2
     wsum = m[:-1] + m[1:]
     um = (m[:-1] * state.u[:-1] + m[1:] * state.u[1:]) / wsum
-    gm = np.where(state.blocks.interior_cells(ps.n), state.gamma[:-1], 0.0)
+    gm = np.where(state.blocks.interior_cells, state.gamma[:-1], 0.0)
 
     # boundary half-cells so the quadrature carries the full mass
     r_left, r_right = (ratio[0], ratio[-1]) if ps.n > 1 else (1.0, 1.0)

@@ -105,20 +105,23 @@ class ParticleSystem:
 
 
 class BlockPartition:
-    """Disjoint, sorted index ranges [lo, hi] (inclusive, hi > lo).
+    """Disjoint, sorted index ranges [lo, hi] (inclusive, hi > lo) of the
+    particles 0..n-1.
 
     Each range is a congested zone: a maximal group of particles pooled
     by the cone projection.  A partition is built as
-    ``BlockPartition(lo, hi)`` from the first and last particle index of
+    ``BlockPartition(lo, hi, n)`` from the first and last particle index of
     each block, kept as two read-only int arrays, so that per-block work
-    is a numpy operation rather than a Python loop.  The partition that
-    ``project_monotone`` returns comes with its labels and interior
-    cells, which the fit already knows.
+    is a numpy operation rather than a Python loop.  It makes its
+    read-only ``labels`` (block id per particle, -1 outside all blocks)
+    and ``interior_cells`` (over the n-1 gaps: True where the gap lies
+    inside one block) once; the partition that ``project_monotone``
+    returns takes them from the fit, which already knows them.
     """
 
-    __slots__ = ("lo", "hi", "_per_particle")
+    __slots__ = ("lo", "hi", "labels", "interior_cells")
 
-    def __init__(self, lo=(), hi=()):
+    def __init__(self, lo, hi, n: int):
         lo = np.array(lo, dtype=np.intp)
         hi = np.array(hi, dtype=np.intp)
         if lo.ndim != 1 or lo.shape != hi.shape:
@@ -129,7 +132,14 @@ class BlockPartition:
             raise ValueError(f"block [{lo[k]}, {hi[k]}] shorter than 2 particles")
         if np.any(lo[1:] <= hi[:-1]):
             raise ValueError("blocks overlap or are out of order")
-        self._set(lo, hi, None)
+        if np.any(lo < 0) or np.any(hi >= n):
+            raise ValueError(f"blocks outside the particles [0, {n})")
+        # runs of gaps (-1) alternate with blocks (their id), cut at
+        # 0, lo[0], hi[0] + 1, lo[1], ..., n
+        cuts = np.stack([lo, hi + 1], axis=-1).ravel()
+        ids = np.full(2 * lo.size + 1, -1, dtype=np.intp)
+        ids[1::2] = np.arange(lo.size)
+        self._set(lo, hi, ids, np.diff(cuts, prepend=0, append=n))
 
     @classmethod
     def _of_groups(cls, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray,
@@ -137,15 +147,17 @@ class BlockPartition:
         """The partition with bounds lo, hi of a fit's groups, which are
         ordered and disjoint, so unchecked; ``ids`` holds each group's
         block id (-1 for a single particle) and ``lengths`` its length."""
-        return object.__new__(cls)._set(lo, hi, _label_masks(ids, lengths))
+        return object.__new__(cls)._set(lo, hi, ids, lengths)
 
-    def _set(self, lo: np.ndarray, hi: np.ndarray, masks) -> BlockPartition:
-        """Freeze the bounds and keep them with the masks (None: derived when asked for)."""
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_per_particle", masks)
+    def _set(self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray,
+             lengths: np.ndarray) -> BlockPartition:
+        """Freeze the bounds with the labels ids[k] repeated lengths[k]
+        times and the interior cells of those labels."""
+        labels = ids.repeat(lengths)
+        inside = (labels[:-1] == labels[1:]) & (labels[1:] >= 0)
+        for name, a in (("lo", lo), ("hi", hi), ("labels", labels), ("interior_cells", inside)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         return self
 
     def __setattr__(self, name, value):
@@ -154,36 +166,14 @@ class BlockPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPartition):
             return NotImplemented
-        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+        return (self.labels.size == other.labels.size and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        return f"BlockPartition({self.lo.tolist()}, {self.hi.tolist()})"
+        return f"BlockPartition({self.lo.tolist()}, {self.hi.tolist()}, {self.labels.size})"
 
     def __len__(self) -> int:
         return self.lo.size
-
-    def labels(self, n: int) -> np.ndarray:
-        """Block id per particle, -1 outside all blocks (read-only)."""
-        return self._masks(n)[0]
-
-    def interior_cells(self, n: int) -> np.ndarray:
-        """Boolean over the n-1 particle gaps: True where the gap lies
-        inside a single block (read-only)."""
-        return self._masks(n)[1]
-
-    def _masks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Labels and interior cells for n particles, kept for the last n
-        asked for: a run asks for them several times per step."""
-        if self._per_particle is not None and self._per_particle[0].size == n:
-            return self._per_particle
-        # runs of gaps (-1) alternate with blocks (their id), cut at
-        # 0, lo[0], hi[0] + 1, lo[1], ..., n
-        cuts = np.stack([self.lo, self.hi + 1], axis=-1).ravel()
-        ids = np.full(2 * len(self) + 1, -1, dtype=np.intp)
-        ids[1::2] = np.arange(len(self))
-        masks = _label_masks(ids, np.diff(cuts, prepend=0, append=n))
-        object.__setattr__(self, "_per_particle", masks)
-        return masks
 
     def spans(self, i: int, j: int) -> bool:
         """Whether some block contains both particle i and particle j."""
@@ -200,16 +190,6 @@ class BlockPartition:
         edges[0::2] = self.lo
         edges[1::2] = self.hi[:-1] + 1
         return np.add.reduceat(a[: self.hi[-1] + 1], edges)[::2]
-
-
-def _label_masks(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only labels (ids[k] repeated lengths[k] times, -1 off the
-    blocks) and the interior cells of those labels."""
-    lab = ids.repeat(lengths)
-    inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
-    lab.setflags(write=False)
-    inside.setflags(write=False)
-    return lab, inside
 
 
 def build_particles(density: PiecewiseDensity, n: int) -> ParticleSystem:

@@ -417,6 +417,9 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         dict(_CUSTOM_UNIT, force={"alpha": 0.5, "t_star": 0.0}),
         dict(scenario="heterogeneous", force={"alpha": 0.0, "t_star": 1.0}),
         dict(scenario="heterogeneous", force={"alpha": 0.5, "t_star": -1.0}),
+        # half a step off the grid at a dt below the grid rule's 1e-9 floor
+        dict(_CUSTOM_UNIT, dt=1.0e-12, t_end=2.5e-12, output_times=[0.0, 1.5e-12, 2.5e-12]),
+        dict(_CUSTOM_UNIT, dt=1.0e-12, t_end=2.0e-12, output_times=[0.0, 1.5e-12]),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -436,7 +439,8 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "height-above-bound",
          "near-mirror-blocks", "zero-dt", "t-end-steps-overflow", "output-time-steps-overflow",
          "non-finite-packed-map", "two-block-zero-alpha", "custom-negative-alpha",
-         "custom-zero-t-star", "heterogeneous-zero-alpha", "heterogeneous-negative-t-star"],
+         "custom-zero-t-star", "heterogeneous-zero-alpha", "heterogeneous-negative-t-star",
+         "tiny-dt-off-grid", "tiny-dt-off-grid-output-time"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -42,17 +42,17 @@ def packed_three() -> ParticleSystem:
 
 def test_block_velocity_empty_partition():
     uf = np.array([3.0, -1.0, 2.0])
-    assert block_velocity(uf, BlockPartition(), np.ones(3)) == pytest.approx(uf)
+    assert block_velocity(uf, BlockPartition([], [], 3), np.ones(3)) == pytest.approx(uf)
 
 
 def test_block_velocity_full_block_mean():
-    u = block_velocity(np.array([1.0, -1.0]), BlockPartition([0], [1]), np.ones(2))
+    u = block_velocity(np.array([1.0, -1.0]), BlockPartition([0], [1], 2), np.ones(2))
     assert u == pytest.approx([0.0, 0.0])
 
 
 def test_block_velocity_weighted_mean():
     u = block_velocity(
-        np.array([4.0, 0.0, 7.0]), BlockPartition([0], [1]), np.array([1.0, 3.0, 2.0])
+        np.array([4.0, 0.0, 7.0]), BlockPartition([0], [1], 3), np.array([1.0, 3.0, 2.0])
     )
     assert u == pytest.approx([1.0, 1.0, 7.0])
 
@@ -74,13 +74,13 @@ def test_adhesion_vanishes_at_block_edges():
         n = 12
         uf = rng.normal(0, 1, n)
         m = rng.uniform(0.1, 1.0, n)
-        blocks = BlockPartition([1, 7], [4, 10])
+        blocks = BlockPartition([1, 7], [4, 10], n)
         u = block_velocity(uf, blocks, m)
         gamma = adhesion_potential(u, uf, m)
         scale = np.sum(m) * max(1.0, np.max(np.abs(uf)))
         for lo, hi in zip(blocks.lo.tolist(), blocks.hi.tolist()):
             assert abs(gamma[hi]) <= 1e-12 * scale
-        outside = blocks.labels(n) < 0
+        outside = blocks.labels < 0
         # outside blocks gamma carries no increment
         inc = m * (u - uf)
         assert np.all(inc[outside] == 0.0)
@@ -97,12 +97,12 @@ _BAD_STATES = {
     "feasibility": dict(x=np.array([0.0, 0.25, 0.5])),
     "block_velocity_constant": dict(u=np.array([1.0, 0.0, 0.0])),
     "free_velocity_off_blocks": dict(
-        blocks=BlockPartition([0], [1]), u=np.array([0.0, 0.0, 1.0])
+        blocks=BlockPartition([0], [1], 3), u=np.array([0.0, 0.0, 1.0])
     ),
     "gamma_sign": dict(gamma=np.array([0.5, 0.0, 0.0])),
     "gamma_total": dict(gamma=np.array([0.0, 0.0, -0.5])),
     "gamma_block_edge": dict(
-        blocks=BlockPartition([0], [1]), gamma=np.array([-0.5, -0.5, 0.0])
+        blocks=BlockPartition([0], [1], 3), gamma=np.array([-0.5, -0.5, 0.0])
     ),
     "momentum_balance": dict(u=np.ones(3)),
 }
@@ -117,7 +117,7 @@ _BAD_STATES.update(
 def test_check_state_names_each_violation(check):
     ps = packed_three()
     good = init_state(ps, np.zeros(3))
-    assert good.blocks == BlockPartition([0], [2])
+    assert good.blocks == BlockPartition([0], [2], 3)
     assert check_state(good, ps) is good
     bad = replace(good, t=0.75, step_index=3, **_BAD_STATES[check])
     with pytest.raises(InvariantViolation) as err:
@@ -136,11 +136,11 @@ _BAD_AT = {
     "feasibility": (dict(x=0.5 * np.array([0.0, 1, 2, 3, 4, 4.5, 6, 7])), 4),
     "block_velocity_constant": (dict(u=np.array([0.0] * 5 + [1.0, 0.0, 0.0])), 5),
     "free_velocity_off_blocks": (
-        dict(blocks=BlockPartition([0], [3]), u=np.array([0.0] * 6 + [1.0, 0.0])), 6),
+        dict(blocks=BlockPartition([0], [3], 8), u=np.array([0.0] * 6 + [1.0, 0.0])), 6),
     "gamma_sign": (dict(gamma=np.array([0.0] * 3 + [0.5] + [0.0] * 4)), 3),
     "gamma_total": (dict(gamma=np.array([0.0] * 7 + [-0.5])), None),
     "gamma_block_edge": (
-        dict(blocks=BlockPartition([0, 4], [2, 6]), gamma=np.array([0.0] * 6 + [-0.5, 0.0])), 6),
+        dict(blocks=BlockPartition([0, 4], [2, 6], 8), gamma=np.array([0.0] * 6 + [-0.5, 0.0])), 6),
     "momentum_balance": (dict(u=np.ones(8)), None),
 }
 
@@ -149,7 +149,7 @@ _BAD_AT = {
 def test_check_state_names_the_failing_index(check):
     ps = ParticleSystem(0.5 * np.arange(8.0), np.full(8, 0.5))
     good = init_state(ps, np.zeros(8))
-    assert good.blocks == BlockPartition([0], [7]) and check_state(good, ps) is good
+    assert good.blocks == BlockPartition([0], [7], 8) and check_state(good, ps) is good
     fields, index = _BAD_AT[check]
     with pytest.raises(InvariantViolation) as err:
         check_state(replace(good, **fields), ps)
@@ -245,7 +245,7 @@ def test_init_rigid_translation_is_admissible():
     st = init_state(ps, np.full(3, 2.5))
     assert np.all(st.u == 2.5)
     assert np.all(st.gamma == 0.0)
-    assert st.blocks == BlockPartition([0], [2])
+    assert st.blocks == BlockPartition([0], [2], 3)
 
 
 def test_init_decreasing_velocity_collapses_to_block_mean():
@@ -254,7 +254,7 @@ def test_init_decreasing_velocity_collapses_to_block_mean():
     assert st.u == pytest.approx([1.0, 1.0, 1.0])
     assert st.gamma == pytest.approx([-0.5, -0.5, 0.0])
     assert st.gamma.max() <= 0.0
-    assert st.blocks == BlockPartition([0], [2])
+    assert st.blocks == BlockPartition([0], [2], 3)
 
 
 def test_init_spreading_velocity_is_kept():
@@ -292,7 +292,7 @@ def test_init_tangent_velocity_matches_per_zone_projection():
     ps = ParticleSystem(positions, np.full(9, 0.5))
     u0 = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0])
     _, zones = project_monotone(ps.positions - ps.packed, ps.masses)
-    assert zones == BlockPartition([0, 3, 6], [2, 5, 8])
+    assert zones == BlockPartition([0, 3, 6], [2, 5, 8], 9)
     u = u0.copy()
     survivors_lo, survivors_hi = [], []
     for lo, hi in zip(zones.lo.tolist(), zones.hi.tolist()):
@@ -302,8 +302,8 @@ def test_init_tangent_velocity_matches_per_zone_projection():
         survivors_hi += (lo + sub.hi).tolist()
     st = init_state(ps, u0)
     assert np.array_equal(st.u, u)
-    assert st.blocks == BlockPartition(survivors_lo, survivors_hi)
-    assert st.blocks == BlockPartition([0, 3], [2, 5])
+    assert st.blocks == BlockPartition(survivors_lo, survivors_hi, 9)
+    assert st.blocks == BlockPartition([0, 3], [2, 5], 9)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -325,7 +325,7 @@ def test_init_blocks_are_the_groups_of_each_zone_fit(seed):
         hi += (a + sub.hi).tolist()
     st = init_state(ps, u0)
     assert st.u.tobytes() == u.tobytes()
-    assert st.blocks == BlockPartition(lo, hi)
+    assert st.blocks == BlockPartition(lo, hi, ps.n)
 
 
 def test_init_length_mismatch():

@@ -66,7 +66,7 @@ def test_gamma_zero_on_free_cells():
         [0.0, 0.5, 5.0, 5.5], [0.5, 0.5, 0.5, 0.5], u0=[1.0, -1.0, 1.0, -1.0]
     )
     field = reconstruct(st, ps)
-    inside = st.blocks.interior_cells(4)
+    inside = st.blocks.interior_cells
     assert inside.tolist() == [True, False, True]
     assert field.gamma[2] == 0.0  # straddling the vacuum gap
     assert field.gamma[1] < 0 and field.gamma[3] < 0
@@ -167,6 +167,10 @@ def test_wasserstein_initial_attainment(two_block_params, small_two_block):
 @pytest.mark.parametrize("check, x, index", [
     ("density_bound", [0.0, 0.5, 1.0, 1.5, 1.5, 2.0], 3),
     ("density_bound", [0.0, 0.5, 1.0, 1.25, 2.0, 2.5], 2),
+    # a NaN position fails closed at its first gap, and a gap over the
+    # tolerance before it is still the first failing one
+    ("density_bound", [0.0, 0.5, np.nan, 1.5, 2.0, 2.5], 1),
+    ("density_bound", [0.0, 0.5, 0.6, 1.5, np.nan, 2.5], 1),
 ])
 def test_reconstruct_names_the_failing_gap(check, x, index):
     # a closed gap is short of its packed value by all of it

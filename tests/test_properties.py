@@ -99,7 +99,7 @@ def test_unequal_masses_two_body_collision_velocity():
     cfg = StepperConfig(dt=0.01, t_end=1.0)
     for st in run_simulation(ps, u0, ForceField(lambda t, x: np.zeros_like(x)), cfg):
         pass
-    assert st.blocks == BlockPartition([0], [1])
+    assert st.blocks == BlockPartition([0], [1], 2)
     assert st.u == pytest.approx([0.25, 0.25])
     # gap pinned at the packed value (m1 + m2)/2
     assert np.diff(st.x) == pytest.approx(np.diff(ps.packed))

@@ -73,25 +73,35 @@ def test_particle_system_rejects_packed_gaps_within_the_gap_tolerance():
 
 
 def test_block_partition_validation():
-    bp = BlockPartition([0, 3], [1, 5])
+    bp = BlockPartition([0, 3], [1, 5], 7)
     assert bp.spans(3, 4) and not bp.spans(2, 3)
-    assert list(bp.interior_cells(7)) == [True, False, False, True, True, False]
-    assert bp.labels(7).tolist() == [0, 0, -1, 1, 1, 1, -1]
+    assert list(bp.interior_cells) == [True, False, False, True, True, False]
+    assert bp.labels.tolist() == [0, 0, -1, 1, 1, 1, -1]
     with pytest.raises(ValueError):
-        BlockPartition([0], [0])
+        BlockPartition([0], [0], 7)
     with pytest.raises(ValueError):
-        BlockPartition([0, 2], [2, 4])
-    assert repr(bp) == "BlockPartition([0, 3], [1, 5])"
-    assert eval(repr(bp)) == bp and eval(repr(BlockPartition())) == BlockPartition()
-    assert len(bp) == 2 and len(BlockPartition()) == 0
-    assert not bp.lo.flags.writeable and not bp.hi.flags.writeable
+        BlockPartition([0, 2], [2, 4], 7)
+    assert repr(bp) == "BlockPartition([0, 3], [1, 5], 7)"
+    empty = BlockPartition([], [], 3)
+    assert eval(repr(bp)) == bp and eval(repr(empty)) == empty
+    assert len(bp) == 2 and len(empty) == 0 and empty.labels.tolist() == [-1, -1, -1]
+    # the particle count is part of the partition
+    assert BlockPartition([0, 3], [1, 5], 8) != bp and BlockPartition([], [], 4) != empty
+    for a in (bp.lo, bp.hi, bp.labels, bp.interior_cells):
+        assert not a.flags.writeable
     with pytest.raises(AttributeError):
         bp.lo = np.array([0])
+    with pytest.raises(AttributeError):
+        bp.labels = np.zeros(7, dtype=np.intp)
+    # bounds outside the particles [0, n) are refused at construction
+    for lo, hi, n in [([1], [5], 3), ([1], [3], 3), ([-1], [1], 3), ([0, 3], [1, 7], 7)]:
+        with pytest.raises(ValueError, match="outside the particles"):
+            BlockPartition(lo, hi, n)
     # a sequence of (lo, hi) pairs is 2-D bounds, refused rather than misread
     with pytest.raises(ValueError, match="1D"):
-        BlockPartition([(0, 1)])
+        BlockPartition([(0, 1)], [], 3)
     with pytest.raises(ValueError, match="equal-length"):
-        BlockPartition([0, 3], [1])
+        BlockPartition([0, 3], [1], 7)
 
 
 # ---------------------------------------------------------------- build_particles
@@ -206,24 +216,24 @@ def test_project_monotone_two_point_pool():
     # brute force: constrained min of (2-a)^2 + (1-b)^2 over a <= b sits at a = b = 1.5
     fit, blocks = project_monotone(np.array([2.0, 1.0]), np.ones(2))
     assert fit == pytest.approx([1.5, 1.5])
-    assert blocks == BlockPartition([0], [1])
+    assert blocks == BlockPartition([0], [1], 2)
 
 
 def test_project_monotone_weighted_example():
     # enumeration over monotone partitions gives [5/3, 5/3, 2]
     fit, blocks = project_monotone(np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
     assert fit == pytest.approx([5 / 3, 5 / 3, 2.0])
-    assert blocks == BlockPartition([0], [1])
+    assert blocks == BlockPartition([0], [1], 3)
 
 
 def test_project_monotone_pools_exact_ties():
     fit, blocks = project_monotone(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4))
     assert fit == pytest.approx([0.0, 0.0, 1.0, 1.0])
-    assert blocks == BlockPartition([0, 2], [1, 3])
+    assert blocks == BlockPartition([0, 2], [1, 3], 4)
     # a pooled mean that ties the next value pools with it too
     fit, blocks = project_monotone(np.array([2.0, 0.0, 1.0]), np.ones(3))
     assert fit.tolist() == [1.0, 1.0, 1.0]
-    assert blocks == BlockPartition([0], [2])
+    assert blocks == BlockPartition([0], [2], 3)
 
 
 def test_project_monotone_errors():
@@ -274,7 +284,8 @@ def _stack_scan_reference(z, w):
             weights[-1] = w_new
     bounds = np.append(starts, z.size)
     big = np.diff(bounds) >= 2
-    return np.repeat(means, np.diff(bounds)), BlockPartition(bounds[:-1][big], bounds[1:][big] - 1)
+    blocks = BlockPartition(bounds[:-1][big], bounds[1:][big] - 1, z.size)
+    return np.repeat(means, np.diff(bounds)), blocks
 
 
 def _tie_heavy_instance(rng, n):
@@ -301,8 +312,10 @@ def test_chain_pooling_agrees_with_oracle_on_ties():
 
 def assert_masks_of_bounds(blocks, n):
     """The labels and interior cells a partition holds are those that
-    ``_masks`` derives from its bounds, with their dtype, read-only."""
-    for got, want in zip(blocks._masks(n), BlockPartition(blocks.lo, blocks.hi)._masks(n)):
+    ``BlockPartition(lo, hi, n)`` makes from its bounds, with their dtype,
+    read-only."""
+    fresh = BlockPartition(blocks.lo, blocks.hi, n)
+    for got, want in [(blocks.labels, fresh.labels), (blocks.interior_cells, fresh.interior_cells)]:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not got.flags.writeable
 
@@ -330,7 +343,7 @@ def test_projection_partition_carries_the_masks_of_its_bounds():
 def test_projection_partition_masks_at_the_edges(z, lo, hi):
     z = np.array(z)
     _, blocks = project_monotone(z, np.ones(z.size))
-    assert blocks == BlockPartition(lo, hi)
+    assert blocks == BlockPartition(lo, hi, z.size)
     assert_masks_of_bounds(blocks, z.size)
 
 
@@ -348,7 +361,7 @@ def test_chain_pooling_agrees_with_stack_scan():
         assert np.max(np.abs(fit - ref)) <= 1e-12 * scale
         assert np.all(np.diff(fit) >= 0)
         # pooled groups are exactly tied, and distinct groups are distinct values
-        lab = blocks.labels(n)
+        lab = blocks.labels
         inside = (lab[:-1] == lab[1:]) & (lab[1:] >= 0)
         assert np.all(np.diff(fit)[inside] == 0)
         assert np.all(np.diff(fit)[~inside] > 0)
@@ -375,7 +388,7 @@ def test_staircase_drives_scan_fallback(monkeypatch):
     assert calls == [1], "the staircase reaches the scan as its one violation"
     expected = (k * (k - 1) / 2 - k**2) / (k + 1)
     assert fit == pytest.approx(np.full(k + 1, expected), rel=1e-12)
-    assert blocks == BlockPartition([0], [k])
+    assert blocks == BlockPartition([0], [k], k + 1)
 
 
 def _sparse_violations(rng, n, count):
@@ -394,7 +407,7 @@ def _check_against_stack_scan(z, w):
     scale = max(1.0, float(np.max(np.abs(z))))
     assert np.max(np.abs(fit - ref)) <= 1e-12 * scale
     assert blocks == ref_blocks
-    assert np.all(np.diff(fit)[blocks.interior_cells(n)] == 0)
+    assert np.all(np.diff(fit)[blocks.interior_cells] == 0)
     # a group no pool reached (one particle, or a run of exact ties in z)
     # keeps its value bit for bit
     kept = np.ones(n, dtype=bool)
@@ -417,16 +430,16 @@ def test_local_pooling_agrees_with_stack_scan_on_sparse_violations():
     z = np.arange(50.0)
     z[0], z[-1] = 3.5, 47.0
     blocks = _check_against_stack_scan(z, np.ones(50))
-    assert blocks == BlockPartition([0, 48], [2, 49])
+    assert blocks == BlockPartition([0, 48], [2, 49], 50)
     # the pool at 6 reaches left into the pool that ended at 3: one block
     z = np.array([0.0, 1.0, 5.0, 2.0, 3.0, 4.0, 9.0, -30.0, 10.0, 11.0])
     blocks = _check_against_stack_scan(z, np.ones(10))
-    assert blocks == BlockPartition([0], [7])
+    assert blocks == BlockPartition([0], [7], 10)
     # the pool at 1 takes in 2, 3 and 4 on its right, so the violation at
     # (3, 4) is swallowed before the scan reaches it
     z = np.array([0.0, 10.0, 1.0, 2.0, 1.5, 20.0, 21.0])
     blocks = _check_against_stack_scan(z, np.ones(7))
-    assert blocks == BlockPartition([1], [4])
+    assert blocks == BlockPartition([1], [4], 7)
 
 
 def test_violations_past_the_chain_round_cap_go_to_the_local_scan(monkeypatch):
@@ -447,7 +460,7 @@ def _random_partition(rng, n):
         los.append(i)
         his.append(hi)
         i = hi + 1 + int(rng.integers(0, 3))
-    return BlockPartition(los, his)
+    return BlockPartition(los, his, n)
 
 
 def test_partition_arrays_match_naive_definitions():
@@ -458,26 +471,32 @@ def test_partition_arrays_match_naive_definitions():
         pairs = list(zip(bp.lo.tolist(), bp.hi.tolist()))
         naive_labels = [next((k for k, (lo, hi) in enumerate(pairs) if lo <= i <= hi), -1)
                         for i in range(n)]
-        assert bp.labels(n).tolist() == naive_labels
+        assert bp.labels.tolist() == naive_labels
         naive_inside = [any(lo <= c < hi for lo, hi in pairs) for c in range(n - 1)]
-        assert bp.interior_cells(n).tolist() == naive_inside
+        assert bp.interior_cells.tolist() == naive_inside
         for i in range(n):
             for j in range(n):
                 assert bp.spans(i, j) == any(lo <= i and j <= hi for lo, hi in pairs)
         a = rng.normal(0.0, 1.0, n)
         naive_sums = [a[lo : hi + 1].sum() for lo, hi in pairs]
         assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)
-        assert BlockPartition(bp.lo, bp.hi) == bp
+        assert BlockPartition(bp.lo, bp.hi, n) == bp and eval(repr(bp)) == bp
+        assert BlockPartition(bp.lo, bp.hi, n + 1) != bp
+        if len(bp):  # the same blocks moved one particle past either end
+            with pytest.raises(ValueError, match="outside the particles"):
+                BlockPartition(bp.lo + (n - bp.hi[-1]), bp.hi + (n - bp.hi[-1]), n)
+            with pytest.raises(ValueError, match="outside the particles"):
+                BlockPartition(bp.lo - (bp.lo[0] + 1), bp.hi - (bp.lo[0] + 1), n)
     # edges: no block, one block over every particle, blocks touching 0 and n - 1
-    for bp, n, labels in [
-        (BlockPartition(), 4, [-1, -1, -1, -1]),
-        (BlockPartition([0], [4]), 5, [0, 0, 0, 0, 0]),
-        (BlockPartition([0, 3], [1, 5]), 6, [0, 0, -1, 1, 1, 1]),
-        (BlockPartition([0, 2], [1, 3]), 4, [0, 0, 1, 1]),
+    for bp, labels in [
+        (BlockPartition([], [], 4), [-1, -1, -1, -1]),
+        (BlockPartition([0], [4], 5), [0, 0, 0, 0, 0]),
+        (BlockPartition([0, 3], [1, 5], 6), [0, 0, -1, 1, 1, 1]),
+        (BlockPartition([0, 2], [1, 3], 4), [0, 0, 1, 1]),
     ]:
-        assert bp.labels(n).tolist() == labels
+        assert bp.labels.tolist() == labels
         lab = np.array(labels)
-        assert bp.interior_cells(n).tolist() == ((lab[:-1] == lab[1:]) & (lab[1:] >= 0)).tolist()
+        assert bp.interior_cells.tolist() == ((lab[:-1] == lab[1:]) & (lab[1:] >= 0)).tolist()
 
 
 # ---------------------------------------------------------------- project_admissible
@@ -497,7 +516,7 @@ def test_project_admissible_two_particle_hand_check():
     x, blocks = project_admissible(np.array([0.2, -0.2]), xtil, w)
     # inner isotonic of [0.45, -0.45] pools to [0, 0]
     assert x == pytest.approx([-0.25, 0.25])
-    assert blocks == BlockPartition([0], [1])
+    assert blocks == BlockPartition([0], [1], 2)
 
 
 def test_project_admissible_matches_qp_oracle_small():

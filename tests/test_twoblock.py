@@ -131,10 +131,10 @@ def test_error_norms_index_mismatch(two_block_params):
 def test_contact_tracker_interval():
     tracker = ContactTracker((1, 2))
     seq = [
-        (0.0, BlockPartition()),
-        (0.1, BlockPartition([0], [3])),
-        (0.2, BlockPartition([1], [2])),
-        (0.3, BlockPartition([0], [1])),  # no longer spans the interface
+        (0.0, BlockPartition([], [], 4)),
+        (0.1, BlockPartition([0], [3], 4)),
+        (0.2, BlockPartition([1], [2], 4)),
+        (0.3, BlockPartition([0], [1], 4)),  # no longer spans the interface
     ]
     for t, blocks in seq:
         tracker.observe(t, blocks)

@@ -131,7 +131,7 @@ def test_step_is_its_public_layers_bit_for_bit(setup):
         force_sum = prev.force_sum + force(prev.t, prev.x)
         u_free = prev.u_init + cfg.dt * force_sum
         s, fit_blocks = project_monotone(prev.s + cfg.dt * u_free, m)
-        blocks = BlockPartition(fit_blocks.lo, fit_blocks.hi)
+        blocks = BlockPartition(fit_blocks.lo, fit_blocks.hi, ps.n)
         k = prev.step_index + 1
         want = check_state(dynamics._states(ps, k * cfg.dt, k, s, u_free,
                                             block_velocity(u_free, blocks, m), blocks,
