@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     OracleLimitError,
 )
-from .eulerian import EulerianField, check_exclusion, reconstruct, wasserstein2
+from .eulerian import EulerianField, check_exclusion, reconstruct
 from .heterogeneous import build_ratio_system, cosine_bump_rho_star
 from .transport import (
     BlockPartition,
@@ -94,7 +94,6 @@ __all__ = [
     "step",
     "two_block_exact",
     "uniform_blocks",
-    "wasserstein2",
     "weighted_norm",
     "zero_force",
 ]

@@ -466,7 +466,9 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     ends = [most]  # the last row each test lets through, from its root
     x_cuts, t_cuts = force.breakpoints
     piece = np.searchsorted(t_cuts, state.t, side="right")
-    if piece < t_cuts.size:  # (a), the step that samples the next time piece
+    # (a), the step that samples the next time piece; a cut past the last
+    # row cannot end the stretch, and its step may not fit an int
+    if piece < t_cuts.size and t_cuts[piece] / dt <= k0 + most:
         ends.append(math.ceil(t_cuts[piece] / dt) - k0)
     # (a), x stays within its piece [lo, hi) up to the feeding row
     cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimState
-from .errors import InvariantViolation
-from .transport import ParticleSystem, position_tol, weighted_norm
+from .dynamics import SimState, check_state
+from .transport import ParticleSystem
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,15 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     ``state.gamma[i]``, the potential at the mass edge between the two
     particles; the half-cells, at the ends of the mass interval, carry 0.
     With a heterogeneous maximal density ``ps.rho_star``, the ratio is
-    multiplied by the carried maximal density, emitted per sample.  A gap
-    below its packed value by more than ``check_state``'s gap tolerance
-    (so every closed or crossed gap) or NaN raises ``density_bound`` with
-    the first failing gap as ``index``; smaller excesses are clipped.
+    multiplied by the carried maximal density, emitted per sample.  A
+    state that ``check_state`` refuses raises its InvariantViolation; gaps
+    below their packed value within its tolerance are clipped.
     """
+    state = check_state(state, ps)
     x = state.x
     m = ps.masses
     gaps = np.diff(x)
-    packed = ps.packed_gaps
-    over = packed - gaps
-    deficit = float(np.max(over, initial=-np.inf))
-    tol = np.fmin(position_tol(x), ps.gap_tol_cap)  # the cap where x holds a NaN
-    if not deficit <= tol:  # a NaN gap fails too
-        raise InvariantViolation("density_bound", deficit, t=state.t, step=state.step_index,
-                                 index=int(np.argmax(~(over <= tol))))
-    ratio = np.minimum(packed / gaps, 1.0)
+    ratio = np.minimum(ps.packed_gaps / gaps, 1.0)
 
     xm = (x[:-1] + x[1:]) / 2
     wsum = m[:-1] + m[1:]
@@ -97,11 +89,3 @@ def check_exclusion(field: EulerianField) -> float:
     """Largest violation of the complementarity (bound - rho) * gamma = 0."""
     bound = np.ones_like(field.rho) if field.rho_star is None else field.rho_star
     return float(np.max(np.abs((bound - field.rho) * field.gamma), initial=0.0))
-
-
-def wasserstein2(x1: np.ndarray, x2: np.ndarray, masses: np.ndarray) -> float:
-    """Quadratic transport distance between the two pushed-forward
-    measures: the mass-weighted L2 distance of their monotone maps."""
-    if np.shape(x1) != np.shape(x2) or np.shape(x1) != np.shape(masses):
-        raise ValueError("maps and masses must have equal length")
-    return weighted_norm(np.subtract(x1, x2), masses)

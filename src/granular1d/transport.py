@@ -16,6 +16,7 @@ systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,10 @@ class ParticleSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(m))
             cum = _readonly(np.cumsum(m))
-            center = float(np.dot(m, pos)) / total
+            try:  # correctly rounded, so no BLAS kernel changes the bits
+                center = math.fsum(m * pos) / total
+            except (OverflowError, ValueError):  # an overflowing sum or inf - inf
+                center = math.inf
             packed = _readonly((center - total / 2) + (cum - m) + m / 2)
             gaps = _readonly(np.diff(packed))
         if not np.all(np.isfinite(packed)) or np.any(gaps <= position_tol(packed)):
@@ -174,11 +178,6 @@ class BlockPartition:
 
     def __len__(self) -> int:
         return self.lo.size
-
-    def spans(self, i: int, j: int) -> bool:
-        """Whether some block contains both particle i and particle j."""
-        k = int(np.searchsorted(self.hi, j))  # first block ending at or after j
-        return k < self.hi.size and bool(self.lo[k] <= i)
 
     def sums(self, a: np.ndarray) -> np.ndarray:
         """Sum of the per-particle values a over each block."""
@@ -412,6 +411,10 @@ def oracle_qp_projection(z: np.ndarray, xtil: np.ndarray, w: np.ndarray) -> np.n
 
 
 def weighted_norm(v: np.ndarray, w: np.ndarray) -> float:
-    """The mass-weighted L2 norm sqrt(sum w_i v_i^2)."""
+    """The mass-weighted L2 norm sqrt(sum w_i v_i^2), its sum correctly
+    rounded so that no BLAS kernel changes the bits; inf past the float range."""
     v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.dot(np.asarray(w, dtype=float), v * v)))
+    try:
+        return math.sqrt(math.fsum(np.asarray(w, dtype=float) * (v * v)))
+    except OverflowError:
+        return math.inf

@@ -156,7 +156,7 @@ class ContactTracker:
 
     def observe(self, t: float, blocks: BlockPartition) -> bool:
         i, j = self.interface
-        merged = blocks.spans(i, j)
+        merged = bool(blocks.labels[i] >= 0 and blocks.labels[i] == blocks.labels[j])
         if merged and self.contact_time is None:
             self.contact_time = t
         if self._was_merged and not merged and self.separation_time is None:

@@ -65,7 +65,8 @@ def _two_block_run(n: int, dt: float, collect_early_x: bool = False) -> dict:
 
     t_start = time.monotonic()
     for st in run_simulation(ps, np.zeros(n), params.force(), cfg):
-        merged = st.blocks.spans(*interface)
+        labels = st.blocks.labels
+        merged = labels[interface[0]] >= 0 and labels[interface[0]] == labels[interface[1]]
         if merged and contact_t is None:
             contact_t = st.t
         if contact_t is not None and not merged:

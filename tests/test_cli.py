@@ -420,6 +420,9 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
         # half a step off the grid at a dt below the grid rule's 1e-9 floor
         dict(_CUSTOM_UNIT, dt=1.0e-12, t_end=2.5e-12, output_times=[0.0, 1.5e-12, 2.5e-12]),
         dict(_CUSTOM_UNIT, dt=1.0e-12, t_end=2.0e-12, output_times=[0.0, 1.5e-12]),
+        # light and far out: each m_i x_i is finite, their sum is not, so the
+        # center of mass and the packed map are not finite
+        dict(_CUSTOM, n=10, density={"blocks": [[1.0e308, 1.1e308, 1.0e-306]]}),
     ],
     ids=["negative-amplitude", "negative-height", "reversed-segment", "u0-string",
          "zero-picard-iters", "unequal-widths", "off-grid-t-end", "output-string",
@@ -440,7 +443,7 @@ _CUSTOM_UNIT = dict(_CUSTOM, density={"blocks": [[0.0, 1.0, 0.5]]})
          "near-mirror-blocks", "zero-dt", "t-end-steps-overflow", "output-time-steps-overflow",
          "non-finite-packed-map", "two-block-zero-alpha", "custom-negative-alpha",
          "custom-zero-t-star", "heterogeneous-zero-alpha", "heterogeneous-negative-t-star",
-         "tiny-dt-off-grid", "tiny-dt-off-grid-output-time"],
+         "tiny-dt-off-grid", "tiny-dt-off-grid-output-time", "far-light-density"],
 )
 def test_rejected_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -680,6 +683,47 @@ def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
     assert json.loads(err[0], parse_constant=_reject_constant) == {
         "error": "runtime", "detail": "solver failed"
     }
+
+
+def test_force_reversal_past_the_run_is_never_reached(tmp_path):
+    # a reversal at t_star = 1e308 lies past every step, and so cannot end
+    # a stretch (its step number, 1e311, fits no int): the run is the one
+    # whose reversal at 1e300 is never reached either
+    outputs = []
+    for t_star in (1.0e300, 1.0e308):
+        cfg = write_config(tmp_path / f"{t_star:g}.yaml", n=200, dt=1e-3, t_end=0.5,
+                           output_times=[0.0, 0.5], force={"alpha": 0.5, "t_star": t_star},
+                           output={"path": str(tmp_path / f"{t_star:g}" / "run"), "format": "csv"})
+        assert main(["run", str(cfg)]) == EXIT_OK
+        outputs.append([(tmp_path / f"{t_star:g}" / f"run.{kind}.csv").read_bytes()
+                        for kind in ("lagrangian", "eulerian")])
+    assert outputs[0] == outputs[1]
+
+
+def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """A custom block pushed together by opposing forces writes the same
+    bytes under OpenBLAS's Prescott and Haswell kernels, which
+    OPENBLAS_CORETYPE selects in each child process.  The center of mass
+    and the error norms are correctly rounded sums, so no kernel can
+    change them.  On a numpy without a dynamic-arch OpenBLAS, or off x86,
+    the variable does nothing and the test passes trivially."""
+    cpuinfo = Path("/proc/cpuinfo")
+    if not (cpuinfo.exists() and "avx2" in cpuinfo.read_text()):
+        pytest.skip("the Haswell kernel needs AVX2, which this CPU does not report")
+    cfg = write_config(
+        tmp_path / "blas.yaml", scenario="custom", n=1000, dt=1e-3, t_end=0.01,
+        output_times=[0.0, 0.01], u0=0.0, density={"blocks": [[-1.0, -0.3, 0.8]]},
+        force={"breakpoints": [-0.6], "values": [0.5, -0.5]},
+    )
+    src = str(Path(granular1d.__file__).resolve().parents[1])
+    outputs = []
+    for kernel in ("Prescott", "Haswell"):
+        outdir = tmp_path / kernel
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel, GRANULAR1D_OUTDIR=str(outdir))
+        subprocess.run([sys.executable, "-m", "granular1d.cli", "run", str(cfg)], env=env, check=True,
+                       capture_output=True)
+        outputs.append({f.name: f.read_bytes() for f in sorted(outdir.iterdir())})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

@@ -74,7 +74,7 @@ def test_particle_system_rejects_packed_gaps_within_the_gap_tolerance():
 
 def test_block_partition_validation():
     bp = BlockPartition([0, 3], [1, 5], 7)
-    assert bp.spans(3, 4) and not bp.spans(2, 3)
+    assert bp.labels[3] == bp.labels[4] >= 0 and bp.labels[2] != bp.labels[3]
     assert list(bp.interior_cells) == [True, False, False, True, True, False]
     assert bp.labels.tolist() == [0, 0, -1, 1, 1, 1, -1]
     with pytest.raises(ValueError):
@@ -152,6 +152,13 @@ def test_non_finite_packed_map_rejected(n):
     pos = np.linspace(0.0, 1e308, n + 2)[1:-1]
     with pytest.raises(ValueError, match="not finite"):
         ParticleSystem(pos, np.full(n, 1e308 / n))
+
+
+def test_center_of_mass_of_opposite_overflows_rejected():
+    # m_i x_i is -inf for one particle and inf for the other, a sum with
+    # no value: the center of mass, and so the packed map, is not finite
+    with pytest.raises(ValueError, match="not finite"):
+        ParticleSystem(np.array([-1e307, 1e307]), np.array([100.0, 100.0]))
 
 
 def test_overflowing_total_mass_rejected():
@@ -474,9 +481,11 @@ def test_partition_arrays_match_naive_definitions():
         assert bp.labels.tolist() == naive_labels
         naive_inside = [any(lo <= c < hi for lo, hi in pairs) for c in range(n - 1)]
         assert bp.interior_cells.tolist() == naive_inside
+        # "one block holds particles i and j" read off the labels, either order
         for i in range(n):
             for j in range(n):
-                assert bp.spans(i, j) == any(lo <= i and j <= hi for lo, hi in pairs)
+                same = bool(bp.labels[i] >= 0 and bp.labels[i] == bp.labels[j])
+                assert same == any(lo <= min(i, j) and max(i, j) <= hi for lo, hi in pairs)
         a = rng.normal(0.0, 1.0, n)
         naive_sums = [a[lo : hi + 1].sum() for lo, hi in pairs]
         assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)

@@ -286,9 +286,9 @@ def test_windows_stop_at_reversal_and_release(monkeypatch):
         assert not w.steps[0] - 1 < reversal <= w.steps[-1] - 1
     # every change of partition, contact and release included, is a step
     changes = [b.steps[0] for a, b in zip(stretches, stretches[1:]) if a.blocks != b.blocks]
-    interface = (ps.n // 2 - 1, ps.n // 2)
-    release = next(w.steps[0] for w in stretches
-                   if w.steps[0] * cfg.dt > p.t_star and not w.blocks.spans(*interface))
+    i = ps.n // 2 - 1
+    release = next(w.steps[0] for w in stretches if w.steps[0] * cfg.dt > p.t_star
+                   and not (w.blocks.labels[i] >= 0 and w.blocks.labels[i] == w.blocks.labels[i + 1]))
     assert release in changes
     assert set(changes) <= set(stepped)
     assert len(stepped) < cfg.n_steps // 10
