@@ -81,7 +81,7 @@ def piecewise_constant_force(breakpoints: Sequence[float], values: Sequence,
             or cols.shape != (bp.size + 1, tbp.size + 1)):
         raise ValueError("need 1-D breakpoints and len(breakpoints) + 1 values per time piece")
     if not (all(np.isfinite(a).all() for a in (bp, tbp, vals))
-            and np.all(np.diff(bp) >= 0) and np.all(np.diff(tbp) >= 0)):
+            and np.all(bp[1:] >= bp[:-1]) and np.all(tbp[1:] >= tbp[:-1])):
         raise ValueError("breakpoints must be finite and nondecreasing, values finite")
 
     def f(t, x):

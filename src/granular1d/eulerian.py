@@ -1,12 +1,12 @@
 """Eulerian fields reconstructed from the Lagrangian state.
 
 The density on the cell between consecutive particles is the ratio of
-the packed gap to the actual gap, which keeps the constraint exact on
-congested cells.  Two half-cells are appended at the ends so that the
-cell quadrature carries the full mass.  Cells interior to a congested
-block carry the solver's adhesion at their mass edge; elsewhere, the
-half-cells included, the continuum value is identically zero and is
-emitted as such, which makes the exclusion relation hold by construction.
+the packed gap to the actual gap.  Two half-cells are appended at the
+ends so that the cell quadrature carries the full mass.  A cell interior
+to a congested block reads the bound as its density and the solver's
+adhesion at its mass edge; elsewhere, the half-cells included, the
+continuum adhesion is identically zero and is emitted as such, which
+makes the exclusion relation hold exactly, by construction.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     """Midpoint-sampled density, velocity and adhesion fields.
 
     Cell (i, i+1) is sampled at the particle midpoint with density equal
-    to the packed-over-actual gap ratio and, inside a block, adhesion
-    ``state.gamma[i]``, the potential at the mass edge between the two
-    particles; the half-cells, at the ends of the mass interval, carry 0.
+    to the packed-over-actual gap ratio; inside a block, the ratio is 1
+    and the adhesion ``state.gamma[i]``, the potential at the mass edge
+    between the two particles.  The half-cells, at the ends of the mass
+    interval, take their neighbour's ratio and carry adhesion 0.
     With a heterogeneous maximal density ``ps.rho_star``, the ratio is
     multiplied by the carried maximal density, emitted per sample.  A
     state that ``check_state`` refuses raises its InvariantViolation; gaps
@@ -59,12 +60,13 @@ def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:
     x = state.x
     m = ps.masses
     gaps = np.diff(x)
-    ratio = np.minimum(ps.packed_gaps / gaps, 1.0)
+    inside = state.blocks.interior_cells
+    ratio = np.where(inside, 1.0, np.minimum(ps.packed_gaps / gaps, 1.0))
 
     xm = (x[:-1] + x[1:]) / 2
     wsum = m[:-1] + m[1:]
     um = (m[:-1] * state.u[:-1] + m[1:] * state.u[1:]) / wsum
-    gm = np.where(state.blocks.interior_cells, state.gamma[:-1], 0.0)
+    gm = np.where(inside, state.gamma[:-1], 0.0)
 
     # boundary half-cells so the quadrature carries the full mass
     r_left, r_right = (ratio[0], ratio[-1]) if ps.n > 1 else (1.0, 1.0)

@@ -72,7 +72,7 @@ class ParticleSystem:
             raise ValueError("positions and masses must be equal-length 1D vectors, N >= 1")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(m)):
             raise ValueError("non-finite particle data")
-        if np.any(np.diff(pos) < 0):
+        if np.any(pos[1:] < pos[:-1]):  # no difference to overflow
             raise ValueError("positions must be nondecreasing")
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
@@ -415,6 +415,7 @@ def weighted_norm(v: np.ndarray, w: np.ndarray) -> float:
     rounded so that no BLAS kernel changes the bits; inf past the float range."""
     v = np.asarray(v, dtype=float)
     try:
-        return math.sqrt(math.fsum(np.asarray(w, dtype=float) * (v * v)))
+        with np.errstate(over="ignore"):  # a square past the float range is inf, as is the norm
+            return math.sqrt(math.fsum(np.asarray(w, dtype=float) * (v * v)))
     except OverflowError:
         return math.inf

@@ -620,18 +620,25 @@ def test_readme_library_example_runs():
     assert scope["field"].n_samples == scope["ps"].n + 1
 
 
-def test_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
-    # an unsatisfiable exclusion gate makes every sample an offender,
-    # driving the invariant-breach exit path
-    monkeypatch.setattr(cli, "_EXCLUSION_TOL", -1.0)
-    cfg = write_config(tmp_path / "tb.yaml", t_end=1.0, output_times=[1.0])
-    code = main(["run", str(cfg)])
-    assert code == EXIT_INVARIANT
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "invariant"
-    assert err["check"] == "exclusion"
-    assert err["t"] == 1.0
-    assert err["step"] == 250
+def test_boosted_collision_exits_0(tmp_path, capsys):
+    # the two-block collision seen from a frame moving at 1e9: x reaches
+    # 5e8, whose rounding dwarfs a packed gap of 1e-3 in the gap ratio;
+    # a glued cell reads the bound itself, so the exclusion residual is 0
+    n, boost = 2000, 1e9
+    cfg = write_config(
+        tmp_path / "boost.yaml", scenario="custom", n=n, dt=1e-3, t_end=1.0,
+        output_times=[0.0, 0.5, 1.0], density={"blocks": [[-1.1024, -0.1024], [0.1024, 1.1024]]},
+        u0=[boost + 1.0] * (n // 2) + [boost - 1.0] * (n // 2),
+        force={"breakpoints": [], "values": [0.0]},
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    summary = json.loads((out / "run.summary.json").read_text())
+    assert summary["invariant_maxima"]["exclusion_residual_max"] == 0.0
+    rows = [line.split(",") for line in (out / "run.eulerian.csv").read_text().splitlines()[1:]]
+    glued = [rho for _, _, rho, _, gamma, _ in rows if float(gamma) != 0.0]
+    assert glued and set(glued) == {"1.0"}
 
 
 def _reject_constant(name):

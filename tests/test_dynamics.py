@@ -614,6 +614,10 @@ def test_declared_force_call_returns_its_evaluation_bits():
 def test_piecewise_constant_force_tied_breakpoints():
     f = piecewise_constant_force([0.5, 0.5], [1.0, 2.0, 3.0])
     assert list(f(0.0, np.array([0.0, 0.5, 1.0]))) == [1.0, 3.0, 3.0]
+    # cuts whose difference overflows are in order too, and their order
+    # test raises no overflow warning
+    wide = piecewise_constant_force([-1e308, 1e308], [0.0, 1.0, 0.0])
+    assert list(wide(0.0, np.array([-np.inf, 0.0, 1e308]))) == [0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,8 @@ def test_wasserstein_basics():
     assert weighted_norm(x1 - shifted, m) == pytest.approx(3.0 * np.sqrt(2.0))
     # each term is finite, their sum is not: the distance is inf
     assert weighted_norm(np.full(3, 1.0e154), m) == np.inf
+    # a square past the float range makes it inf, with no overflow warning
+    assert weighted_norm(np.array([1e200, 0.0]), np.array([0.5, 0.5])) == np.inf
 
 
 def test_wasserstein_initial_attainment(two_block_params, small_two_block):

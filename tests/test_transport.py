@@ -159,6 +159,10 @@ def test_center_of_mass_of_opposite_overflows_rejected():
     # no value: the center of mass, and so the packed map, is not finite
     with pytest.raises(ValueError, match="not finite"):
         ParticleSystem(np.array([-1e307, 1e307]), np.array([100.0, 100.0]))
+    # positions whose difference overflows are still in order, and the
+    # order test, which compares neighbours, raises no warning on them
+    with pytest.raises(ValueError, match="not finite"):
+        ParticleSystem(np.array([-1e308, 1e308]), np.array([10.0, 10.0]))
 
 
 def test_overflowing_total_mass_rejected():
