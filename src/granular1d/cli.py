@@ -353,14 +353,15 @@ def run_command(config_path: str) -> int:
     # if the Eulerian writer cannot be opened, the Lagrangian one is closed
     with _writer(setup, "lagrangian", ["t", "i", "x", "u", "gamma"]) as lag, \
             _writer(setup, "eulerian", ["t", "x", "rho", "u", "gamma", "rho_star"]) as eul:
-        # the states of a stretch share one partition, so the partition's
-        # consumers look at a stretch once, at its first time; only output
-        # states are evaluated
+        # the partition's consumers look at each piece of a stretch (its steps
+        # on one partition) once, at its first time; only output states are
+        # evaluated
         for stretch in run_windows(setup.ps, setup.u0, setup.force, setup.stepper):
-            t0 = stretch.steps[0] * setup.stepper.dt  # the time ``step`` gives that step
-            tracker.observe(t0, stretch.blocks)
-            if first_congested is None and len(stretch.blocks):
-                first_congested = t0
+            for k, blocks in stretch.pieces():
+                t0 = k * setup.stepper.dt  # the time ``step`` gives that step
+                tracker.observe(t0, blocks)
+                if first_congested is None and len(blocks):
+                    first_congested = t0
             max_gamma = max(max_gamma, stretch.gamma_max)
             min_slack = min(min_slack, stretch.slack_min)
             for state in stretch.rows(k for k in stretch.steps if k in setup.output_steps):

@@ -18,8 +18,12 @@ independent integrator for cross-checks up to the first release.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -331,15 +335,22 @@ def first_root(a, b, c) -> np.ndarray:
 
 
 class _ClosedForm:
-    """The rows after ``start`` while its partition and the force values
-    ``f`` sampled there stay fixed.  Row j is the state after j more
-    steps: force_sum = fs0 + j*f and u_free = u_init + dt*force_sum, as
-    ``step`` forms them, and u is the block mean of that u_free.  A block
-    particle's offset is s_j = s0 + dt*(j*u0 + dt*j*(j+1)/2 * bf), with u0
-    the start's block velocity and bf the block mean of f.  A particle
-    off the blocks moves as ``step`` moves it, s_j = s_{j-1} + dt*u_free_j
-    (the projection keeps a one-particle group bit for bit), so that a
-    contact it makes is decided on the bits of a stepwise run."""
+    """The rows after ``start`` while the force values ``f`` sampled there
+    stay fixed and its partition changes only by arrivals.  Row j is the
+    state after j more steps: force_sum = fs0 + j*f and u_free = u_init +
+    dt*force_sum, as ``step`` forms them, and u is the block mean of that
+    u_free on the row's partition.  A block moves as one plateau: from its
+    offset S at row r it is S + dt*((j - r)*u0 + dt*(T(j) - T(r))*bf) at
+    row j, with T(j) = j(j+1)/2, u0 the block mean of the start's u_free
+    and bf that of f; a start block has r = 0 and the start's offset and
+    block velocity.  A particle off the blocks moves as ``step`` moves it,
+    s_j = s_{j-1} + dt*u_free_j (the projection keeps a one-particle group
+    bit for bit), so that a contact it makes is decided on the bits of a
+    stepwise run.
+
+    ``arrivals`` holds, in row order, one (r, block, lo, hi, S, u0, bf)
+    per block that particles joined at row r: its bounds and plateau from
+    row r on (see ``_stretch``)."""
 
     def __init__(self, start: SimState, f: np.ndarray, ps: ParticleSystem, dt: float):
         # the start's fields that rows are made of, and no more
@@ -348,46 +359,83 @@ class _ClosedForm:
         self.f, self.ps, self.dt = f, ps, dt
         self.bf = block_velocity(f, start.blocks, ps.masses)
         self.free = np.flatnonzero(start.blocks.labels < 0)
+        self.arrivals: list[tuple[int, int, int, int, float, float, float]] = []
 
-    def offsets(self) -> Callable[[int], np.ndarray]:
-        """A function j -> s_j for ascending j that carries the free
-        particles' running sums on from the row it was last asked for, so
-        the rows cost one pass; each caller takes its own."""
-        dt, s0, free = self.dt, self.s0, self.free
-        fs0, f, u_init = self.fs0[free], self.f[free], self.u_init[free]
-        last, free_s = 0, s0[free]
+    def plateau(self, j: int, r: int, s: float, u0: float, bf: float) -> float:
+        """The offset at row j of a block whose plateau is s at row r."""
+        dt = self.dt
+        return s + (dt * (j - r) * u0 + dt * dt * (j * (j + 1) // 2 - r * (r + 1) // 2) * bf)
 
-        def s(j: int) -> np.ndarray:
-            nonlocal last, free_s
-            out = s0 + (dt * j * self.u0 + dt * dt * (j * (j + 1) // 2) * self.bf)
-            if free.size:
-                for i in range(last + 1, j + 1):
-                    free_s = free_s + dt * (u_init + dt * (fs0 + i * f))
-                last = j
-                out[free] = free_s
-            return out
+    def grown(self, j: int) -> dict[int, tuple]:
+        """Each grown block's latest arrival up to row j."""
+        latest = {}
+        for arrival in self.arrivals:
+            if arrival[0] > j:
+                break
+            latest[arrival[1]] = arrival
+        return latest
 
-        return s
+    def partition(self, j: int) -> BlockPartition:
+        blocks = self.blocks
+        for _, b, a, z, *_ in self.grown(j).values():
+            blocks = blocks.grown(b, a, z)
+        return blocks
+
+    def offsets(self) -> _Offsets:
+        """A function j -> s_j for ascending j; each caller takes its own."""
+        return _Offsets(self)
 
     def row(self, j: int, offsets: Callable[[int], np.ndarray]) -> SimState:
         """Row j, unchecked, with its offsets from ``offsets``."""
         force_sum = self.fs0 + j * self.f
         u_free = self.u_init + self.dt * force_sum
-        u = block_velocity(u_free, self.blocks, self.ps.masses)
+        blocks = self.partition(j)
+        u = block_velocity(u_free, blocks, self.ps.masses)
         k = self.k0 + j
-        return _states(self.ps, k * self.dt, k, offsets(j), u_free, u, self.blocks, force_sum,
+        return _states(self.ps, k * self.dt, k, offsets(j), u_free, u, blocks, force_sum,
                        self.u_init)
+
+
+class _Offsets:
+    """j -> s_j of a closed form for ascending j.  It carries the start's
+    free particles' running sums on from the row it was last asked for,
+    so the rows cost one pass."""
+
+    def __init__(self, form: _ClosedForm):
+        free = form.free
+        self.form, self.last, self.free_s = form, 0, form.s0[free]
+        self._u, self._fs, self._f = form.u_init[free], form.fs0[free], form.f[free]
+
+    def free_at(self, j: int) -> np.ndarray:
+        """The running sums of the start's free particles at row j, if no
+        row after j was asked for."""
+        dt, free_s, u, fs, f = self.form.dt, self.free_s, self._u, self._fs, self._f
+        for i in range(self.last + 1, j + 1):
+            free_s = free_s + dt * (u + dt * (fs + i * f))
+        self.free_s, self.last = free_s, max(self.last, j)
+        return free_s
+
+    def __call__(self, j: int) -> np.ndarray:
+        form, dt = self.form, self.form.dt
+        out = form.s0 + (dt * j * form.u0 + dt * dt * (j * (j + 1) // 2) * form.bf)
+        if form.free.size:
+            out[form.free] = self.free_at(j)
+        for r, _, lo, hi, *plateau in form.grown(j).values():
+            out[lo:hi + 1] = form.plateau(j, r, *plateau)
+        return out
 
 
 @dataclass(frozen=True)
 class Stretch:
-    """Checked states after the consecutive steps ``steps`` of a run, all
-    on one block partition: a single state, or the rows of a closed form
-    (see ``run_windows``).  Whatever its length it holds O(n) arrays:
+    """Checked states after the consecutive steps ``steps`` of a run: a
+    single state, or the rows of a closed form (see ``run_windows``), whose
+    partition changes only where particles join a block.  Whatever its
+    length and however many arrivals it spans, it holds O(n) arrays:
     ``last``, the state after its last step, and the closed form's start
-    fields and force values.  ``gamma_max`` and ``slack_min`` are the largest
-    gamma and the smallest slack of its covering rows (see ``_stretch``),
-    which bound those of every row up to rounding."""
+    fields and force values, with a few numbers per arrival.
+    ``gamma_max`` and ``slack_min`` are the largest gamma and the smallest
+    slack of its covering rows (see ``_stretch``), which bound those of
+    every row up to rounding."""
 
     steps: range
     last: SimState
@@ -403,7 +451,25 @@ class Stretch:
 
     @property
     def blocks(self) -> BlockPartition:
+        """The partition of its last step."""
         return self.last.blocks
+
+    def pieces(self) -> Iterator[tuple[int, BlockPartition]]:
+        """The first step and the partition of each run of its steps on
+        one partition, in step order."""
+        first = self.steps[0]
+        if self.form is None:
+            yield first, self.last.blocks
+            return
+        form = self.form
+        blocks = form.blocks
+        for k, group in itertools.groupby(form.arrivals, key=lambda a: form.k0 + a[0]):
+            if k > first:
+                yield first, blocks
+                first = k
+            for _, b, a, z, *_ in group:
+                blocks = blocks.grown(b, a, z)
+        yield first, blocks
 
     def rows(self, steps: Iterable[int]) -> Iterator[SimState]:
         """The checked states after ``steps`` (ascending, each in the
@@ -424,18 +490,35 @@ class Stretch:
         return next(self.rows([k]))
 
 
+def _release_prefixes(blocks: BlockPartition, changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The proper block prefixes that (c) reads, as the particle i each
+    ends at and the first particle of its block: those of the blocks on
+    which u_init, the force sums or f change (``changes``, per gap)."""
+    labels = blocks.labels
+    i = np.flatnonzero(blocks.interior_cells)
+    varies = np.bincount(labels[i[changes[i]]], minlength=len(blocks)) > 0
+    i = i[varies[labels[i]]]
+    return i, blocks.lo[labels[i]]
+
+
+def _prefixes(uf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The proper prefixes of m (u - u_free) over one block, u its mean."""
+    return np.cumsum(((w @ uf) / w.sum() - uf) * w)[:-1]
+
+
 def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
              ps: ParticleSystem) -> Stretch | None:
-    """The stretch of up to ``most`` rows after ``state`` on its partition,
-    with the force values f sampled there held (see ``_ClosedForm``), or
-    None if a row that covers it fails.
+    """The stretch of up to ``most`` rows after ``state``, with the force
+    values f sampled there held (see ``_ClosedForm``), or None if a row
+    that covers it fails.
 
     Row j is the run's state if it passes each of these, decided exactly
     on its materialized fields, without a tolerance:
 
     (a) force unchanged: the force at row j - 1, which feeds row j, is f;
     (b) no new contact: s strictly increases across every gap that is
-        not inside one block (projection pools exact ties);
+        not inside one block (projection pools exact ties), except where
+        particles join a block (below);
     (c) no release: every proper prefix of a block's m (u - u_free) is
         <= 0.  Blocks on which u_init, the start's force sums and f are
         each constant are exempt: the projection keeps a tied run whole.
@@ -443,73 +526,374 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     In exact arithmetic (b) is a quadratic in j per gap, (a) one per
     particle and x breakpoint plus the first step fed from the next time
     piece, and (c) affine per prefix.  The stretch ends at the last row
-    the roots let through.
+    the roots let through, but for a free particle's contact with a block
+    (an arrival), which ``_Stretcher.arrive`` decides at its row as the
+    projection does: the block takes in its neighbour while the
+    neighbour's z = s_{j-1} + dt*u_free_j is at least the pooled mean (at
+    most, on the right), and then the next one.  The grown block restarts
+    its plateau from the pooled offset and sums, and only its own roots
+    are found again.  An arrival the projection would not make alone (a
+    block reaching another, a test below failing) ends the stretch before
+    its row.
 
-    The gate covers every row: slack is quadratic per gap, and gamma,
-    its block-edge values, its total and the momentum drift are affine,
-    so the covering rows, the first and last and those next to each
-    gap's lowest point, bound them all.  One ascending loop decides each
-    covering row by (a), (b), (c), on the gaps and prefixes their roots
-    read, and ``check_state``, giving ``gamma_max`` and ``slack_min``.  A
-    stretch is whole or None: a failing covering row leaves every row to
-    ``step``, so a failing run stops where a stepwise run would.
+    The gate covers every row.  A gap's slack is quadratic and gamma, its
+    block-edge values, its total and the momentum drift are affine while
+    their forms hold, so the first and last row and those next to each
+    gap's lowest point bound them: one ascending loop decides these
+    covering rows by (a), (b), (c), on the gaps and prefixes their roots
+    read, and ``check_state``, giving ``gamma_max`` and ``slack_min``.  An
+    arrival ends the forms of the grown block and its edge gaps and starts
+    new ones, and ``_Stretcher.holds`` tests each at its last or first row
+    on scalars: (b) on the gaps from the grown block's outer neighbours to
+    the old block at the row before, (a) on the joining particles and the
+    block's particles next to an x cut, and (c) through the old block's
+    prefixes, which stay at most their first value while their slope does
+    not rise, and the joining particles' deficits.  A stretch is whole or
+    None: a failing covering row leaves every row to ``step``, so a
+    failing run stops where a stepwise run would.
     """
-    dt, k0 = cfg.dt, state.step_index
-    blocks = state.blocks
-    f = force(state.t, state.x)
-    form = _ClosedForm(state, f, ps, dt)
-    labels, inside = blocks.labels, blocks.interior_cells
-    p2 = 0.5 * dt * dt * form.bf  # s_j = s0 + p1*j + p2*j**2
-    p1 = dt * state.u + p2
-    d1, d2 = np.diff(p1), np.diff(p2)  # per gap
+    return _Stretcher(state, most, force, cfg, ps).build()
 
-    ends = [most]  # the last row each test lets through, from its root
-    x_cuts, t_cuts = force.breakpoints
-    piece = np.searchsorted(t_cuts, state.t, side="right")
-    # (a), the step that samples the next time piece; a cut past the last
-    # row cannot end the stretch, and its step may not fit an int
-    if piece < t_cuts.size and t_cuts[piece] / dt <= k0 + most:
-        ends.append(math.ceil(t_cuts[piece] / dt) - k0)
-    # (a), x stays within its piece [lo, hi) up to the feeding row
-    cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
-    at = np.searchsorted(x_cuts, state.x, side="right")
-    leave = np.minimum(first_root(state.x - cuts[at], p1, p2),
-                       first_root(cuts[at + 1] - state.x, -p1, -p2))
-    ends.append(np.floor(leave.min()) + 1)
-    gap = ~inside  # (b)
-    close = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
-    ends.append(np.ceil(close.min(initial=np.inf)) - 1)
-    changes = (np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0) | (np.diff(f) != 0)
-    i = np.flatnonzero(inside)  # (c), a prefix ending at i: before - prefix = A + j*B >= 0
-    varies = np.bincount(labels[i[changes[i]]], minlength=len(blocks)) > 0
-    i = i[varies[labels[i]]]
-    lo = blocks.lo[labels[i]]
-    g = np.concatenate(([0.0], state.gamma))
-    slope = np.concatenate(([0.0], np.cumsum(dt * ps.masses * (form.bf - f))))
-    release = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
-    ends.append(np.floor(release.min(initial=np.inf)))
 
-    end = int(max(1, min(ends)))
-    bottom = d2 > 0  # a gap's slack is lowest near its vertex
-    vertex = -d1[bottom] / (2 * d2[bottom])
-    vertex = vertex[(vertex > 1) & (vertex < end)]
-    inner = np.concatenate((np.floor(vertex), np.ceil(vertex))).astype(int).tolist()
-    offsets = form.offsets()
-    top, low = -np.inf, np.inf
-    for j in sorted({1, end, *inner}):
-        if j > 1 and not (force((k0 + j - 1) * dt, ps.packed + offsets(j - 1)) == f).all():  # (a)
+class _Stretcher:
+    """One stretch being built (see ``_stretch``): its closed form and the
+    root of each test, as the row up to which it holds.  ``leave`` holds
+    (a) per particle, ``close`` (b) per gap, ``reach`` the arrivals' (b)
+    on the gaps from a free particle to a block, and ``release`` (c) per
+    proper prefix; a grown block keeps its (a) and (c) at its first
+    particle and prefix.  ``pending`` is the heap of covering rows."""
+
+    def __init__(self, state: SimState, most: int, force: ForceField, cfg: StepperConfig,
+                 ps: ParticleSystem):
+        dt, k0, n, m = cfg.dt, state.step_index, ps.n, ps.masses
+        self.most, self.force, self.ps, self.dt, self.k0 = most, force, ps, dt, k0
+        blocks = self.blocks = state.blocks
+        f = self.f = force(state.t, state.x)
+        form = self.form = _ClosedForm(state, f, ps, dt)
+        labels, inside = blocks.labels, blocks.interior_cells
+        p2 = 0.5 * dt * dt * form.bf  # s_j = s0 + p1*j + p2*j**2
+        p1 = dt * state.u + p2
+        d1, d2 = np.diff(p1), np.diff(p2)  # per gap
+
+        self.cap = most  # the last row before the step fed from the next time piece
+        x_cuts, t_cuts = force.breakpoints
+        piece = np.searchsorted(t_cuts, state.t, side="right")
+        # a cut past the last row cannot end the stretch, and its step may not fit an int
+        if piece < t_cuts.size and t_cuts[piece] / dt <= k0 + most:
+            self.cap = min(most, math.ceil(t_cuts[piece] / dt) - k0)
+        # (a), x stays within its piece [lo, hi) up to the feeding row
+        self.cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
+        self.at = np.searchsorted(x_cuts, state.x, side="right")
+        self.leave = np.minimum(first_root(state.x - self.cuts[self.at], p1, p2),
+                                first_root(self.cuts[self.at + 1] - state.x, -p1, -p2))
+        self.close = np.full(n - 1, np.inf)  # (b)
+        gap = ~inside
+        self.close[gap] = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
+        edge = (labels[:-1] < 0) != (labels[1:] < 0)
+        self.reach = np.where(edge, self.close, np.inf)
+        self.close[edge] = np.inf
+        # (c), a prefix ending at i: before - prefix = A + j*B >= 0
+        self.changes = ((np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0)
+                        | (np.diff(f) != 0))
+        self.prefix = i, lo = _release_prefixes(blocks, self.changes)
+        g = np.concatenate(([0.0], state.gamma))
+        slope = np.concatenate(([0.0], np.cumsum(dt * m * (form.bf - f))))
+        self.release = np.full(n - 1, np.inf)
+        self.release[i] = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
+
+        bottom = d2 > 0  # a gap's slack is lowest near its vertex
+        vertex = -d1[bottom] / (2 * d2[bottom])
+        vertex = vertex[(vertex > 1) & (vertex <= most)]
+        self.pending = sorted({1, *np.floor(vertex).astype(int).tolist(),
+                               *np.ceil(vertex).astype(int).tolist()})
+        self.offsets = form.offsets()
+        self.top, self.low, self.row = -np.inf, np.inf, None
+
+        # the blocks as arrivals leave them
+        self.uf0 = state.u_free
+        self.bounds = list(zip(blocks.lo.tolist(), blocks.hi.tolist()))
+        self.plateaus = list(zip([0] * len(blocks), form.s0[blocks.lo].tolist(),
+                                 form.u0[blocks.lo].tolist(), form.bf[blocks.lo].tolist()))
+        self.sums: list[tuple | None] = [None] * len(blocks)  # (mass, momentum, force) once grown
+        self.steady: list[bool | None] = [None] * len(blocks)  # no prefix's (c) slope rises
+        self.per = None  # per-particle values as lists, made at the first arrival
+
+    def end(self) -> int:
+        """The last row that the roots other than the arrivals let through."""
+        return int(min(self.cap, np.floor(self.leave.min()) + 1,
+                       np.ceil(self.close.min(initial=np.inf)) - 1,
+                       np.floor(self.release.min(initial=np.inf))))
+
+    def build(self) -> Stretch | None:
+        form = self.form
+        while True:
+            stop = self.end()
+            c = float(np.ceil(self.reach.min(initial=np.inf)))  # the next arrival's row
+            while self.pending and self.pending[0] <= min(c - 1, stop):
+                if not self.cover(heapq.heappop(self.pending)):
+                    return None
+            if c > stop:
+                break
+            if not self.arrive(int(c)):
+                stop = int(c) - 1
+                break
+        stop = max(1, stop)
+        if (self.row is None or self.row.step_index != self.k0 + stop) and not self.cover(stop):
             return None
+        return Stretch(range(self.k0 + 1, self.k0 + stop + 1), self.row, self.top, self.low, form)
+
+    def cover(self, j: int) -> bool:
+        """Hold the covering row j to (a), (b), (c), then to ``check_state``."""
+        form, ps, offsets = self.form, self.ps, self.offsets
+        if j > 1 and not (self.force((self.k0 + j - 1) * self.dt, ps.packed + offsets(j - 1))
+                          == self.f).all():
+            return False
         row = form.row(j, offsets)
-        if not (row.s[1:] > row.s[:-1])[gap].all():  # (b)
-            return None
-        if (row.gamma[i] > np.where(lo > 0, row.gamma[lo - 1], 0.0)).any():  # (c)
-            return None
+        if not (row.s[1:] > row.s[:-1])[~row.blocks.interior_cells].all():
+            return False
+        i, lo = (self.prefix if row.blocks is self.blocks
+                 else _release_prefixes(row.blocks, self.changes))
+        if (row.gamma[i] > np.where(lo > 0, row.gamma[lo - 1], 0.0)).any():
+            return False
         try:
-            row = check_state(row, ps)
+            self.row = check_state(row, ps)
         except InvariantViolation:
-            return None
-        top, low = max(top, row.gamma_max), min(low, row.slack)
-    return Stretch(range(k0 + 1, k0 + end + 1), row, top, low, form)
+            return False
+        self.top, self.low = max(self.top, self.row.gamma_max), min(self.low, self.row.slack)
+        return True
+
+    def particles(self) -> SimpleNamespace:
+        """Per particle, as lists: mass, start free velocity, f, u_init, start
+        force sum, packed position, the x cuts below and above its piece and
+        the block it is in (-1 if free); per free particle its place in the
+        running sums; the cumulative masses and m*f; the gaps across a cut."""
+        form, ps = self.form, self.ps
+        slot = np.full(ps.n, -1)
+        slot[form.free] = np.arange(form.free.size)
+        return SimpleNamespace(
+            m=ps.masses.tolist(), uf0=self.uf0.tolist(),
+            f=self.f.tolist(), u=form.u_init.tolist(), fs=form.fs0.tolist(),
+            x=ps.packed.tolist(), low=self.cuts[self.at].tolist(),
+            high=self.cuts[self.at + 1].tolist(), owner=form.blocks.labels.tolist(),
+            slot=slot.tolist(), cm=ps.cum_masses.tolist(),
+            cf=np.cumsum(ps.masses * self.f).tolist(),
+            turns=np.flatnonzero(self.at[1:] != self.at[:-1]).tolist())
+
+    def walk(self, k: int, c: int) -> tuple[float, float]:
+        """Free particle k's offsets at rows c - 1 and c, carried on from the
+        running sums' last row with the operations of ``_Offsets``."""
+        if k not in self.seen:
+            p, dt = self.per, self.dt
+            s = self.offsets.free_s.item(p.slot[k])
+            u, fs, f = p.u[k], p.fs[k], p.f[k]
+            for i in range(self.offsets.last + 1, c):
+                s = s + dt * (u + dt * (fs + i * f))
+            self.seen[k] = (s, s + dt * (u + dt * (fs + c * f)))
+        return self.seen[k]
+
+    def before(self, k: int, c: int) -> float:
+        """Particle k's offset at row c - 1, on the forms before row c."""
+        b = self.per.owner[k]
+        return self.walk(k, c)[0] if b < 0 else self.form.plateau(c - 1, *self.plateaus[b])
+
+    def runs(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """The first and the last particles of block [lo, hi]'s runs in one
+        x piece: those that leave their piece first as the block moves."""
+        turns = self.per.turns
+        inner = turns[bisect.bisect_left(turns, lo):bisect.bisect_left(turns, hi)]
+        return [lo, *(k + 1 for k in inner)], [*inner, hi]
+
+    def inside(self, k: int, s: float) -> bool:
+        """(a): particle k at offset s is in the x piece it started in."""
+        p = self.per
+        return p.low[k] <= p.x[k] + s < p.high[k]
+
+    def arrive(self, c: int) -> bool:
+        """Take in the arrivals at row c; False where the stretch must end before it."""
+        if self.per is None:
+            self.per = self.particles()
+        form, p, n = self.form, self.per, self.ps.n
+        owner, m = p.owner, p.m
+        self.offsets.free_at(c - 2)
+        self.seen: dict[int, tuple[float, float]] = {}
+        grown, early = {}, []
+        for b in sorted({owner[g] if owner[g] >= 0 else owner[g + 1]
+                         for g in np.flatnonzero(self.reach <= c).tolist()}):
+            lo, hi = self.bounds[b]
+            if self.sums[b] is None:
+                w = self.ps.masses[lo:hi + 1]
+                self.sums[b] = (float(w.sum()), float(w @ self.uf0[lo:hi + 1]),
+                                float(w @ self.f[lo:hi + 1]))
+            mass, mom, push = self.sums[b]
+            mean = form.plateau(c, *self.plateaus[b])
+            pooled, a, z = mass * mean, lo, hi
+            while True:  # the projection's pooling: left, right, and again while it grows
+                size = z - a
+                for side in (-1, 1):
+                    k = a - 1 if side < 0 else z + 1
+                    while 0 <= k < n and owner[k] < 0:
+                        s = self.walk(k, c)[1]
+                        if (s < mean) if side < 0 else (s > mean):
+                            break
+                        w = m[k]
+                        pooled, mass = pooled + w * s, mass + w
+                        mom, push = mom + w * p.uf0[k], push + w * p.f[k]
+                        mean = pooled / mass
+                        a, z, k = min(a, k), max(z, k), k + side
+                if z - a == size:
+                    break
+            if (a, z) == (lo, hi):  # no contact yet: its roots came early
+                early.append(b)
+            else:
+                grown[b] = (a, z, (c, mean, mom / mass, push / mass), (mass, mom, push))
+        spans = sorted((a, z) for a, z, *_ in grown.values())
+        if any(z + 1 >= a for (_, z), (a, _) in zip(spans, spans[1:])):
+            return False  # two blocks reach each other
+        if not all(self.holds(b, c, a, z, plateau, grown)
+                   for b, (a, z, plateau, _) in grown.items()):
+            return False
+        for b, (a, z, plateau, sums) in grown.items():
+            lo, hi = self.bounds[b]
+            owner[a:lo], owner[hi + 1:z + 1] = [b] * (lo - a), [b] * (z - hi)
+            self.bounds[b], self.plateaus[b], self.sums[b] = (a, z), plateau, sums
+            self.steady[b] = self.holds_still(a, z, plateau[3])
+            form.arrivals.append((c, b, a, z, *plateau[1:]))
+        for b in grown:
+            self.expect(b, c)
+        for b in early:
+            self.reroot(b, c)
+        return True
+
+    def expect(self, b: int, c: int):
+        """The roots of block b grown at row c, until the next row: its edges
+        are tried again at row c + 1, and its particles, if in their pieces at
+        row c, feed that row.  A block with no free particle beside it, a
+        block beside it or a (c) slope that rises gets its roots at once."""
+        a, z = self.bounds[b]
+        owner, n = self.per.owner, self.ps.n
+        edges = [g for g in (a - 1, z) if 0 <= g < n - 1]
+        if not (edges and self.steady[b] and all(owner[g] < 0 or owner[g + 1] < 0 for g in edges)):
+            self.reroot(b, c)
+            return
+        self.reach[a:z] = self.close[a:z] = self.release[a:z] = self.leave[a:z + 1] = np.inf
+        self.reach[edges] = c + 0.5
+        s = self.plateaus[b][1]
+        self.leave[a] = c if all(self.inside(k, s) for k in sum(self.runs(a, z), [])) else c - 1
+
+    def holds(self, b: int, c: int, a: int, z: int, plateau: tuple, grown: dict) -> bool:
+        """The tests of the forms that block b's arrivals at row c end and start."""
+        form, p, n, dt = self.form, self.per, self.ps.n, self.dt
+        owner = p.owner
+        lo, hi = self.bounds[b]
+        # (b) at c - 1 on the gaps from the outer neighbours to the old block
+        old = form.plateau(c - 1, *self.plateaus[b])
+        seq = ([self.before(k, c) for k in range(max(a - 1, 0), lo)] + [old]
+               + [self.before(k, c) for k in range(hi + 1, min(z + 2, n))])
+        if any(x >= y for x, y in zip(seq, seq[1:])):
+            return False
+
+        def plateau_of(k):  # a neighbouring block's plateau at row c
+            o = owner[k]
+            return form.plateau(c, *(grown[o][2] if o in grown else self.plateaus[o]))
+
+        # (b) at c against a neighbouring block
+        if (a > 0 and owner[a - 1] >= 0 and plateau_of(a - 1) >= plateau[1]) or (
+                z < n - 1 and owner[z + 1] >= 0 and plateau_of(z + 1) <= plateau[1]):
+            return False
+        # (a): the joining particles and the old block fed row c from their pieces
+        joined = [*range(a, lo), *range(hi + 1, z + 1)]
+        if not (all(self.inside(k, self.walk(k, c)[0]) for k in joined)
+                and all(self.inside(k, old) for k in sum(self.runs(lo, hi), []))):
+            return False
+        # (c) at c.  The old block's prefixes are affine in j since its plateau
+        # started, where they were <= 0; unless their slope rises they still are
+        if self.steady[b] is None:
+            self.steady[b] = self.holds_still(lo, hi, self.plateaus[b][3])
+        if not self.steady[b] and (_prefixes(*self.fields(lo, hi, c)) > 0).any():
+            return False
+        # the grown block's prefixes then are too, if the joining particles'
+        # deficits m (u - u_free) sum to <= 0 from the left and >= 0 from the right
+        _, _, u0, bf = plateau
+        u = u0 + dt * c * bf
+        for side, ks in ((1, range(a, lo)), (-1, range(z, hi, -1))):
+            total = 0.0
+            for k in ks:
+                total += p.m[k] * (u - p.uf0[k] - dt * c * p.f[k])
+                if total * side > 0:
+                    return False
+        return True
+
+    def fields(self, lo: int, hi: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """u_free at row c and the masses of the particles lo..hi."""
+        cells, form = slice(lo, hi + 1), self.form
+        return (form.u_init[cells] + self.dt * (form.fs0[cells] + c * self.f[cells]),
+                self.ps.masses[cells])
+
+    def holds_still(self, lo: int, hi: int, bf: float) -> bool:
+        """Whether no proper prefix of block [lo, hi]'s m (bf - f), the slope
+        of (c), is positive, or the block is exempt from (c).  The sum is
+        linear in the prefix's mass between x cuts, so it is tested at the
+        ends of the runs in one piece."""
+        p = self.per
+        if not self.changes[lo:hi].any():
+            return True
+        m0, f0 = (p.cm[lo - 1], p.cf[lo - 1]) if lo else (0.0, 0.0)
+        return all(bf * (p.cm[i] - m0) <= p.cf[i] - f0
+                   for i in {hi - 1, *sum(self.runs(lo, hi), [])} if i < hi)
+
+    def reroot(self, b: int, c: int):
+        """The roots of block b on its plateau from row c on: its edge gaps',
+        its x pieces' and its prefixes'."""
+        form, p, n, dt = self.form, self.per, self.ps.n, self.dt
+        owner = p.owner
+        a, z = self.bounds[b]
+        _, _, _, bf = self.plateaus[b]
+
+        def motion(k):  # particle k's offset at row c and its s_{c+t} - s_c = q1*t + q2*t**2
+            o = owner[k]
+            if o < 0:
+                y, v, vf = self.walk(k, c)[1], p.uf0[k], p.f[k]
+            else:
+                y, (_, _, v, vf) = form.plateau(c, *self.plateaus[o]), self.plateaus[o]
+            q2 = 0.5 * dt * dt * vf
+            return y, dt * (v + dt * vf * c) + q2, q2
+
+        gaps = [g for g in (a - 1, z) if 0 <= g < n - 1]
+        coef = [tuple(y - w for y, w in zip(motion(g + 1), motion(g))) for g in gaps]
+        # (a): every particle of the block keeps its piece while the plateau stays in
+        # [low, high), bounded at the first particle after each cut and the last before
+        s, q1, q2 = motion(a)
+        starts, ends = self.runs(a, z)
+        low = max(p.low[k] - p.x[k] for k in starts)
+        high = min(p.high[k] - p.x[k] for k in ends)
+        coef += [(s - low, q1, q2), (high - s, -q1, -q2)]
+        roots = (c + first_root(*np.array(coef).T)).tolist()
+        self.reach[a:z] = self.close[a:z] = np.inf
+        for g, r, (_, lin, quad) in zip(gaps, roots, coef):
+            arrival = (owner[g] < 0) != (owner[g + 1] < 0)
+            self.reach[g], self.close[g] = (r, np.inf) if arrival else (np.inf, r)
+            if quad > 0 and lin < 0:  # a gap that bends up: cover the rows at its lowest point
+                v = c - lin / (2 * quad)
+                for r in {math.floor(v), math.ceil(v)}:
+                    if c < r <= self.most:
+                        heapq.heappush(self.pending, r)
+        self.leave[a:z + 1] = np.inf
+        # a particle already out of its piece feeds no row after c
+        inside = all(self.inside(k, s) for k in starts + ends)
+        self.leave[a] = min(roots[len(gaps):]) if inside else c - 1
+        self.release[a:z] = np.inf
+        if self.steady[b] is None:
+            self.steady[b] = self.holds_still(a, z, bf)
+        if not self.steady[b]:  # (c): prefix + t*slope, where the slope rises
+            uf, w = self.fields(a, z, c)
+            slope = np.cumsum(dt * w * (bf - self.f[a:z + 1]))[:-1]
+            rise = slope > 0
+            self.release[a] = c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(
+                initial=np.inf)
+
+def _grows(a: BlockPartition, b: BlockPartition) -> bool:
+    """Whether b is a with none, some or all of its blocks grown at their edges."""
+    return len(a) == len(b) and bool((b.lo <= a.lo).all() and (b.hi >= a.hi).all())
 
 
 def run_windows(
@@ -542,7 +926,7 @@ def run_windows(
                 if not left:
                     return
         nxt = step(state, force, cfg, ps)
-        calm = calm + 1 if nxt.blocks == state.blocks else 0
+        calm = calm + 1 if _grows(state.blocks, nxt.blocks) else 0
         state = nxt
         left -= 1
         yield Stretch.of(state)

@@ -158,11 +158,23 @@ class BlockPartition:
         """Freeze the bounds with the labels ids[k] repeated lengths[k]
         times and the interior cells of those labels."""
         labels = ids.repeat(lengths)
-        inside = (labels[:-1] == labels[1:]) & (labels[1:] >= 0)
+        return self._freeze(lo, hi, labels, (labels[:-1] == labels[1:]) & (labels[1:] >= 0))
+
+    def _freeze(self, lo: np.ndarray, hi: np.ndarray, labels: np.ndarray,
+                inside: np.ndarray) -> BlockPartition:
         for name, a in (("lo", lo), ("hi", hi), ("labels", labels), ("interior_cells", inside)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         return self
+
+    def grown(self, b: int, lo: int, hi: int) -> BlockPartition:
+        """This partition with block b grown to [lo, hi] over particles in
+        no block, its labels and interior cells copied and set there."""
+        bounds = self.lo.copy(), self.hi.copy()
+        bounds[0][b], bounds[1][b] = lo, hi
+        labels, inside = self.labels.copy(), self.interior_cells.copy()
+        labels[lo:hi + 1], inside[lo:hi] = b, True
+        return object.__new__(BlockPartition)._freeze(*bounds, labels, inside)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockPartition is immutable")
@@ -328,11 +340,17 @@ def _pool_local(
             mc = sc / wc
         pools.append((lo, hi, wc, sc, mc))
 
-    keep = np.ones(size, dtype=bool)
-    for lo, hi, *_ in pools:
-        keep[lo + 1 : hi + 1] = False
-    means[[p[0] for p in pools]] = [p[4] for p in pools]
-    return starts[keep], means[keep]
+    if not pools:
+        return starts, means
+    # a pool's first group takes its mean and the others go: the groups
+    # kept are the runs from one pool's end to the next pool's first group
+    kept, last = [], 0
+    for lo, hi, *_, mean in pools:
+        means[lo] = mean
+        kept.append(slice(last, lo + 1))
+        last = hi + 1
+    kept.append(slice(last, size))
+    return np.concatenate([starts[k] for k in kept]), np.concatenate([means[k] for k in kept])
 
 
 def project_admissible(

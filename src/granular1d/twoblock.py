@@ -143,10 +143,10 @@ class ContactTracker:
     """Records when a block spanning a given particle interface exists.
 
     Feed the partitions of a run in time order: every state, or every
-    stretch of ``run_windows`` at its first time (the states of a stretch
-    share one partition), which gives the same result.  Contact/separation are
-    reported as the half-open step interval [first merged time, first
-    time merged again absent)."""
+    piece of each stretch of ``run_windows`` (``Stretch.pieces``: its steps
+    on one partition) at its first time, which gives the same result.
+    Contact/separation are reported as the half-open step interval [first
+    merged time, first time merged again absent)."""
 
     def __init__(self, interface: tuple[int, int]):
         self.interface = interface

@@ -255,6 +255,34 @@ def test_heterogeneous_run(tmp_path):
     assert float(last[5]) > 1.0
 
 
+def test_growth_run_tracks_every_partition(tmp_path):
+    # hetero-compress's seed-1 config: one block, which particles join at
+    # most steps inside stretches; the middle interface joins it that way at
+    # t = 0.167.  The summary's contact interval and first congested time are
+    # a ``step`` loop's, tracked at every state
+    cfg = {"scenario": "heterogeneous", "n": 4000, "dt": 1e-3, "t_end": 0.8,
+           "output_times": [0.0, 0.8], "fill": 0.8,
+           "constraint": {"base": 1.0, "amplitude": 0.163436},
+           "force": {"breakpoints": [0.534743], "values": [0.5, -0.5]},
+           "output": {"path": str(tmp_path / "out" / "growth"), "format": "json-lines"}}
+    path = tmp_path / "growth.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "growth.summary.json").read_text())
+    setup = cli.build_setup(cfg, path)
+    tracker = granular1d.ContactTracker((setup.ps.n // 2 - 1, setup.ps.n // 2))
+    state, first = granular1d.init_state(setup.ps, setup.u0), None
+    for k in range(setup.stepper.n_steps + 1):
+        if k:
+            state = granular1d.step(state, setup.force, setup.stepper, setup.ps)
+        tracker.observe(state.t, state.blocks)
+        if first is None and len(state.blocks):
+            first = state.t
+    assert summary["contact_interval"] == [tracker.contact_time, tracker.separation_time]
+    assert summary["contact_interval"] == [0.167, None]
+    assert summary["first_congested_time"] == first == 0.01
+
+
 def test_custom_scenario(tmp_path):
     cfg = write_config(
         tmp_path / "cust.yaml",

@@ -605,3 +605,18 @@ def test_feasibility_of_projection_output():
         x, _ = project_admissible(z, xtil, w)
         scale = max(1.0, np.max(np.abs(x)))
         assert np.min(np.diff(x) - np.diff(xtil)) >= -1e-12 * scale
+
+
+def test_grown_partition_matches_its_bounds():
+    # a block grown over particles in no block has the labels and interior
+    # cells that the constructor makes from the grown bounds, read-only, and
+    # the partition it grew from is unchanged
+    base = BlockPartition([2, 8], [4, 9], 12)
+    grown = base.grown(0, 1, 6)
+    want = BlockPartition([1, 8], [6, 9], 12)
+    assert grown == want
+    for name in ("lo", "hi", "labels", "interior_cells"):
+        got = getattr(grown, name)
+        assert np.array_equal(got, getattr(want, name)) and not got.flags.writeable, name
+    assert np.array_equal(base.labels, BlockPartition([2, 8], [4, 9], 12).labels)
+    assert np.array_equal(base.interior_cells, BlockPartition([2, 8], [4, 9], 12).interior_cells)

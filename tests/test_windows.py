@@ -1,8 +1,9 @@
 """Closed-form stretches against a stepwise reference built from ``step``.
 
 Between topology events ``run_windows`` jumps over many steps at once on
-a fixed block partition; every row must be the state the PAVA stepper
-reaches, up to rounding, with the same partition at every step."""
+a block partition that changes only where particles join a block; every
+row must be the state the PAVA stepper reaches, up to rounding, with the
+same partition at every step."""
 
 from dataclasses import replace
 
@@ -15,6 +16,8 @@ from granular1d import (
     ForceField,
     InvariantViolation,
     ParticleSystem,
+    PiecewiseDensity,
+    Segment,
     StepperConfig,
     Stretch,
     TwoBlockParams,
@@ -88,6 +91,25 @@ def partially_filled_run(fill=0.5):
     return ps, p.force(), StepperConfig(dt=2e-3, t_end=2.6)
 
 
+def growth_front_run():
+    # the shipped heterogeneous config at hetero-compress's cut: one block,
+    # which particles join at most of its 800 steps
+    star = cosine_bump_rho_star()
+    density = uniform_blocks([(0.0, 1.0)], 0.8)
+    force = piecewise_constant_force([0.534743], [0.5, -0.5])
+    return build_ratio_system(density, star, 1000), force, StepperConfig(dt=1e-3, t_end=0.8)
+
+
+def three_block_run():
+    # records-heavy's three density blocks under its compressive force: the
+    # middle one, nearly at the maximal density, congests and grows
+    density = PiecewiseDensity([Segment(-1.465257, -0.473623, 0.526873),
+                                Segment(-0.300456, 0.294949, 0.962753),
+                                Segment(0.528872, 1.459386, 0.630319)])
+    force = piecewise_constant_force([0.0], [0.5, -0.5])
+    return build_particles(density, 600), force, StepperConfig(dt=1e-3, t_end=0.3)
+
+
 def slow_release_run():
     # one saturated block pulled apart by forces far below the gate's gamma
     # sign tolerance 1e-10 * M: only the release test (c) sees it come apart
@@ -113,6 +135,17 @@ def test_partially_filled_two_block_matches_stepwise(fill):
     # the two-block geometry below the maximal density: each particle that
     # reaches the growing central zone is a contact, so events are dense
     ps, force, cfg = partially_filled_run(fill)
+    assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
+
+
+@pytest.mark.parametrize("setup", [growth_front_run, three_block_run],
+                         ids=["heterogeneous-1000", "three-block"])
+def test_growth_fronts_match_stepwise(setup):
+    # particles join a block at most steps: a stretch takes them in at
+    # their rows, and its pieces are the stepwise run's partitions
+    ps, force, cfg = setup()
+    stretches = list(run_windows(ps, np.zeros(ps.n), force, cfg))
+    assert max(len(list(w.pieces())) for w in stretches) >= 50
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
 
 
@@ -182,16 +215,19 @@ def test_derived_fields_are_exact(setup):
     assert multi_row(stretches)
     for w in stretches:
         assert_derived(w.last)
+        pieces = list(w.pieces())
+        assert [k for k, _ in pieces] == sorted({k for k, _ in pieces}) and pieces[0][0] == w.steps[0]
         for k in w.steps:
             st = w.row(k)
             assert_derived(st)
-            assert st.blocks == w.blocks and (st.t, st.step_index) == (k * cfg.dt, k)
+            blocks = next(b for first, b in reversed(pieces) if first <= k)  # k's piece
+            assert st.blocks == blocks and (st.t, st.step_index) == (k * cfg.dt, k)
             if w.form is None:
                 continue
             form, j = w.form, k - w.form.k0
             assert np.array_equal(st.force_sum, form.fs0 + j * form.f)
             assert np.array_equal(st.u_free, form.u_init + cfg.dt * st.force_sum)
-            assert np.array_equal(st.u, block_velocity(st.u_free, w.blocks, ps.masses))
+            assert np.array_equal(st.u, block_velocity(st.u_free, blocks, ps.masses))
     # the Picard reference holds up to the first release
     picard = picard_solve(ps, u0, force, replace(cfg, t_end=0.8))
     for st in picard.states:
@@ -339,6 +375,21 @@ def test_shipped_two_block_run_is_a_few_stretches(monkeypatch):
     assert stepped == [1, 2, 640, 641, 642, 1001, 2000, 2001, 2002, 2003]
 
 
+def test_heterogeneous_run_is_a_few_stretches(monkeypatch):
+    # the block forms by step 18 and particles join it at 149 rows until it
+    # holds all 300: one stretch takes them all in, up to the end; ``step``
+    # runs only at the start and at the block's formation (264 times when
+    # every arrival was a step)
+    ps, force, cfg = heterogeneous_run()
+    stepped = count_steps(monkeypatch)
+    stretches = list(run_windows(ps, np.zeros(ps.n), force, cfg))
+    assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
+    assert stepped == [1, 2, 18, 19, 20]
+    assert [(w.steps, len(list(w.pieces()))) for w in multi_row(stretches)] == [
+        (range(3, 18), 1), (range(21, 401), 150)]
+    assert stretches[-1].blocks == BlockPartition([0], [299], 300)
+
+
 def test_corrupted_row_names_its_time_and_step(monkeypatch):
     p = TwoBlockParams()
     ps = p.build(100)
@@ -463,22 +514,31 @@ def assert_same_state(a, b):
 
 
 def held_arrays(obj):
-    """The arrays a stretch holds, through its states and closed form."""
+    """The arrays a stretch holds, through its states, closed form and the
+    containers they hold."""
     if isinstance(obj, np.ndarray):
         yield obj
+    elif isinstance(obj, (list, tuple, dict)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from held_arrays(value)
     elif isinstance(obj, (Stretch, dynamics._ClosedForm, dynamics.SimState, ParticleSystem)):
         for value in vars(obj).values():
             yield from held_arrays(value)
 
 
-@pytest.mark.parametrize("n", [50, 200, 3000])
+@pytest.mark.parametrize("n", [50, 200, 3000, "heterogeneous"])
 def test_stretch_arrays_stay_within_n(n, monkeypatch):
     # a stretch holds no array larger than one field of n particles,
-    # whatever its length; its rows are its states, and the state it
-    # hands on to the next stretch or step is a copy of its last row
-    p = TwoBlockParams()
-    ps = p.build(n)
-    cfg = StepperConfig(dt=2e-3, t_end=1.2)
+    # whatever its length and however many arrivals it takes in (each is
+    # a few numbers); its rows are its states, and the state it hands on
+    # to the next stretch or step is a copy of its last row.  The two-block
+    # run has n particles, the heterogeneous fixture 300 and 149 arrivals
+    if n == "heterogeneous":
+        ps, force, cfg = heterogeneous_run()
+        n = ps.n
+    else:
+        p = TwoBlockParams()
+        ps, force, cfg = p.build(n), p.force(), StepperConfig(dt=2e-3, t_end=1.2)
     handed = [None]  # the last state run_windows handed to a stretch or step
     for name in ("step", "_stretch"):
         def spy(state, *args, _f=getattr(dynamics, name)):
@@ -486,11 +546,13 @@ def test_stretch_arrays_stay_within_n(n, monkeypatch):
             return _f(state, *args)
         monkeypatch.setattr(dynamics, name, spy)
     prev, multi = None, 0
-    for w in run_windows(ps, np.zeros(n), p.force(), cfg):
+    for w in run_windows(ps, np.zeros(n), force, cfg):
         arrays = list(held_arrays(w))
         assert len(arrays) >= 6
         for a in arrays:
             assert (a if a.base is None else a.base).size <= n
+        if w.form is not None:
+            assert all(type(v) in (int, float) for a in w.form.arrivals for v in a)
         if prev is not None:  # run_windows has handed on prev's last row
             assert handed[-1] is prev.last is prev.row(prev.steps[-1])
             if prev.form is not None:  # the closed form evaluated anew gives its bits
