@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -326,11 +325,10 @@ def first_root(a, b, c) -> np.ndarray:
     q = -(b + sign(b) sqrt(b*b - 4*a*c))/2, which also gives the root -a/b
     of a line (c = 0); arguments broadcast against each other.
     """
-    a, b, c = np.broadcast_arrays(a, b, c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        roots = np.stack([q / c, a / q])
-    first = np.where(roots > 0, roots, np.inf).min(axis=0)  # NaN: no real root
+        big, small = q / c, a / q  # NaN: no real root
+    first = np.minimum(np.where(big > 0, big, np.inf), np.where(small > 0, small, np.inf))
     return np.where((a < 0) | ((a == 0) & ((b < 0) | ((b == 0) & (c <= 0)))), 0.0, first)
 
 
@@ -366,45 +364,46 @@ class _ClosedForm:
         dt = self.dt
         return s + (dt * (j - r) * u0 + dt * dt * (j * (j + 1) // 2 - r * (r + 1) // 2) * bf)
 
-    def grown(self, j: int) -> dict[int, tuple]:
-        """Each grown block's latest arrival up to row j."""
-        latest = {}
-        for arrival in self.arrivals:
-            if arrival[0] > j:
-                break
-            latest[arrival[1]] = arrival
-        return latest
-
-    def partition(self, j: int) -> BlockPartition:
-        blocks = self.blocks
-        for _, b, a, z, *_ in self.grown(j).values():
-            blocks = blocks.grown(b, a, z)
-        return blocks
-
     def offsets(self) -> _Offsets:
         """A function j -> s_j for ascending j; each caller takes its own."""
         return _Offsets(self)
 
-    def row(self, j: int, offsets: Callable[[int], np.ndarray]) -> SimState:
-        """Row j, unchecked, with its offsets from ``offsets``."""
+    def row(self, j: int, offsets: _Offsets) -> SimState:
+        """Row j, unchecked, with its offsets and partition from ``offsets``."""
         force_sum = self.fs0 + j * self.f
         u_free = self.u_init + self.dt * force_sum
-        blocks = self.partition(j)
-        u = block_velocity(u_free, blocks, self.ps.masses)
+        s = offsets(j)
+        u = block_velocity(u_free, offsets.blocks, self.ps.masses)
         k = self.k0 + j
-        return _states(self.ps, k * self.dt, k, offsets(j), u_free, u, blocks, force_sum,
+        return _states(self.ps, k * self.dt, k, s, u_free, u, offsets.blocks, force_sum,
                        self.u_init)
 
 
 class _Offsets:
-    """j -> s_j of a closed form for ascending j.  It carries the start's
-    free particles' running sums on from the row it was last asked for,
-    so the rows cost one pass."""
+    """j -> s_j of a closed form for ascending j, with ``blocks``, the
+    partition of the row it was last asked for.  It carries the start's
+    free particles' running sums, the partition and the latest plateau of
+    each grown block on from that row, taking in each arrival once, so the
+    rows cost one pass."""
 
     def __init__(self, form: _ClosedForm):
         free = form.free
         self.form, self.last, self.free_s = form, 0, form.s0[free]
         self._u, self._fs, self._f = form.u_init[free], form.fs0[free], form.f[free]
+        self.blocks, self.taken, self.plateaus = form.blocks, 0, {}
+
+    def partition(self, j: int) -> BlockPartition:
+        """The partition at row j, if no row after j was asked for.  A block
+        that grew since the last row asked for grows once, to its bounds at j."""
+        arrivals, grown = self.form.arrivals, set()
+        while self.taken < len(arrivals) and arrivals[self.taken][0] <= j:
+            r, b, lo, hi, *plateau = arrivals[self.taken]
+            self.plateaus[b] = (lo, hi, r, *plateau)
+            grown.add(b)
+            self.taken += 1
+        for b in grown:
+            self.blocks = self.blocks.grown(b, *self.plateaus[b][:2])
+        return self.blocks
 
     def free_at(self, j: int) -> np.ndarray:
         """The running sums of the start's free particles at row j, if no
@@ -420,8 +419,9 @@ class _Offsets:
         out = form.s0 + (dt * j * form.u0 + dt * dt * (j * (j + 1) // 2) * form.bf)
         if form.free.size:
             out[form.free] = self.free_at(j)
-        for r, _, lo, hi, *plateau in form.grown(j).values():
-            out[lo:hi + 1] = form.plateau(j, r, *plateau)
+        self.partition(j)
+        for lo, hi, *plateau in self.plateaus.values():
+            out[lo:hi + 1] = form.plateau(j, *plateau)
         return out
 
 
@@ -462,14 +462,13 @@ class Stretch:
             yield first, self.last.blocks
             return
         form = self.form
-        blocks = form.blocks
-        for k, group in itertools.groupby(form.arrivals, key=lambda a: form.k0 + a[0]):
-            if k > first:
-                yield first, blocks
-                first = k
-            for _, b, a, z, *_ in group:
-                blocks = blocks.grown(b, a, z)
-        yield first, blocks
+        replay = form.offsets()
+        for r in dict.fromkeys(arrival[0] for arrival in form.arrivals):  # ascending
+            if form.k0 + r > first:
+                yield first, replay.blocks
+                first = form.k0 + r
+            replay.partition(r)
+        yield first, replay.blocks
 
     def rows(self, steps: Iterable[int]) -> Iterator[SimState]:
         """The checked states after ``steps`` (ascending, each in the
@@ -582,10 +581,11 @@ class _Stretcher:
         if piece < t_cuts.size and t_cuts[piece] / dt <= k0 + most:
             self.cap = min(most, math.ceil(t_cuts[piece] / dt) - k0)
         # (a), x stays within its piece [lo, hi) up to the feeding row
-        self.cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
+        cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
         self.at = np.searchsorted(x_cuts, state.x, side="right")
-        self.leave = np.minimum(first_root(state.x - self.cuts[self.at], p1, p2),
-                                first_root(self.cuts[self.at + 1] - state.x, -p1, -p2))
+        self.below, self.above = cuts[self.at], cuts[self.at + 1]  # each particle's piece
+        self.leave = np.minimum(first_root(state.x - self.below, p1, p2),
+                                first_root(self.above - state.x, -p1, -p2))
         self.close = np.full(n - 1, np.inf)  # (b)
         gap = ~inside
         self.close[gap] = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
@@ -611,12 +611,13 @@ class _Stretcher:
 
         # the blocks as arrivals leave them
         self.uf0 = state.u_free
+        self.owner = blocks.labels.copy()  # per particle, -1 if free
         self.bounds = list(zip(blocks.lo.tolist(), blocks.hi.tolist()))
         self.plateaus = list(zip([0] * len(blocks), form.s0[blocks.lo].tolist(),
                                  form.u0[blocks.lo].tolist(), form.bf[blocks.lo].tolist()))
         self.sums: list[tuple | None] = [None] * len(blocks)  # (mass, momentum, force) once grown
         self.steady: list[bool | None] = [None] * len(blocks)  # no prefix's (c) slope rises
-        self.per = None  # per-particle values as lists, made at the first arrival
+        self.turns = np.flatnonzero(self.at[1:] != self.at[:-1]).tolist()  # gaps across a cut
 
     def end(self) -> int:
         """The last row that the roots other than the arrivals let through."""
@@ -662,62 +663,54 @@ class _Stretcher:
         self.top, self.low = max(self.top, self.row.gamma_max), min(self.low, self.row.slack)
         return True
 
-    def particles(self) -> SimpleNamespace:
-        """Per particle, as lists: mass, start free velocity, f, u_init, start
-        force sum, packed position, the x cuts below and above its piece and
-        the block it is in (-1 if free); per free particle its place in the
-        running sums; the cumulative masses and m*f; the gaps across a cut."""
-        form, ps = self.form, self.ps
-        slot = np.full(ps.n, -1)
-        slot[form.free] = np.arange(form.free.size)
-        return SimpleNamespace(
-            m=ps.masses.tolist(), uf0=self.uf0.tolist(),
-            f=self.f.tolist(), u=form.u_init.tolist(), fs=form.fs0.tolist(),
-            x=ps.packed.tolist(), low=self.cuts[self.at].tolist(),
-            high=self.cuts[self.at + 1].tolist(), owner=form.blocks.labels.tolist(),
-            slot=slot.tolist(), cm=ps.cum_masses.tolist(),
-            cf=np.cumsum(ps.masses * self.f).tolist(),
-            turns=np.flatnonzero(self.at[1:] != self.at[:-1]).tolist())
+    @cached_property
+    def cum_force(self) -> np.ndarray:
+        """The cumulative m*f, made at the first arrival that reads it."""
+        return np.cumsum(self.ps.masses * self.f)
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Per start-free particle, its place in the running sums."""
+        slot = np.full(self.ps.n, -1)
+        slot[self.form.free] = np.arange(self.form.free.size)
+        return slot
 
     def walk(self, k: int, c: int) -> tuple[float, float]:
         """Free particle k's offsets at rows c - 1 and c, carried on from the
         running sums' last row with the operations of ``_Offsets``."""
         if k not in self.seen:
-            p, dt = self.per, self.dt
-            s = self.offsets.free_s.item(p.slot[k])
-            u, fs, f = p.u[k], p.fs[k], p.f[k]
-            for i in range(self.offsets.last + 1, c):
+            form, offsets, dt = self.form, self.offsets, self.dt
+            s = offsets.free_s.item(self.slot.item(k))
+            u, fs, f = form.u_init.item(k), form.fs0.item(k), self.f.item(k)
+            for i in range(offsets.last + 1, c):
                 s = s + dt * (u + dt * (fs + i * f))
             self.seen[k] = (s, s + dt * (u + dt * (fs + c * f)))
         return self.seen[k]
 
     def before(self, k: int, c: int) -> float:
         """Particle k's offset at row c - 1, on the forms before row c."""
-        b = self.per.owner[k]
+        b = self.owner.item(k)
         return self.walk(k, c)[0] if b < 0 else self.form.plateau(c - 1, *self.plateaus[b])
 
     def runs(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
         """The first and the last particles of block [lo, hi]'s runs in one
         x piece: those that leave their piece first as the block moves."""
-        turns = self.per.turns
+        turns = self.turns
         inner = turns[bisect.bisect_left(turns, lo):bisect.bisect_left(turns, hi)]
         return [lo, *(k + 1 for k in inner)], [*inner, hi]
 
     def inside(self, k: int, s: float) -> bool:
         """(a): particle k at offset s is in the x piece it started in."""
-        p = self.per
-        return p.low[k] <= p.x[k] + s < p.high[k]
+        return self.below.item(k) <= self.ps.packed.item(k) + s < self.above.item(k)
 
     def arrive(self, c: int) -> bool:
         """Take in the arrivals at row c; False where the stretch must end before it."""
-        if self.per is None:
-            self.per = self.particles()
-        form, p, n = self.form, self.per, self.ps.n
-        owner, m = p.owner, p.m
+        form, owner, n = self.form, self.owner, self.ps.n
+        mass_of, uf0, f = self.ps.masses.item, self.uf0.item, self.f.item
         self.offsets.free_at(c - 2)
         self.seen: dict[int, tuple[float, float]] = {}
         grown, early = {}, []
-        for b in sorted({owner[g] if owner[g] >= 0 else owner[g + 1]
+        for b in sorted({max(owner.item(g), owner.item(g + 1))  # the block at each gap
                          for g in np.flatnonzero(self.reach <= c).tolist()}):
             lo, hi = self.bounds[b]
             if self.sums[b] is None:
@@ -731,13 +724,13 @@ class _Stretcher:
                 size = z - a
                 for side in (-1, 1):
                     k = a - 1 if side < 0 else z + 1
-                    while 0 <= k < n and owner[k] < 0:
+                    while 0 <= k < n and owner.item(k) < 0:
                         s = self.walk(k, c)[1]
                         if (s < mean) if side < 0 else (s > mean):
                             break
-                        w = m[k]
+                        w = mass_of(k)
                         pooled, mass = pooled + w * s, mass + w
-                        mom, push = mom + w * p.uf0[k], push + w * p.f[k]
+                        mom, push = mom + w * uf0(k), push + w * f(k)
                         mean = pooled / mass
                         a, z, k = min(a, k), max(z, k), k + side
                 if z - a == size:
@@ -753,37 +746,17 @@ class _Stretcher:
                    for b, (a, z, plateau, _) in grown.items()):
             return False
         for b, (a, z, plateau, sums) in grown.items():
-            lo, hi = self.bounds[b]
-            owner[a:lo], owner[hi + 1:z + 1] = [b] * (lo - a), [b] * (z - hi)
+            owner[a:z + 1] = b
             self.bounds[b], self.plateaus[b], self.sums[b] = (a, z), plateau, sums
-            self.steady[b] = self.holds_still(a, z, plateau[3])
+            self.steady[b] = None
             form.arrivals.append((c, b, a, z, *plateau[1:]))
-        for b in grown:
-            self.expect(b, c)
-        for b in early:
-            self.reroot(b, c)
+        for b in [*grown, *early]:
+            self.reroot(b, c, b in grown)
         return True
-
-    def expect(self, b: int, c: int):
-        """The roots of block b grown at row c, until the next row: its edges
-        are tried again at row c + 1, and its particles, if in their pieces at
-        row c, feed that row.  A block with no free particle beside it, a
-        block beside it or a (c) slope that rises gets its roots at once."""
-        a, z = self.bounds[b]
-        owner, n = self.per.owner, self.ps.n
-        edges = [g for g in (a - 1, z) if 0 <= g < n - 1]
-        if not (edges and self.steady[b] and all(owner[g] < 0 or owner[g + 1] < 0 for g in edges)):
-            self.reroot(b, c)
-            return
-        self.reach[a:z] = self.close[a:z] = self.release[a:z] = self.leave[a:z + 1] = np.inf
-        self.reach[edges] = c + 0.5
-        s = self.plateaus[b][1]
-        self.leave[a] = c if all(self.inside(k, s) for k in sum(self.runs(a, z), [])) else c - 1
 
     def holds(self, b: int, c: int, a: int, z: int, plateau: tuple, grown: dict) -> bool:
         """The tests of the forms that block b's arrivals at row c end and start."""
-        form, p, n, dt = self.form, self.per, self.ps.n, self.dt
-        owner = p.owner
+        form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
         lo, hi = self.bounds[b]
         # (b) at c - 1 on the gaps from the outer neighbours to the old block
         old = form.plateau(c - 1, *self.plateaus[b])
@@ -793,12 +766,12 @@ class _Stretcher:
             return False
 
         def plateau_of(k):  # a neighbouring block's plateau at row c
-            o = owner[k]
+            o = owner.item(k)
             return form.plateau(c, *(grown[o][2] if o in grown else self.plateaus[o]))
 
         # (b) at c against a neighbouring block
-        if (a > 0 and owner[a - 1] >= 0 and plateau_of(a - 1) >= plateau[1]) or (
-                z < n - 1 and owner[z + 1] >= 0 and plateau_of(z + 1) <= plateau[1]):
+        if (a > 0 and owner.item(a - 1) >= 0 and plateau_of(a - 1) >= plateau[1]) or (
+                z < n - 1 and owner.item(z + 1) >= 0 and plateau_of(z + 1) <= plateau[1]):
             return False
         # (a): the joining particles and the old block fed row c from their pieces
         joined = [*range(a, lo), *range(hi + 1, z + 1)]
@@ -813,12 +786,13 @@ class _Stretcher:
             return False
         # the grown block's prefixes then are too, if the joining particles'
         # deficits m (u - u_free) sum to <= 0 from the left and >= 0 from the right
+        mass_of, uf0, f = self.ps.masses.item, self.uf0.item, self.f.item
         _, _, u0, bf = plateau
         u = u0 + dt * c * bf
         for side, ks in ((1, range(a, lo)), (-1, range(z, hi, -1))):
             total = 0.0
             for k in ks:
-                total += p.m[k] * (u - p.uf0[k] - dt * c * p.f[k])
+                total += mass_of(k) * (u - uf0(k) - dt * c * f(k))
                 if total * side > 0:
                     return False
         return True
@@ -834,62 +808,71 @@ class _Stretcher:
         of (c), is positive, or the block is exempt from (c).  The sum is
         linear in the prefix's mass between x cuts, so it is tested at the
         ends of the runs in one piece."""
-        p = self.per
         if not self.changes[lo:hi].any():
             return True
-        m0, f0 = (p.cm[lo - 1], p.cf[lo - 1]) if lo else (0.0, 0.0)
-        return all(bf * (p.cm[i] - m0) <= p.cf[i] - f0
+        cm, cf = self.ps.cum_masses.item, self.cum_force.item
+        m0, f0 = (cm(lo - 1), cf(lo - 1)) if lo else (0.0, 0.0)
+        return all(bf * (cm(i) - m0) <= cf(i) - f0
                    for i in {hi - 1, *sum(self.runs(lo, hi), [])} if i < hi)
 
-    def reroot(self, b: int, c: int):
+    def reroot(self, b: int, c: int, grew: bool):
         """The roots of block b on its plateau from row c on: its edge gaps',
-        its x pieces' and its prefixes'."""
-        form, p, n, dt = self.form, self.per, self.ps.n, self.dt
-        owner = p.owner
+        its x pieces' and its prefixes'.  A block that grew at row c, with a
+        free particle beside each edge and no (c) slope that rises, gets
+        one-row roots instead, as a growing front most often grows again at
+        the next row: its edges are tried again at row c + 1, where it grows
+        or its roots are solved, and its particles, if in their pieces at row
+        c, feed that row."""
+        form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
         a, z = self.bounds[b]
         _, _, _, bf = self.plateaus[b]
+        gaps = [g for g in (a - 1, z) if 0 <= g < n - 1]
+        arrivals = [(owner.item(g) < 0) != (owner.item(g + 1) < 0) for g in gaps]
+        starts, ends = self.runs(a, z)
+        self.reach[a:z] = self.close[a:z] = self.release[a:z] = self.leave[a:z + 1] = np.inf
+        if self.steady[b] is None:
+            self.steady[b] = self.holds_still(a, z, bf)
+        s = form.plateau(c, *self.plateaus[b])
+        # a particle already out of its piece feeds no row after c
+        inside = all(self.inside(k, s) for k in starts + ends)
+        if grew and gaps and all(arrivals) and self.steady[b]:
+            self.reach[gaps], self.close[gaps] = c + 0.5, np.inf
+            self.leave[a] = c if inside else c - 1
+            return
 
         def motion(k):  # particle k's offset at row c and its s_{c+t} - s_c = q1*t + q2*t**2
-            o = owner[k]
+            o = owner.item(k)
             if o < 0:
-                y, v, vf = self.walk(k, c)[1], p.uf0[k], p.f[k]
+                y, v, vf = self.walk(k, c)[1], self.uf0.item(k), self.f.item(k)
             else:
                 y, (_, _, v, vf) = form.plateau(c, *self.plateaus[o]), self.plateaus[o]
             q2 = 0.5 * dt * dt * vf
             return y, dt * (v + dt * vf * c) + q2, q2
 
-        gaps = [g for g in (a - 1, z) if 0 <= g < n - 1]
         coef = [tuple(y - w for y, w in zip(motion(g + 1), motion(g))) for g in gaps]
         # (a): every particle of the block keeps its piece while the plateau stays in
         # [low, high), bounded at the first particle after each cut and the last before
-        s, q1, q2 = motion(a)
-        starts, ends = self.runs(a, z)
-        low = max(p.low[k] - p.x[k] for k in starts)
-        high = min(p.high[k] - p.x[k] for k in ends)
+        _, q1, q2 = motion(a)
+        x = self.ps.packed.item
+        low = max(self.below.item(k) - x(k) for k in starts)
+        high = min(self.above.item(k) - x(k) for k in ends)
         coef += [(s - low, q1, q2), (high - s, -q1, -q2)]
         roots = (c + first_root(*np.array(coef).T)).tolist()
-        self.reach[a:z] = self.close[a:z] = np.inf
-        for g, r, (_, lin, quad) in zip(gaps, roots, coef):
-            arrival = (owner[g] < 0) != (owner[g + 1] < 0)
+        for g, arrival, r, (_, lin, quad) in zip(gaps, arrivals, roots, coef):
             self.reach[g], self.close[g] = (r, np.inf) if arrival else (np.inf, r)
             if quad > 0 and lin < 0:  # a gap that bends up: cover the rows at its lowest point
                 v = c - lin / (2 * quad)
                 for r in {math.floor(v), math.ceil(v)}:
                     if c < r <= self.most:
                         heapq.heappush(self.pending, r)
-        self.leave[a:z + 1] = np.inf
-        # a particle already out of its piece feeds no row after c
-        inside = all(self.inside(k, s) for k in starts + ends)
         self.leave[a] = min(roots[len(gaps):]) if inside else c - 1
-        self.release[a:z] = np.inf
-        if self.steady[b] is None:
-            self.steady[b] = self.holds_still(a, z, bf)
         if not self.steady[b]:  # (c): prefix + t*slope, where the slope rises
             uf, w = self.fields(a, z, c)
             slope = np.cumsum(dt * w * (bf - self.f[a:z + 1]))[:-1]
             rise = slope > 0
             self.release[a] = c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(
                 initial=np.inf)
+
 
 def _grows(a: BlockPartition, b: BlockPartition) -> bool:
     """Whether b is a with none, some or all of its blocks grown at their edges."""

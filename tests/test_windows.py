@@ -149,6 +149,46 @@ def test_growth_fronts_match_stepwise(setup):
     assert_matches_stepwise(ps, np.zeros(ps.n), force, cfg)
 
 
+@pytest.mark.parametrize("setup", [growth_front_run, three_block_run],
+                         ids=["front", "three-blocks"])
+def test_one_row_roots_only_save_solves(setup, monkeypatch):
+    # a block that just grew gets one-row roots; solving its roots at once
+    # instead gives the same stretches, arrivals and rows bit for bit, with
+    # more roots solved
+    ps, force, cfg = setup()
+    solved = 0
+    first_root = dynamics.first_root
+
+    def counting(*args):
+        nonlocal solved
+        solved += 1
+        return first_root(*args)
+
+    def run():
+        nonlocal solved
+        solved = 0
+        stretches = [(w.steps, w.form and w.form.arrivals, list(w.rows(w.steps)))
+                     for w in run_windows(ps, np.zeros(ps.n), force, cfg)]
+        return stretches, solved
+
+    monkeypatch.setattr(dynamics, "first_root", counting)
+    fast, fast_solved = run()
+    reroot = dynamics._Stretcher.reroot
+    monkeypatch.setattr(dynamics._Stretcher, "reroot",
+                        lambda self, b, c, grew: reroot(self, b, c, False))
+    slow, slow_solved = run()
+    assert [(steps, arrivals) for steps, arrivals, _ in fast] == [
+        (steps, arrivals) for steps, arrivals, _ in slow]
+    for (_, _, a), (_, _, b) in zip(fast, slow):
+        for x, y in zip(a, b, strict=True):
+            assert (x.step_index, x.blocks, x.slack, x.gamma_max) == (
+                y.step_index, y.blocks, y.slack, y.gamma_max)
+            for name in PER_ROW:
+                assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+    assert sum(len(arrivals or ()) for _, arrivals, _ in fast) >= 100
+    assert fast_solved < slow_solved
+
+
 @pytest.mark.parametrize("setup", [heterogeneous_run, two_block_run, partially_filled_run],
                          ids=["heterogeneous", "two-block", "partial-fill"])
 def test_step_is_its_public_layers_bit_for_bit(setup):
