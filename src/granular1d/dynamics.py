@@ -381,23 +381,27 @@ class _ClosedForm:
 
 class _Offsets:
     """j -> s_j of a closed form for ascending j, with ``blocks``, the
-    partition of the row it was last asked for.  It carries the start's
-    free particles' running sums, the partition and the latest plateau of
-    each grown block on from that row, taking in each arrival once, so the
-    rows cost one pass."""
+    partition of the row it was last asked for.  It carries the running
+    sums of the start's free particles (``free``), the partition and the
+    latest plateau of each grown block on from that row, taking in each
+    arrival once, so the rows cost one pass.  A row that finds blocks
+    holding half of ``free`` drops their sums, which no later row reads."""
 
     def __init__(self, form: _ClosedForm):
-        free = form.free
+        free = self.free = form.free
         self.form, self.last, self.free_s = form, 0, form.s0[free]
         self._u, self._fs, self._f = form.u_init[free], form.fs0[free], form.f[free]
         self.blocks, self.taken, self.plateaus = form.blocks, 0, {}
+        self.joined, self._slot = 0, None  # how many of ``free`` blocks took in; ``slot``
 
     def partition(self, j: int) -> BlockPartition:
         """The partition at row j, if no row after j was asked for.  A block
         that grew since the last row asked for grows once, to its bounds at j."""
-        arrivals, grown = self.form.arrivals, set()
+        arrivals, grown, start = self.form.arrivals, set(), self.form.blocks
         while self.taken < len(arrivals) and arrivals[self.taken][0] <= j:
             r, b, lo, hi, *plateau = arrivals[self.taken]
+            was = self.plateaus.get(b) or (start.lo.item(b), start.hi.item(b))
+            self.joined += (hi - lo) - (was[1] - was[0])
             self.plateaus[b] = (lo, hi, r, *plateau)
             grown.add(b)
             self.taken += 1
@@ -406,20 +410,37 @@ class _Offsets:
         return self.blocks
 
     def free_at(self, j: int) -> np.ndarray:
-        """The running sums of the start's free particles at row j, if no
-        row after j was asked for."""
+        """The running sums of ``free`` at row j, if no row after j was asked for."""
         dt, free_s, u, fs, f = self.form.dt, self.free_s, self._u, self._fs, self._f
         for i in range(self.last + 1, j + 1):
-            free_s = free_s + dt * (u + dt * (fs + i * f))
-        self.free_s, self.last = free_s, max(self.last, j)
+            ds = f * i  # free_s + dt * (u + dt * (fs + i * f)), in place
+            ds += fs
+            ds *= dt
+            ds += u
+            ds *= dt
+            free_s += ds
+        self.last = max(self.last, j)
         return free_s
+
+    @property
+    def slot(self) -> np.ndarray:
+        """Per particle, its place in ``free`` (-1 if none), made when first read."""
+        if self._slot is None:
+            self._slot = np.full(self.form.ps.n, -1)
+            self._slot[self.free] = np.arange(self.free.size)
+        return self._slot
 
     def __call__(self, j: int) -> np.ndarray:
         form, dt = self.form, self.form.dt
         out = form.s0 + (dt * j * form.u0 + dt * dt * (j * (j + 1) // 2) * form.bf)
-        if form.free.size:
-            out[form.free] = self.free_at(j)
-        self.partition(j)
+        blocks = self.partition(j)
+        if 2 * self.joined > self.free.size:
+            keep = blocks.labels[self.free] < 0
+            self.free, self.free_s, self._u, self._fs, self._f = (
+                a[keep] for a in (self.free, self.free_s, self._u, self._fs, self._f))
+            self.joined, self._slot = 0, None
+        if self.free.size:
+            out[self.free] = self.free_at(j)
         for lo, hi, *plateau in self.plateaus.values():
             out[lo:hi + 1] = form.plateau(j, *plateau)
         return out
@@ -554,13 +575,57 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     return _Stretcher(state, most, force, cfg, ps).build()
 
 
+class _LastRows:
+    """The last row each root of a stretch lets through, in a table with a
+    row per test, (a), (b) and (c), and a column per particle (gap, prefix),
+    and their least value, kept under writes of a few entries at a time.
+    From the first ``clear`` on, it holds the entries then finite in
+    ascending order, ``found``, and those written since in a heap of
+    (value, entry); an entry in either whose value has since changed is
+    passed over."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.flat, self.found, self.heap = rows, rows.reshape(-1), None, []
+
+    def clear(self, a: int, b: int, y: int, z: int):
+        """Set every test's entries in columns a..b and y..z to inf."""
+        if self.found is None:
+            finite = np.flatnonzero(self.flat < np.inf)
+            found = finite[np.argsort(self.flat[finite], kind="stable")]
+            # the entries, their values and the first not passed over
+            self.found, self.was, self.next = found.tolist(), self.flat[found].tolist(), 0
+        self.rows[:, a:b + 1] = self.rows[:, y:z + 1] = np.inf
+
+    def put(self, test: int, at: int, last: float):
+        """Set entry ``at`` of test ``test`` (0 for (a), 1 for (b), 2 for (c))
+        to ``last``."""
+        at += test * self.rows.shape[1]
+        self.flat[at] = last
+        if last < np.inf and self.found is not None:
+            heapq.heappush(self.heap, (last, at))
+
+    def min(self) -> float:
+        found = self.found
+        if found is None:
+            return float(self.flat.min())
+        value, was, k, heap = self.flat.item, self.was, self.next, self.heap
+        while k < len(found) and value(found[k]) != was[k]:
+            k += 1
+        self.next = k
+        while heap and value(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        least = was[k] if k < len(found) else math.inf
+        return min(least, heap[0][0]) if heap else least
+
+
 class _Stretcher:
     """One stretch being built (see ``_stretch``): its closed form and the
-    root of each test, as the row up to which it holds.  ``leave`` holds
-    (a) per particle, ``close`` (b) per gap, ``reach`` the arrivals' (b)
-    on the gaps from a free particle to a block, and ``release`` (c) per
-    proper prefix; a grown block keeps its (a) and (c) at its first
-    particle and prefix.  ``pending`` is the heap of covering rows."""
+    root of each test, as the row up to which it holds.  ``last`` holds the
+    last row that (a) per particle, (b) per gap and (c) per proper prefix
+    let through; a block rerooted after an arrival keeps its (a) and (c) at
+    its first particle and prefix.  ``reach`` maps each gap from a free
+    particle to a block with a finite root to the arrival's (b) there.
+    ``pending`` is the heap of covering rows."""
 
     def __init__(self, state: SimState, most: int, force: ForceField, cfg: StepperConfig,
                  ps: ParticleSystem):
@@ -584,22 +649,29 @@ class _Stretcher:
         cuts = np.concatenate(([-np.inf], x_cuts, [np.inf]))
         self.at = np.searchsorted(x_cuts, state.x, side="right")
         self.below, self.above = cuts[self.at], cuts[self.at + 1]  # each particle's piece
-        self.leave = np.minimum(first_root(state.x - self.below, p1, p2),
-                                first_root(self.above - state.x, -p1, -p2))
-        self.close = np.full(n - 1, np.inf)  # (b)
+        leave = np.minimum(first_root(state.x - self.below, p1, p2),
+                           first_root(self.above - state.x, -p1, -p2))
+        close = np.full(n - 1, np.inf)  # (b)
         gap = ~inside
-        self.close[gap] = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
+        close[gap] = first_root(np.diff(state.s)[gap], d1[gap], d2[gap])
         edge = (labels[:-1] < 0) != (labels[1:] < 0)
-        self.reach = np.where(edge, self.close, np.inf)
-        self.close[edge] = np.inf
-        # (c), a prefix ending at i: before - prefix = A + j*B >= 0
+        reach = np.flatnonzero(edge & (close < np.inf))
+        self.reach = dict(zip(reach.tolist(), close[reach].tolist()))
+        close[edge] = np.inf
+        # (c), a prefix ending at i: before - prefix = margin + j*rate >= 0
         self.changes = ((np.diff(state.u_init) != 0) | (np.diff(state.force_sum) != 0)
                         | (np.diff(f) != 0))
         self.prefix = i, lo = _release_prefixes(blocks, self.changes)
         g = np.concatenate(([0.0], state.gamma))
         slope = np.concatenate(([0.0], np.cumsum(dt * m * (form.bf - f))))
-        self.release = np.full(n - 1, np.inf)
-        self.release[i] = first_root(g[lo] - g[i + 1], slope[lo] - slope[i + 1], 0.0)
+        margin, rate = g[lo] - g[i + 1], slope[lo] - slope[i + 1]
+        some = (margin < 0) | (rate <= 0)  # a margin from >= 0 that grows has no root
+        release = np.full(n - 1, np.inf)
+        release[i[some]] = first_root(margin[some], rate[some], 0.0)
+        last = np.full((3, n), np.inf)
+        last[0], last[1, :-1], last[2, :-1] = (np.floor(leave) + 1, np.ceil(close) - 1,
+                                               np.floor(release))
+        self.last = _LastRows(last)
 
         bottom = d2 > 0  # a gap's slack is lowest near its vertex
         vertex = -d1[bottom] / (2 * d2[bottom])
@@ -617,26 +689,29 @@ class _Stretcher:
                                  form.u0[blocks.lo].tolist(), form.bf[blocks.lo].tolist()))
         self.sums: list[tuple | None] = [None] * len(blocks)  # (mass, momentum, force) once grown
         self.steady: list[bool | None] = [None] * len(blocks)  # no prefix's (c) slope rises
+        self.mixed: list[bool | None] = [None] * len(blocks)  # not exempt from (c)
+        self.rooted: dict[int, tuple[int, int]] = {}  # a block's bounds at its last reroot
+        self.cut_runs: dict[int, tuple] = {}  # a block's bounds and ``runs``
         self.turns = np.flatnonzero(self.at[1:] != self.at[:-1]).tolist()  # gaps across a cut
 
     def end(self) -> int:
         """The last row that the roots other than the arrivals let through."""
-        return int(min(self.cap, np.floor(self.leave.min()) + 1,
-                       np.ceil(self.close.min(initial=np.inf)) - 1,
-                       np.floor(self.release.min(initial=np.inf))))
+        last = self.last.min()
+        return int(last) if last < self.cap else self.cap
 
     def build(self) -> Stretch | None:
         form = self.form
         while True:
             stop = self.end()
-            c = float(np.ceil(self.reach.min(initial=np.inf)))  # the next arrival's row
+            reach = min(self.reach.values(), default=math.inf)
+            c = math.ceil(reach) if reach < math.inf else reach  # the next arrival's row
             while self.pending and self.pending[0] <= min(c - 1, stop):
                 if not self.cover(heapq.heappop(self.pending)):
                     return None
             if c > stop:
                 break
-            if not self.arrive(int(c)):
-                stop = int(c) - 1
+            if not self.arrive(c):
+                stop = c - 1
                 break
         stop = max(1, stop)
         if (self.row is None or self.row.step_index != self.k0 + stop) and not self.cover(stop):
@@ -668,50 +743,51 @@ class _Stretcher:
         """The cumulative m*f, made at the first arrival that reads it."""
         return np.cumsum(self.ps.masses * self.f)
 
-    @cached_property
-    def slot(self) -> np.ndarray:
-        """Per start-free particle, its place in the running sums."""
-        slot = np.full(self.ps.n, -1)
-        slot[self.form.free] = np.arange(self.form.free.size)
-        return slot
-
-    def walk(self, k: int, c: int) -> tuple[float, float]:
-        """Free particle k's offsets at rows c - 1 and c, carried on from the
-        running sums' last row with the operations of ``_Offsets``."""
-        if k not in self.seen:
-            form, offsets, dt = self.form, self.offsets, self.dt
-            s = offsets.free_s.item(self.slot.item(k))
+    def walk(self, k: int, c: int) -> tuple[float, float, float, float, float, bool]:
+        """What an arrival at row c reads of free particle k: its offsets at
+        rows c - 1 and c, carried on from the running sums' last row with the
+        operations of ``_Offsets``, its mass, start u_free and force value,
+        and whether it fed row c from its x piece (a)."""
+        seen = self.seen.get(k)
+        if seen is None:
+            form, offsets, dt, ps = self.form, self.offsets, self.dt, self.ps
+            s = offsets.free_s.item(offsets.slot.item(k))
             u, fs, f = form.u_init.item(k), form.fs0.item(k), self.f.item(k)
             for i in range(offsets.last + 1, c):
                 s = s + dt * (u + dt * (fs + i * f))
-            self.seen[k] = (s, s + dt * (u + dt * (fs + c * f)))
-        return self.seen[k]
+            seen = self.seen[k] = (
+                s, s + dt * (u + dt * (fs + c * f)), ps.masses.item(k), self.uf0.item(k), f,
+                self.below.item(k) <= ps.packed.item(k) + s < self.above.item(k))
+        return seen
 
-    def before(self, k: int, c: int) -> float:
-        """Particle k's offset at row c - 1, on the forms before row c."""
-        b = self.owner.item(k)
-        return self.walk(k, c)[0] if b < 0 else self.form.plateau(c - 1, *self.plateaus[b])
+    def runs(self, b: int) -> tuple[list[int], list[int], list[tuple[float, float, float]]]:
+        """The first and the last particles of block b's runs in one x
+        piece, those that leave their piece first as the block moves, and
+        the x piece and packed position of each."""
+        bounds = lo, hi = self.bounds[b]
+        known = self.cut_runs.get(b)
+        if known is None or known[0] != bounds:
+            turns, x = self.turns, self.ps.packed.item
+            below, above = self.below.item, self.above.item
+            inner = turns[bisect.bisect_left(turns, lo):bisect.bisect_left(turns, hi)]
+            starts, ends = [lo] + [k + 1 for k in inner], inner + [hi]
+            known = self.cut_runs[b] = (bounds, starts, ends,
+                                        [(below(k), x(k), above(k)) for k in starts + ends])
+        return known[1:]
 
-    def runs(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
-        """The first and the last particles of block [lo, hi]'s runs in one
-        x piece: those that leave their piece first as the block moves."""
-        turns = self.turns
-        inner = turns[bisect.bisect_left(turns, lo):bisect.bisect_left(turns, hi)]
-        return [lo, *(k + 1 for k in inner)], [*inner, hi]
-
-    def inside(self, k: int, s: float) -> bool:
-        """(a): particle k at offset s is in the x piece it started in."""
-        return self.below.item(k) <= self.ps.packed.item(k) + s < self.above.item(k)
+    def inside(self, b: int, s: float) -> bool:
+        """(a): block b's particles at plateau s are in the x pieces they
+        started in, as its runs' first and last particles are."""
+        return all(below <= x + s < above for below, x, above in self.runs(b)[2])
 
     def arrive(self, c: int) -> bool:
         """Take in the arrivals at row c; False where the stretch must end before it."""
-        form, owner, n = self.form, self.owner, self.ps.n
-        mass_of, uf0, f = self.ps.masses.item, self.uf0.item, self.f.item
+        form, owner, n, walk = self.form, self.owner, self.ps.n, self.walk
         self.offsets.free_at(c - 2)
-        self.seen: dict[int, tuple[float, float]] = {}
+        self.seen = seen = {}
         grown, early = {}, []
         for b in sorted({max(owner.item(g), owner.item(g + 1))  # the block at each gap
-                         for g in np.flatnonzero(self.reach <= c).tolist()}):
+                         for g, r in self.reach.items() if r <= c}):
             lo, hi = self.bounds[b]
             if self.sums[b] is None:
                 w = self.ps.masses[lo:hi + 1]
@@ -722,17 +798,18 @@ class _Stretcher:
             pooled, a, z = mass * mean, lo, hi
             while True:  # the projection's pooling: left, right, and again while it grows
                 size = z - a
-                for side in (-1, 1):
-                    k = a - 1 if side < 0 else z + 1
-                    while 0 <= k < n and owner.item(k) < 0:
-                        s = self.walk(k, c)[1]
-                        if (s < mean) if side < 0 else (s > mean):
-                            break
-                        w = mass_of(k)
-                        pooled, mass = pooled + w * s, mass + w
-                        mom, push = mom + w * uf0(k), push + w * f(k)
-                        mean = pooled / mass
-                        a, z, k = min(a, k), max(z, k), k + side
+                while a and owner.item(a - 1) < 0:
+                    _, s, w, uf, fk, _ = seen.get(a - 1) or walk(a - 1, c)
+                    if s < mean:
+                        break
+                    pooled, mass, mom, push = pooled + w * s, mass + w, mom + w * uf, push + w * fk
+                    mean, a = pooled / mass, a - 1
+                while z < n - 1 and owner.item(z + 1) < 0:
+                    _, s, w, uf, fk, _ = seen.get(z + 1) or walk(z + 1, c)
+                    if s > mean:
+                        break
+                    pooled, mass, mom, push = pooled + w * s, mass + w, mom + w * uf, push + w * fk
+                    mean, z = pooled / mass, z + 1
                 if z - a == size:
                     break
             if (a, z) == (lo, hi):  # no contact yet: its roots came early
@@ -745,8 +822,14 @@ class _Stretcher:
         if not all(self.holds(b, c, a, z, plateau, grown)
                    for b, (a, z, plateau, _) in grown.items()):
             return False
+        changes = self.changes
         for b, (a, z, plateau, sums) in grown.items():
-            owner[a:z + 1] = b
+            lo, hi = self.bounds[b]
+            owner[a:lo] = owner[hi + 1:z + 1] = b
+            self.reach.pop(lo - 1, None)  # its edges are found again
+            self.reach.pop(hi, None)
+            if self.mixed[b] is not None:
+                self.mixed[b] = self.mixed[b] or bool(changes[a:lo].any() or changes[hi:z].any())
             self.bounds[b], self.plateaus[b], self.sums[b] = (a, z), plateau, sums
             self.steady[b] = None
             form.arrivals.append((c, b, a, z, *plateau[1:]))
@@ -755,47 +838,45 @@ class _Stretcher:
         return True
 
     def holds(self, b: int, c: int, a: int, z: int, plateau: tuple, grown: dict) -> bool:
-        """The tests of the forms that block b's arrivals at row c end and start."""
-        form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
+        """The tests of the forms that block b's arrivals at row c end and start
+        (the joining particles were walked to row c)."""
+        form, owner, n, dt, seen = self.form, self.owner.item, self.ps.n, self.dt, self.seen
         lo, hi = self.bounds[b]
-        # (b) at c - 1 on the gaps from the outer neighbours to the old block
         old = form.plateau(c - 1, *self.plateaus[b])
-        seq = ([self.before(k, c) for k in range(max(a - 1, 0), lo)] + [old]
-               + [self.before(k, c) for k in range(hi + 1, min(z + 2, n))])
-        if any(x >= y for x, y in zip(seq, seq[1:])):
-            return False
-
-        def plateau_of(k):  # a neighbouring block's plateau at row c
-            o = owner.item(k)
-            return form.plateau(c, *(grown[o][2] if o in grown else self.plateaus[o]))
-
-        # (b) at c against a neighbouring block
-        if (a > 0 and owner.item(a - 1) >= 0 and plateau_of(a - 1) >= plateau[1]) or (
-                z < n - 1 and owner.item(z + 1) >= 0 and plateau_of(z + 1) <= plateau[1]):
-            return False
-        # (a): the joining particles and the old block fed row c from their pieces
-        joined = [*range(a, lo), *range(hi + 1, z + 1)]
-        if not (all(self.inside(k, self.walk(k, c)[0]) for k in joined)
-                and all(self.inside(k, old) for k in sum(self.runs(lo, hi), []))):
+        u = plateau[2] + dt * c * plateau[3]
+        # each side from the outer neighbour in: (b) at c against a neighbouring
+        # block and at c - 1 on the gaps from the outer neighbour to the old block,
+        # (a) on the joining particles, and (c): the grown block's prefixes are <= 0
+        # if the old block's are and the joining particles' deficits m (u - u_free)
+        # sum to <= 0 from the left and >= 0 from the right
+        for side, k, ks in ((1, a - 1, range(a, lo)), (-1, z + 1, range(z, hi, -1))):
+            o = owner(k) if 0 <= k < n else -1
+            if o >= 0:
+                other = form.plateau(c, *(grown[o][2] if o in grown else self.plateaus[o]))
+                if (other >= plateau[1]) if side > 0 else (other <= plateau[1]):
+                    return False
+                last = form.plateau(c - 1, *self.plateaus[o])
+            else:
+                last = seen[k][0] if 0 <= k < n else None
+            total = 0.0
+            for k in ks:
+                s, _, w, uf, fk, fed = seen[k]
+                if not fed or last is not None and ((last >= s) if side > 0 else (s >= last)):
+                    return False
+                total += w * (u - uf - dt * c * fk)
+                if total * side > 0:
+                    return False
+                last = s
+            if last is not None and ((last >= old) if side > 0 else (old >= last)):
+                return False
+        # (a) on the old block at c - 1
+        if not self.inside(b, old):
             return False
         # (c) at c.  The old block's prefixes are affine in j since its plateau
         # started, where they were <= 0; unless their slope rises they still are
         if self.steady[b] is None:
-            self.steady[b] = self.holds_still(lo, hi, self.plateaus[b][3])
-        if not self.steady[b] and (_prefixes(*self.fields(lo, hi, c)) > 0).any():
-            return False
-        # the grown block's prefixes then are too, if the joining particles'
-        # deficits m (u - u_free) sum to <= 0 from the left and >= 0 from the right
-        mass_of, uf0, f = self.ps.masses.item, self.uf0.item, self.f.item
-        _, _, u0, bf = plateau
-        u = u0 + dt * c * bf
-        for side, ks in ((1, range(a, lo)), (-1, range(z, hi, -1))):
-            total = 0.0
-            for k in ks:
-                total += mass_of(k) * (u - uf0(k) - dt * c * f(k))
-                if total * side > 0:
-                    return False
-        return True
+            self.steady[b] = self.holds_still(b)
+        return self.steady[b] or not (_prefixes(*self.fields(lo, hi, c)) > 0).any()
 
     def fields(self, lo: int, hi: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         """u_free at row c and the masses of the particles lo..hi."""
@@ -803,17 +884,21 @@ class _Stretcher:
         return (form.u_init[cells] + self.dt * (form.fs0[cells] + c * self.f[cells]),
                 self.ps.masses[cells])
 
-    def holds_still(self, lo: int, hi: int, bf: float) -> bool:
-        """Whether no proper prefix of block [lo, hi]'s m (bf - f), the slope
-        of (c), is positive, or the block is exempt from (c).  The sum is
+    def holds_still(self, b: int) -> bool:
+        """Whether no proper prefix of block b's m (bf - f), the slope of
+        (c), is positive, or the block is exempt from (c).  The sum is
         linear in the prefix's mass between x cuts, so it is tested at the
         ends of the runs in one piece."""
-        if not self.changes[lo:hi].any():
+        lo, hi = self.bounds[b]
+        bf = self.plateaus[b][3]
+        if self.mixed[b] is None:
+            self.mixed[b] = bool(self.changes[lo:hi].any())
+        if not self.mixed[b]:
             return True
         cm, cf = self.ps.cum_masses.item, self.cum_force.item
         m0, f0 = (cm(lo - 1), cf(lo - 1)) if lo else (0.0, 0.0)
-        return all(bf * (cm(i) - m0) <= cf(i) - f0
-                   for i in {hi - 1, *sum(self.runs(lo, hi), [])} if i < hi)
+        starts, ends, _ = self.runs(b)
+        return all(bf * (cm(i) - m0) <= cf(i) - f0 for i in (*starts, *ends, hi - 1) if i < hi)
 
     def reroot(self, b: int, c: int, grew: bool):
         """The roots of block b on its plateau from row c on: its edge gaps',
@@ -825,20 +910,26 @@ class _Stretcher:
         c, feed that row."""
         form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
         a, z = self.bounds[b]
-        _, _, _, bf = self.plateaus[b]
-        gaps = [g for g in (a - 1, z) if 0 <= g < n - 1]
-        arrivals = [(owner.item(g) < 0) != (owner.item(g + 1) < 0) for g in gaps]
-        starts, ends = self.runs(a, z)
-        self.reach[a:z] = self.close[a:z] = self.release[a:z] = self.leave[a:z + 1] = np.inf
+        # its roots inside: at the first reroot all the start's, later those at
+        # its first particle and of the particles it took in
+        lo, hi = self.rooted.get(b, (z, a))
+        self.last.clear(a, lo, hi, z)
+        self.rooted[b] = a, z
         if self.steady[b] is None:
-            self.steady[b] = self.holds_still(a, z, bf)
+            self.steady[b] = self.holds_still(b)
         s = form.plateau(c, *self.plateaus[b])
         # a particle already out of its piece feeds no row after c
-        inside = all(self.inside(k, s) for k in starts + ends)
+        inside = self.inside(b, s)
+        gaps = [g for g in (a - 1, z) if 0 <= g < n - 1]
+        arrivals = [(owner.item(g) < 0) != (owner.item(g + 1) < 0) for g in gaps]
         if grew and gaps and all(arrivals) and self.steady[b]:
-            self.reach[gaps], self.close[gaps] = c + 0.5, np.inf
-            self.leave[a] = c if inside else c - 1
+            for g in gaps:
+                self.reach[g] = c + 0.5
+                self.last.put(1, g, np.inf)
+            self.last.put(0, a, c + 1 if inside else c)
             return
+        starts, ends, _ = self.runs(b)
+        bf = self.plateaus[b][3]
 
         def motion(k):  # particle k's offset at row c and its s_{c+t} - s_c = q1*t + q2*t**2
             o = owner.item(k)
@@ -857,21 +948,26 @@ class _Stretcher:
         low = max(self.below.item(k) - x(k) for k in starts)
         high = min(self.above.item(k) - x(k) for k in ends)
         coef += [(s - low, q1, q2), (high - s, -q1, -q2)]
-        roots = (c + first_root(*np.array(coef).T)).tolist()
-        for g, arrival, r, (_, lin, quad) in zip(gaps, arrivals, roots, coef):
-            self.reach[g], self.close[g] = (r, np.inf) if arrival else (np.inf, r)
+        roots = c + first_root(*np.array(coef).T)
+        for g, arrival, r, last, (_, lin, quad) in zip(gaps, arrivals, roots.tolist(),
+                                                       (np.ceil(roots) - 1).tolist(), coef):
+            if arrival and r < np.inf:
+                self.reach[g] = r
+            else:
+                self.reach.pop(g, None)
+            self.last.put(1, g, np.inf if arrival else last)
             if quad > 0 and lin < 0:  # a gap that bends up: cover the rows at its lowest point
                 v = c - lin / (2 * quad)
                 for r in {math.floor(v), math.ceil(v)}:
                     if c < r <= self.most:
                         heapq.heappush(self.pending, r)
-        self.leave[a] = min(roots[len(gaps):]) if inside else c - 1
+        self.last.put(0, a, np.floor(roots[len(gaps):].min()) + 1 if inside else c)
         if not self.steady[b]:  # (c): prefix + t*slope, where the slope rises
             uf, w = self.fields(a, z, c)
             slope = np.cumsum(dt * w * (bf - self.f[a:z + 1]))[:-1]
             rise = slope > 0
-            self.release[a] = c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(
-                initial=np.inf)
+            self.last.put(2, a, np.floor(
+                c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(initial=np.inf)))
 
 
 def _grows(a: BlockPartition, b: BlockPartition) -> bool:

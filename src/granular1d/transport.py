@@ -116,14 +116,15 @@ class BlockPartition:
     by the cone projection.  A partition is built as
     ``BlockPartition(lo, hi, n)`` from the first and last particle index of
     each block, kept as two read-only int arrays, so that per-block work
-    is a numpy operation rather than a Python loop.  It makes its
-    read-only ``labels`` (block id per particle, -1 outside all blocks)
-    and ``interior_cells`` (over the n-1 gaps: True where the gap lies
-    inside one block) once; the partition that ``project_monotone``
-    returns takes them from the fit, which already knows them.
+    is a numpy operation rather than a Python loop, with the particle
+    count ``n``.  It makes its read-only ``labels`` (block id per
+    particle, -1 outside all blocks) and ``interior_cells`` (over the n-1
+    gaps: True where the gap lies inside one block) once; the partition
+    that ``project_monotone`` returns takes them from the fit, which
+    already knows them, and a ``grown`` one makes them when first read.
     """
 
-    __slots__ = ("lo", "hi", "labels", "interior_cells")
+    __slots__ = ("lo", "hi", "n", "labels", "interior_cells")
 
     def __init__(self, lo, hi, n: int):
         lo = np.array(lo, dtype=np.intp)
@@ -138,12 +139,17 @@ class BlockPartition:
             raise ValueError("blocks overlap or are out of order")
         if np.any(lo < 0) or np.any(hi >= n):
             raise ValueError(f"blocks outside the particles [0, {n})")
-        # runs of gaps (-1) alternate with blocks (their id), cut at
-        # 0, lo[0], hi[0] + 1, lo[1], ..., n
+        self._set(lo, hi, *self._runs(lo, hi, n))
+
+    @staticmethod
+    def _runs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of the labels of bounds lo, hi: runs of gaps (-1)
+        alternate with blocks (their id), cut at 0, lo[0], hi[0] + 1,
+        lo[1], ..., n; their ids and lengths."""
         cuts = np.stack([lo, hi + 1], axis=-1).ravel()
         ids = np.full(2 * lo.size + 1, -1, dtype=np.intp)
         ids[1::2] = np.arange(lo.size)
-        self._set(lo, hi, ids, np.diff(cuts, prepend=0, append=n))
+        return ids, np.diff(cuts, prepend=0, append=n)
 
     @classmethod
     def _of_groups(cls, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray,
@@ -158,23 +164,31 @@ class BlockPartition:
         """Freeze the bounds with the labels ids[k] repeated lengths[k]
         times and the interior cells of those labels."""
         labels = ids.repeat(lengths)
-        return self._freeze(lo, hi, labels, (labels[:-1] == labels[1:]) & (labels[1:] >= 0))
+        return self._freeze(lo, hi, labels.size, labels=labels,
+                            interior_cells=(labels[:-1] == labels[1:]) & (labels[1:] >= 0))
 
-    def _freeze(self, lo: np.ndarray, hi: np.ndarray, labels: np.ndarray,
-                inside: np.ndarray) -> BlockPartition:
-        for name, a in (("lo", lo), ("hi", hi), ("labels", labels), ("interior_cells", inside)):
+    def _freeze(self, lo: np.ndarray, hi: np.ndarray, n: int,
+                **masks: np.ndarray) -> BlockPartition:
+        for name, a in (("lo", lo), ("hi", hi), *masks.items()):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "n", n)
         return self
 
     def grown(self, b: int, lo: int, hi: int) -> BlockPartition:
         """This partition with block b grown to [lo, hi] over particles in
-        no block, its labels and interior cells copied and set there."""
+        no block.  Only the bounds are copied: its labels and interior
+        cells are made from them when first read."""
         bounds = self.lo.copy(), self.hi.copy()
         bounds[0][b], bounds[1][b] = lo, hi
-        labels, inside = self.labels.copy(), self.interior_cells.copy()
-        labels[lo:hi + 1], inside[lo:hi] = b, True
-        return object.__new__(BlockPartition)._freeze(*bounds, labels, inside)
+        return object.__new__(BlockPartition)._freeze(*bounds, self.n)
+
+    def __getattr__(self, name):
+        # called only for an attribute not set: a grown partition's masks
+        if name not in ("labels", "interior_cells"):
+            raise AttributeError(name)
+        self._set(self.lo, self.hi, *self._runs(self.lo, self.hi, self.n))
+        return getattr(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockPartition is immutable")
@@ -182,11 +196,11 @@ class BlockPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPartition):
             return NotImplemented
-        return (self.labels.size == other.labels.size and np.array_equal(self.lo, other.lo)
+        return (self.n == other.n and np.array_equal(self.lo, other.lo)
                 and np.array_equal(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        return f"BlockPartition({self.lo.tolist()}, {self.hi.tolist()}, {self.labels.size})"
+        return f"BlockPartition({self.lo.tolist()}, {self.hi.tolist()}, {self.n})"
 
     def __len__(self) -> int:
         return self.lo.size

@@ -155,8 +155,10 @@ class ContactTracker:
         self._was_merged = False
 
     def observe(self, t: float, blocks: BlockPartition) -> bool:
-        i, j = self.interface
-        merged = bool(blocks.labels[i] >= 0 and blocks.labels[i] == blocks.labels[j])
+        i, j = sorted(self.interface)
+        # the first block that ends at or after j holds both if it starts by i
+        k = blocks.hi.searchsorted(j)
+        merged = bool(k < len(blocks) and blocks.lo[k] <= i)
         if merged and self.contact_time is None:
             self.contact_time = t
         if self._was_merged and not merged and self.separation_time is None:

@@ -3,6 +3,7 @@ import pytest
 
 from granular1d import (
     BlockPartition,
+    ContactTracker,
     OracleLimitError,
     ParticleSystem,
     build_particles,
@@ -485,11 +486,13 @@ def test_partition_arrays_match_naive_definitions():
         assert bp.labels.tolist() == naive_labels
         naive_inside = [any(lo <= c < hi for lo, hi in pairs) for c in range(n - 1)]
         assert bp.interior_cells.tolist() == naive_inside
-        # "one block holds particles i and j" read off the labels, either order
+        # "one block holds particles i and j" read off the labels, either order,
+        # and as a contact tracker reads it off the bounds
         for i in range(n):
             for j in range(n):
                 same = bool(bp.labels[i] >= 0 and bp.labels[i] == bp.labels[j])
                 assert same == any(lo <= min(i, j) and max(i, j) <= hi for lo, hi in pairs)
+                assert ContactTracker((i, j)).observe(0.0, bp) == same
         a = rng.normal(0.0, 1.0, n)
         naive_sums = [a[lo : hi + 1].sum() for lo, hi in pairs]
         assert bp.sums(a) == pytest.approx(naive_sums, abs=1e-12)
