@@ -575,57 +575,15 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     return _Stretcher(state, most, force, cfg, ps).build()
 
 
-class _LastRows:
-    """The last row each root of a stretch lets through, in a table with a
-    row per test, (a), (b) and (c), and a column per particle (gap, prefix),
-    and their least value, kept under writes of a few entries at a time.
-    From the first ``clear`` on, it holds the entries then finite in
-    ascending order, ``found``, and those written since in a heap of
-    (value, entry); an entry in either whose value has since changed is
-    passed over."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows, self.flat, self.found, self.heap = rows, rows.reshape(-1), None, []
-
-    def clear(self, a: int, b: int, y: int, z: int):
-        """Set every test's entries in columns a..b and y..z to inf."""
-        if self.found is None:
-            finite = np.flatnonzero(self.flat < np.inf)
-            found = finite[np.argsort(self.flat[finite], kind="stable")]
-            # the entries, their values and the first not passed over
-            self.found, self.was, self.next = found.tolist(), self.flat[found].tolist(), 0
-        self.rows[:, a:b + 1] = self.rows[:, y:z + 1] = np.inf
-
-    def put(self, test: int, at: int, last: float):
-        """Set entry ``at`` of test ``test`` (0 for (a), 1 for (b), 2 for (c))
-        to ``last``."""
-        at += test * self.rows.shape[1]
-        self.flat[at] = last
-        if last < np.inf and self.found is not None:
-            heapq.heappush(self.heap, (last, at))
-
-    def min(self) -> float:
-        found = self.found
-        if found is None:
-            return float(self.flat.min())
-        value, was, k, heap = self.flat.item, self.was, self.next, self.heap
-        while k < len(found) and value(found[k]) != was[k]:
-            k += 1
-        self.next = k
-        while heap and value(heap[0][1]) != heap[0][0]:
-            heapq.heappop(heap)
-        least = was[k] if k < len(found) else math.inf
-        return min(least, heap[0][0]) if heap else least
-
-
 class _Stretcher:
     """One stretch being built (see ``_stretch``): its closed form and the
-    root of each test, as the row up to which it holds.  ``last`` holds the
-    last row that (a) per particle, (b) per gap and (c) per proper prefix
-    let through; a block rerooted after an arrival keeps its (a) and (c) at
-    its first particle and prefix.  ``reach`` maps each gap from a free
-    particle to a block with a finite root to the arrival's (b) there.
-    ``pending`` is the heap of covering rows."""
+    root of each test, as the row up to which it holds.  ``last`` is one
+    table of the last row that (a) per particle, (b) per gap and (c) per
+    proper prefix let through; its least entry is one reduction per arrival
+    row.  A block rerooted after an arrival keeps its (a) and (c) at its
+    first particle and prefix.  ``reach`` maps each gap from a free particle
+    to a block with a finite root to the arrival's (b) there.  ``pending``
+    is the heap of covering rows."""
 
     def __init__(self, state: SimState, most: int, force: ForceField, cfg: StepperConfig,
                  ps: ParticleSystem):
@@ -668,10 +626,9 @@ class _Stretcher:
         some = (margin < 0) | (rate <= 0)  # a margin from >= 0 that grows has no root
         release = np.full(n - 1, np.inf)
         release[i[some]] = first_root(margin[some], rate[some], 0.0)
-        last = np.full((3, n), np.inf)
+        last = self.last = np.full((3, n), np.inf)
         last[0], last[1, :-1], last[2, :-1] = (np.floor(leave) + 1, np.ceil(close) - 1,
                                                np.floor(release))
-        self.last = _LastRows(last)
 
         bottom = d2 > 0  # a gap's slack is lowest near its vertex
         vertex = -d1[bottom] / (2 * d2[bottom])
@@ -690,7 +647,6 @@ class _Stretcher:
         self.sums: list[tuple | None] = [None] * len(blocks)  # (mass, momentum, force) once grown
         self.steady: list[bool | None] = [None] * len(blocks)  # no prefix's (c) slope rises
         self.mixed: list[bool | None] = [None] * len(blocks)  # not exempt from (c)
-        self.rooted: dict[int, tuple[int, int]] = {}  # a block's bounds at its last reroot
         self.cut_runs: dict[int, tuple] = {}  # a block's bounds and ``runs``
         self.turns = np.flatnonzero(self.at[1:] != self.at[:-1]).tolist()  # gaps across a cut
 
@@ -910,11 +866,7 @@ class _Stretcher:
         c, feed that row."""
         form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
         a, z = self.bounds[b]
-        # its roots inside: at the first reroot all the start's, later those at
-        # its first particle and of the particles it took in
-        lo, hi = self.rooted.get(b, (z, a))
-        self.last.clear(a, lo, hi, z)
-        self.rooted[b] = a, z
+        self.last[:, a:z + 1] = np.inf  # its roots inside
         if self.steady[b] is None:
             self.steady[b] = self.holds_still(b)
         s = form.plateau(c, *self.plateaus[b])
@@ -925,8 +877,8 @@ class _Stretcher:
         if grew and gaps and all(arrivals) and self.steady[b]:
             for g in gaps:
                 self.reach[g] = c + 0.5
-                self.last.put(1, g, np.inf)
-            self.last.put(0, a, c + 1 if inside else c)
+                self.last[1, g] = np.inf
+            self.last[0, a] = c + 1 if inside else c
             return
         starts, ends, _ = self.runs(b)
         bf = self.plateaus[b][3]
@@ -955,19 +907,19 @@ class _Stretcher:
                 self.reach[g] = r
             else:
                 self.reach.pop(g, None)
-            self.last.put(1, g, np.inf if arrival else last)
+            self.last[1, g] = np.inf if arrival else last
             if quad > 0 and lin < 0:  # a gap that bends up: cover the rows at its lowest point
                 v = c - lin / (2 * quad)
                 for r in {math.floor(v), math.ceil(v)}:
                     if c < r <= self.most:
                         heapq.heappush(self.pending, r)
-        self.last.put(0, a, np.floor(roots[len(gaps):].min()) + 1 if inside else c)
+        self.last[0, a] = np.floor(roots[len(gaps):].min()) + 1 if inside else c
         if not self.steady[b]:  # (c): prefix + t*slope, where the slope rises
             uf, w = self.fields(a, z, c)
             slope = np.cumsum(dt * w * (bf - self.f[a:z + 1]))[:-1]
             rise = slope > 0
-            self.last.put(2, a, np.floor(
-                c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(initial=np.inf)))
+            self.last[2, a] = np.floor(
+                c + first_root(-_prefixes(uf, w)[rise], -slope[rise], 0.0).min(initial=np.inf))
 
 
 def _grows(a: BlockPartition, b: BlockPartition) -> bool:
