@@ -523,7 +523,7 @@ def _release_prefixes(blocks: BlockPartition, changes: np.ndarray) -> tuple[np.n
 
 def _prefixes(uf: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The proper prefixes of m (u - u_free) over one block, u its mean."""
-    return np.cumsum(((w @ uf) / w.sum() - uf) * w)[:-1]
+    return np.cumsum(((w * uf).sum() / w.sum() - uf) * w)[:-1]
 
 
 def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
@@ -747,8 +747,8 @@ class _Stretcher:
             lo, hi = self.bounds[b]
             if self.sums[b] is None:
                 w = self.ps.masses[lo:hi + 1]
-                self.sums[b] = (float(w.sum()), float(w @ self.uf0[lo:hi + 1]),
-                                float(w @ self.f[lo:hi + 1]))
+                self.sums[b] = (float(w.sum()), float((w * self.uf0[lo:hi + 1]).sum()),
+                                float((w * self.f[lo:hi + 1]).sum()))
             mass, mom, push = self.sums[b]
             mean = form.plateau(c, *self.plateaus[b])
             pooled, a, z = mass * mean, lo, hi

@@ -40,7 +40,7 @@ class EulerianField:
         return self.x.size
 
     def total_mass(self) -> float:
-        return float(np.dot(self.rho, self.width))
+        return float((self.rho * self.width).sum())
 
 
 def reconstruct(state: SimState, ps: ParticleSystem) -> EulerianField:

@@ -433,7 +433,7 @@ def oracle_qp_projection(z: np.ndarray, xtil: np.ndarray, w: np.ndarray) -> np.n
             continue
         if np.any(lam < -dual_tol):
             continue
-        obj = float(np.dot(w, (x - z) ** 2))
+        obj = float((w * (x - z) ** 2).sum())
         if obj < best_obj:
             best_obj = obj
             best_x = x

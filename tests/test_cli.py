@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import json
@@ -736,29 +737,62 @@ def test_force_reversal_past_the_run_is_never_reached(tmp_path):
 
 
 def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
-    """A custom block pushed together by opposing forces writes the same
-    bytes under OpenBLAS's Prescott and Haswell kernels, which
-    OPENBLAS_CORETYPE selects in each child process.  The center of mass
-    and the error norms are correctly rounded sums, so no kernel can
-    change them.  On a numpy without a dynamic-arch OpenBLAS, or off x86,
-    the variable does nothing and the test passes trivially."""
+    """A custom block pushed together by opposing forces, and the partially
+    filled two-block collision, whose growing fronts stretches take in as
+    arrivals, write the same bytes under OpenBLAS's Prescott and Haswell
+    kernels, which OPENBLAS_CORETYPE selects in each child process.  The
+    center of mass, the error norms and an arrival's block sums are
+    kernel-independent sums, so no kernel can change them.  On a numpy
+    without a dynamic-arch OpenBLAS, or off x86, the variable does nothing
+    and the test passes trivially."""
     cpuinfo = Path("/proc/cpuinfo")
     if not (cpuinfo.exists() and "avx2" in cpuinfo.read_text()):
         pytest.skip("the Haswell kernel needs AVX2, which this CPU does not report")
-    cfg = write_config(
-        tmp_path / "blas.yaml", scenario="custom", n=1000, dt=1e-3, t_end=0.01,
-        output_times=[0.0, 0.01], u0=0.0, density={"blocks": [[-1.0, -0.3, 0.8]]},
-        force={"breakpoints": [-0.6], "values": [0.5, -0.5]},
-    )
+    configs = [
+        write_config(tmp_path / "blas.yaml", scenario="custom", n=1000, dt=1e-3, t_end=0.01,
+                     output_times=[0.0, 0.01], u0=0.0, density={"blocks": [[-1.0, -0.3, 0.8]]},
+                     force={"breakpoints": [-0.6], "values": [0.5, -0.5]}),
+        write_config(tmp_path / "partial-fill.yaml", scenario="custom", n=200, dt=2e-3, t_end=2.6,
+                     output_times=[0.0, 0.9, 1.6, 2.6],
+                     density={"blocks": [[-1.1024, -0.1024, 0.5], [0.1024, 1.1024, 0.5]]},
+                     force={"alpha": 0.5, "t_star": 1.0}),
+    ]
     src = str(Path(granular1d.__file__).resolve().parents[1])
-    outputs = []
-    for kernel in ("Prescott", "Haswell"):
-        outdir = tmp_path / kernel
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel, GRANULAR1D_OUTDIR=str(outdir))
-        subprocess.run([sys.executable, "-m", "granular1d.cli", "run", str(cfg)], env=env, check=True,
-                       capture_output=True)
-        outputs.append({f.name: f.read_bytes() for f in sorted(outdir.iterdir())})
-    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+    for cfg in configs:
+        outputs = []
+        for kernel in ("Prescott", "Haswell"):
+            outdir = tmp_path / cfg.stem / kernel
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel,
+                       GRANULAR1D_OUTDIR=str(outdir))
+            subprocess.run([sys.executable, "-m", "granular1d.cli", "run", str(cfg)], env=env,
+                           check=True, capture_output=True)
+            outputs.append({f.name: f.read_bytes() for f in sorted(outdir.iterdir())})
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1], cfg.stem
+
+
+def test_no_blas_reduction_reaches_the_outputs():
+    """The source makes no BLAS reduction (``@``, ``dot``, ``inner``,
+    ``matmul``, ``vdot``), whose bits depend on the kernel OpenBLAS picks,
+    except the momentum drift in ``check_state``, which only decides pass
+    or fail.  This holds on CPUs where the runtime test above skips."""
+    found = []
+    for path in sorted(Path(granular1d.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            blas = (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dot", "inner", "matmul", "vdot"))
+            if blas:
+                found.append((path.name, func, ast.get_source_segment(source, node)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(source), None)
+    assert found == [("dynamics.py", "check_state", "u @ ps.masses"),
+                     ("dynamics.py", "check_state", "u_free @ ps.masses")]
 
 
 def test_zero_duration_emits_initial_state_only(tmp_path):

@@ -489,6 +489,18 @@ def test_heterogeneous_run_is_a_few_stretches(monkeypatch):
     assert [(w.steps, len(list(w.pieces()))) for w in multi_row(stretches)] == [
         (range(3, 18), 1), (range(21, 401), 150)]
     assert stretches[-1].blocks == BlockPartition([0], [299], 300)
+    # where the roots end the stretches of the growth fronts, and how many
+    # arrivals each takes in; single steps fill the rest
+    for setup, shape in [
+        (growth_front_run, [(3, 20, 0), (23, 635, 434), (636, 675, 20), (676, 708, 0),
+                            (709, 740, 0), (741, 770, 0), (771, 800, 0)]),
+        (three_block_run, [(3, 15, 0), (18, 218, 103), (219, 301, 0)]),
+    ]:
+        ps, force, cfg = setup()
+        stretches = list(run_windows(ps, np.zeros(ps.n), force, cfg))
+        assert [k for w in stretches for k in w.steps] == list(range(cfg.n_steps + 1))
+        assert [(w.steps.start, w.steps.stop, len(w.form.arrivals))
+                for w in multi_row(stretches)] == shape, setup.__name__
 
 
 def test_corrupted_row_names_its_time_and_step(monkeypatch):
