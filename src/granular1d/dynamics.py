@@ -552,7 +552,8 @@ def _stretch(state: SimState, most: int, force: ForceField, cfg: StepperConfig,
     neighbour's z = s_{j-1} + dt*u_free_j is at least the pooled mean (at
     most, on the right), and then the next one.  The grown block restarts
     its plateau from the pooled offset and sums, and only its own roots
-    are found again.  An arrival the projection would not make alone (a
+    are found again, into one table whose least entry is one reduction
+    per arrival row.  An arrival the projection would not make alone (a
     block reaching another, a test below failing) ends the stretch before
     its row.
 
@@ -866,7 +867,7 @@ class _Stretcher:
         c, feed that row."""
         form, owner, n, dt = self.form, self.owner, self.ps.n, self.dt
         a, z = self.bounds[b]
-        self.last[:, a:z + 1] = np.inf  # its roots inside
+        self.last[:, a:z + 1] = np.inf  # its roots inside, found again below
         if self.steady[b] is None:
             self.steady[b] = self.holds_still(b)
         s = form.plateau(c, *self.plateaus[b])
